@@ -2,8 +2,7 @@
 
 Cells are (problem, algo, n, q) combinations; each repetition generates
 a fresh seeded instance, times the solve call only, and yields one
-BenchRecord.  Cells may run in parallel workers; output order is always
-the sorted cell order, never completion order.
+BenchRecord.  Cells run one after another in sorted cell order.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -99,7 +97,6 @@ def run_matrix(
     seed: int = 0,
     q: Optional[int] = None,
     omega: float = 3.0,
-    threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> list[BenchRecord]:
     cells = []
@@ -109,14 +106,10 @@ def run_matrix(
                 for rep in range(reps):
                     cells.append((problem, algo, n, q if q is not None else n, rep))
 
-    def work(cell):
-        problem, algo, n, cell_q, rep = cell
-        return run_cell(problem, algo, n, cell_q, seed + rep, omega=omega, budget=budget)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, cells))
-    return [work(cell) for cell in cells]
+    return [
+        run_cell(problem, algo, n, cell_q, seed + rep, omega=omega, budget=budget)
+        for problem, algo, n, cell_q, rep in cells
+    ]
 
 
 def write_csv(records: Sequence[BenchRecord], stream) -> None:

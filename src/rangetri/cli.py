@@ -54,7 +54,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--omega", type=float, default=3.0, help="matmul exponent tuning")
     parser.add_argument("--zeta", type=int, default=128, help="listing capacity constant")
-    parser.add_argument("--threads", type=int, default=1, help="parallel workers")
     parser.add_argument("--format", choices=("text", "csv"), default="text")
 
 
@@ -235,12 +234,20 @@ def cmd_verify(args) -> int:
         f = INV if args.problem in ("riq", "2riq") else EQP
         expected = [oracle_pairs_query(f, array, q) for q in queries]
     if args.answers:
-        lines = [ln for ln in Path(args.answers).read_text().splitlines() if ln.strip()]
+        text = Path(args.answers).read_text()
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if len(lines) != len(queries):
             raise InputError(
                 f"{args.answers}: expected {len(queries)} answers, got {len(lines)}"
             )
-        got = [int(ln) for ln in lines]
+        got = []
+        for lineno, ln in lines:
+            try:
+                got.append(int(ln))
+            except ValueError as exc:
+                raise InputError(
+                    f"{args.answers}:{lineno}: expected an integer, got {ln.strip()!r}"
+                ) from exc
     else:
         solver = range_solver(args.problem, args.algo, omega=args.omega, inner=args.inner)
         got = solver(array, queries)
@@ -261,7 +268,6 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         q=args.q,
         omega=args.omega,
-        threads=args.threads,
     )
     if args.out:
         with open(args.out, "w", newline="") as handle:

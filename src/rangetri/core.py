@@ -280,65 +280,66 @@ class TripartiteMultigraph:
 
 
 class DenseMatrix:
-    """Integer matrix stored row-major."""
+    """Integer matrix backed by one 2-D int64 ndarray, ``array``.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``entries`` may be any sequence or array of ``rows * cols`` integers
+    in row-major order; an entry outside int64 raises ``InputError``.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+    __slots__ = ("array",)
+
+    def __init__(self, rows: int, cols: int, entries):
         if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
-        if len(entries) != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = [int(x) for x in entries]
+        try:
+            flat = np.asarray(entries, dtype=np.int64)
+        except OverflowError as exc:
+            raise InputError("matrix entry outside int64") from exc
+        if flat.size != rows * cols:
+            raise ShapeError(f"expected {rows * cols} entries, got {flat.size}")
+        self.array = flat.reshape(rows, cols)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "DenseMatrix":
-        r = len(rows)
         c = len(rows[0])
-        flat: list[int] = []
-        for row in rows:
-            if len(row) != c:
-                raise ShapeError("ragged rows")
-            flat.extend(row)
-        return DenseMatrix(r, c, flat)
+        if any(len(row) != c for row in rows):
+            raise ShapeError("ragged rows")
+        return DenseMatrix(len(rows), c, rows)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "DenseMatrix":
-        return DenseMatrix(rows, cols, [0] * (rows * cols))
+        return DenseMatrix(rows, cols, np.zeros(rows * cols, dtype=np.int64))
 
     @staticmethod
     def identity(n: int) -> "DenseMatrix":
-        m = DenseMatrix.zeros(n, n)
-        for i in range(n):
-            m[i, i] = 1
-        return m
+        return DenseMatrix(n, n, np.eye(n, dtype=np.int64))
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> list[int]:
+        return self.array.ravel().tolist()
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __setitem__(self, ij: tuple[int, int], value: int) -> None:
-        i, j = ij
-        self.entries[i * self.cols + j] = int(value)
+        return self.array.item(ij)
 
     def row(self, i: int) -> list[int]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.array[i].tolist()
 
     def col(self, j: int) -> list[int]:
-        return self.entries[j :: self.cols]
+        return self.array[:, j].tolist()
 
     def to_rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
+        return self.array.tolist()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DenseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, DenseMatrix) and np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
@@ -422,7 +423,7 @@ def oracle_minmax(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Exact (min, max)-product by the defining triple loop."""
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    out = DenseMatrix.zeros(a.rows, b.cols)
+    out = [[0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
         arow = a.row(i)
         for j in range(b.cols):
@@ -431,5 +432,5 @@ def oracle_minmax(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                 cand = max(arow[k], b[k, j])
                 if best is None or cand < best:
                     best = cand
-            out[i, j] = best
-    return out
+            out[i][j] = best
+    return DenseMatrix.from_rows(out)

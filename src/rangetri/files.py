@@ -117,7 +117,10 @@ def read_matrix(path: str | Path) -> DenseMatrix:
         if len(nums) != cols:
             raise InputError(f"{path}:{lineno}: expected {cols} entries")
         entries.extend(nums)
-    return DenseMatrix(rows, cols, entries)
+    try:
+        return DenseMatrix(rows, cols, entries)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_matrix(path: str | Path, m: DenseMatrix) -> None:

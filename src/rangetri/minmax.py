@@ -156,9 +156,9 @@ def minmax_product(
             else:
                 lo[i][j] = x + 1
 
-    out = DenseMatrix.zeros(n, n)
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             assert lo[i][j] == hi[i][j]
-            out[i, j] = rank_to_value[lo[i][j] - 1]
-    return out
+            out[i][j] = rank_to_value[lo[i][j] - 1]
+    return DenseMatrix.from_rows(out)

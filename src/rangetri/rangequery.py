@@ -13,8 +13,8 @@ Three families live here:
   direct enumeration for rare ones, and answers queries from a 2-D prefix
   table plus per-value index lists for the range tails.
 
-``matmul`` (naive and Strassen) is also defined here since the block
-structure is its main consumer.
+``matmul``, the exact int64 matrix product, is also defined here since
+the block structure is its main consumer.
 """
 
 from __future__ import annotations
@@ -393,93 +393,28 @@ def mo_online(
 # ---------------------------------------------------------------------------
 # Matrix multiplication
 
-_STRASSEN_CUTOFF = 32
 
-
-def _naive_mult(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    peak_a = max((abs(x) for row in a for x in row), default=0)
-    peak_b = max((abs(x) for row in b for x in row), default=0)
-    # numpy int64 path whenever the exact product provably fits
-    if peak_a * peak_b * max(1, inner) < 2**62:
-        product = np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
-        return [[int(x) for x in row] for row in product]
-    bt = [[b[k][j] for k in range(inner)] for j in range(cols)]
-    out = []
-    for i in range(rows):
-        arow = a[i]
-        out.append([sum(x * y for x, y in zip(arow, bcol)) for bcol in bt])
-    return out
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _strassen(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    if n <= _STRASSEN_CUTOFF:
-        return _naive_mult(a, b)
-    h = n // 2
-    a11 = [row[:h] for row in a[:h]]
-    a12 = [row[h:] for row in a[:h]]
-    a21 = [row[:h] for row in a[h:]]
-    a22 = [row[h:] for row in a[h:]]
-    b11 = [row[:h] for row in b[:h]]
-    b12 = [row[h:] for row in b[:h]]
-    b21 = [row[:h] for row in b[h:]]
-    b22 = [row[h:] for row in b[h:]]
-    m1 = _strassen(_mat_add(a11, a22), _mat_add(b11, b22))
-    m2 = _strassen(_mat_add(a21, a22), b11)
-    m3 = _strassen(a11, _mat_sub(b12, b22))
-    m4 = _strassen(a22, _mat_sub(b21, b11))
-    m5 = _strassen(_mat_add(a11, a12), b22)
-    m6 = _strassen(_mat_sub(a21, a11), _mat_add(b11, b12))
-    m7 = _strassen(_mat_sub(a12, a22), _mat_add(b21, b22))
-    c11 = _mat_add(_mat_sub(_mat_add(m1, m4), m5), m7)
-    c12 = _mat_add(m3, m5)
-    c21 = _mat_add(m2, m4)
-    c22 = _mat_add(_mat_add(_mat_sub(m1, m2), m3), m6)
-    out = []
-    for i in range(h):
-        out.append(c11[i] + c12[i])
-    for i in range(h):
-        out.append(c21[i] + c22[i])
-    return out
+def _peak(m: DenseMatrix) -> int:
+    return max(int(m.array.max()), -int(m.array.min()))
 
 
 def matmul(
     a: DenseMatrix,
     b: DenseMatrix,
-    algo: str = "naive",
     counters: Optional[OpCounters] = None,
 ) -> DenseMatrix:
-    """Exact integer matrix product, plain or Strassen.
+    """Exact integer matrix product in int64.
 
-    Strassen pads both operands to a common power-of-two square and strips
-    the padding afterwards; results are identical to the naive product.
+    Operands whose product could leave int64 (max|a| * max|b| * inner
+    dimension >= 2**63) are refused, so the result never wraps.
     """
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {b.rows}")
+    if _peak(a) * _peak(b) * a.cols >= 2**63:
+        raise InputError("matrix product may overflow int64")
     if counters is not None:
         counters.matmul_calls += 1
-    ra = a.to_rows()
-    rb = b.to_rows()
-    if algo == "naive":
-        return DenseMatrix.from_rows(_naive_mult(ra, rb))
-    if algo != "strassen":
-        raise InputError(f"unknown matmul algo {algo!r}")
-    size = 1
-    while size < max(a.rows, a.cols, b.cols):
-        size *= 2
-    pa = [[ra[i][j] if i < a.rows and j < a.cols else 0 for j in range(size)] for i in range(size)]
-    pb = [[rb[i][j] if i < b.rows and j < b.cols else 0 for j in range(size)] for i in range(size)]
-    full = _strassen(pa, pb)
-    return DenseMatrix.from_rows([row[: b.cols] for row in full[: a.rows]])
+    return DenseMatrix(a.rows, b.cols, a.array @ b.array)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +463,6 @@ def online_eq_build(
     a: IntArray,
     q_hint: int,
     omega_eff: float = 3.0,
-    matmul_algo: str = "naive",
     counters: Optional[OpCounters] = None,
 ) -> OnlineEqStructure:
     """Build the block/matrix structure for equal-pairs range queries.
@@ -555,48 +489,43 @@ def online_eq_build(
     for pos, v in enumerate(vals, start=1):
         index_lists.setdefault(v, []).append(pos)
 
-    frequent = sorted(v for v, lst in index_lists.items() if len(lst) >= tau)
-    rare = sorted(v for v, lst in index_lists.items() if len(lst) < tau)
+    # values are ranks 0..d-1, so a value indexes arrays over the domain
+    value = np.asarray(vals, dtype=np.int64)
+    block = np.arange(n) // b_len
+    is_frequent = np.bincount(value) >= tau
+    freq = is_frequent[value]  # positions holding a frequent value
 
-    def block_counts(v: int) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for pos in index_lists[v]:
-            blk = (pos - 1) // b_len
-            counts[blk] = counts.get(blk, 0) + 1
-        return counts
-
-    if frequent:
-        m = DenseMatrix.zeros(b_cnt, len(frequent))
-        for col, v in enumerate(frequent):
-            for blk, c in block_counts(v).items():
-                m[blk, col] = c
-        mt = DenseMatrix.zeros(len(frequent), b_cnt)
-        for i in range(b_cnt):
-            for j in range(len(frequent)):
-                mt[j, i] = m[i, j]
-        mat_bf = matmul(m, mt, algo=matmul_algo, counters=counters)
+    n_freq = int(is_frequent.sum())
+    if n_freq:
+        column = np.cumsum(is_frequent) - 1
+        m = np.bincount(
+            block[freq] * n_freq + column[value[freq]], minlength=b_cnt * n_freq
+        ).reshape(b_cnt, n_freq)
+        mat_bf = matmul(
+            DenseMatrix(b_cnt, n_freq, m), DenseMatrix(n_freq, b_cnt, m.T), counters=counters
+        )
     else:
         mat_bf = DenseMatrix.zeros(b_cnt, b_cnt)
 
-    mat_br = DenseMatrix.zeros(b_cnt, b_cnt)
-    for v in rare:
-        counts = block_counts(v)
-        items = sorted(counts.items())
-        for b1, c1 in items:
-            for b2, c2 in items:
-                mat_br[b1, b2] += c1 * c2
+    # rare values: one (value, block, count) entry per block a value
+    # occurs in, paired with every entry of the same value
+    rare = ~freq
+    keys, per_block = np.unique(value[rare] * b_cnt + block[rare], return_counts=True)
+    rare_value, rare_block = np.divmod(keys, b_cnt)
+    first = np.searchsorted(rare_value, rare_value)
+    size = np.searchsorted(rare_value, rare_value, side="right") - first
+    left = np.repeat(np.arange(len(keys)), size)
+    right = first[left] + np.arange(len(left)) - (np.cumsum(size) - size)[left]
+    mat_br = np.zeros((b_cnt, b_cnt), dtype=np.int64)
+    np.add.at(
+        mat_br,
+        (rare_block[left], rare_block[right]),
+        per_block[left] * per_block[right],
+    )
 
-    mat_b = DenseMatrix.zeros(b_cnt, b_cnt)
-    for i in range(b_cnt):
-        for j in range(b_cnt):
-            mat_b[i, j] = mat_bf[i, j] + mat_br[i, j]
-
-    prefix = DenseMatrix.zeros(b_cnt + 1, b_cnt + 1)
-    for i in range(b_cnt):
-        for j in range(b_cnt):
-            prefix[i + 1, j + 1] = (
-                prefix[i + 1, j] + prefix[i, j + 1] - prefix[i, j] + mat_b[i, j]
-            )
+    mat_b = mat_bf.array + mat_br
+    prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)
+    prefix[1:, 1:] = mat_b.cumsum(axis=0).cumsum(axis=1)
 
     return OnlineEqStructure(
         n=n,
@@ -608,9 +537,9 @@ def online_eq_build(
         b_cnt=b_cnt,
         tau=tau,
         mat_bf=mat_bf,
-        mat_br=mat_br,
-        mat_b=mat_b,
-        prefix=prefix,
+        mat_br=DenseMatrix(b_cnt, b_cnt, mat_br),
+        mat_b=DenseMatrix(b_cnt, b_cnt, mat_b),
+        prefix=DenseMatrix(b_cnt + 1, b_cnt + 1, prefix),
         index_lists=index_lists,
     )
 
@@ -660,18 +589,14 @@ class OnlineEqSolver:
         self,
         a: IntArray,
         omega_eff: float = 3.0,
-        matmul_algo: str = "naive",
         counters: Optional[OpCounters] = None,
     ):
         self.array = a
         self.omega_eff = omega_eff
-        self.matmul_algo = matmul_algo
         self.counters = counters
         self.q_guess = 1
         self.q_seen = 0
-        self.structure = online_eq_build(
-            a, self.q_guess, omega_eff, matmul_algo, counters
-        )
+        self.structure = online_eq_build(a, self.q_guess, omega_eff, counters)
 
     def query(self, rng: Range) -> int:
         self.q_seen += 1
@@ -679,6 +604,6 @@ class OnlineEqSolver:
             while self.q_seen > self.q_guess:
                 self.q_guess *= 2
             self.structure = online_eq_build(
-                self.array, self.q_guess, self.omega_eff, self.matmul_algo, self.counters
+                self.array, self.q_guess, self.omega_eff, self.counters
             )
         return online_eq_query(self.structure, rng)

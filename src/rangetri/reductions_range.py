@@ -335,9 +335,9 @@ def bmm_via_2req(x: DenseMatrix, y: DenseMatrix, eqp_solver: PairSolver) -> Dens
         else:
             col_seg.append(None)
 
-    out = DenseMatrix.zeros(d, d)
+    out = [[0] * d for _ in range(d)]
     if not values:
-        return out
+        return DenseMatrix.from_rows(out)
     arr = IntArray(values)
     queries: list[RangePair] = []
     cells: list[tuple[int, int]] = []
@@ -351,5 +351,5 @@ def bmm_via_2req(x: DenseMatrix, y: DenseMatrix, eqp_solver: PairSolver) -> Dens
             cells.append((i, j))
     answers = eqp_solver(arr, queries)
     for (i, j), ans in zip(cells, answers):
-        out[i, j] = 1 if ans > 0 else 0
-    return out
+        out[i][j] = 1 if ans > 0 else 0
+    return DenseMatrix.from_rows(out)

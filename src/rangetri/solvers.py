@@ -62,12 +62,12 @@ def _mo_online_single(f: PairFunction, counters: Optional[OpCounters]):
     return solver
 
 
-def _online_eq_single(omega: float, matmul_algo: str, counters: Optional[OpCounters]):
+def _online_eq_single(omega: float, counters: Optional[OpCounters]):
     def solver(a: IntArray, queries) -> list[int]:
         # batch interface: the query count is known, so build once with
         # the exact hint instead of paying the adaptive doubling rebuilds
         structure = online_eq_build(
-            a, max(1, len(queries)), omega_eff=omega, matmul_algo=matmul_algo, counters=counters
+            a, max(1, len(queries)), omega_eff=omega, counters=counters
         )
         return [online_eq_query(structure, q) for q in queries]
 
@@ -94,7 +94,6 @@ def range_solver(
     problem: str,
     algo: str,
     omega: float = 3.0,
-    matmul_algo: str = "naive",
     inner: str = "oracle",
     counters: Optional[OpCounters] = None,
 ) -> Callable[[IntArray, Sequence], list]:
@@ -123,7 +122,7 @@ def range_solver(
         return single
 
     if algo == "online-eq":
-        single_eqp = _online_eq_single(omega, matmul_algo, counters)
+        single_eqp = _online_eq_single(omega, counters)
         pair_eqp = reduce_2r_to_1r(EQP, single_eqp)
         if problem == "req":
             return single_eqp

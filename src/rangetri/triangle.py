@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     DenseMatrix,
     Edge,
@@ -109,12 +111,18 @@ def ayz_edge_counts(
 
     heavy = [v for v in range(1, g.n + 1) if g.degree(v) > theta]
     if heavy:
-        rows = [[1 if g.has_edge(v, h) else 0 for h in heavy] for v in range(1, g.n + 1)]
-        mat = DenseMatrix.from_rows(rows)
-        transpose = DenseMatrix.from_rows([[row[k] for row in rows] for k in range(len(heavy))])
-        product = matmul(mat, transpose, counters=counters)
-        for u, v in g.edges:
-            counts[(u, v)] += product[u - 1, v - 1]
+        block = np.zeros((g.n, len(heavy)), dtype=np.int64)
+        for k, h in enumerate(heavy):
+            block[[x - 1 for x in g.adj[h]], k] = 1
+        product = matmul(
+            DenseMatrix(g.n, len(heavy), block),
+            DenseMatrix(len(heavy), g.n, block.T),
+            counters=counters,
+        )
+        edges = list(g.edges)
+        us, vs = np.array(edges).T
+        for e, c in zip(edges, product.array[us - 1, vs - 1].tolist()):
+            counts[e] += c
     return counts
 
 
@@ -141,22 +149,6 @@ def baseline_list(g: Graph, cap: int) -> ListingResult:
 
 Lister = Callable[[Graph, int], ListingResult]
 Detector = Callable[[Graph], dict[Edge, bool]]
-
-
-# ---------------------------------------------------------------------------
-# Padding gadget
-
-
-def pad_graph_to_edges(g: Graph, target_m: int) -> Graph:
-    """Add a triangle-free star gadget on fresh vertices until the graph
-    has at least target_m edges."""
-    extra = target_m - g.m
-    if extra <= 0:
-        return g
-    center = g.n + 1
-    edges = list(g.edges)
-    edges.extend((center, center + 1 + i) for i in range(extra))
-    return Graph(g.n + 1 + extra, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +325,7 @@ def detect_via_listing(
     restart with fresh randomness.
     """
     if lister is None:
-        lister = _padded_baseline_lister
+        lister = baseline_list
     if rng is None:
         rng = RandomSource(0)
     n, m = g.n, g.m
@@ -363,11 +355,6 @@ def detect_via_listing(
         if not leftovers:
             return {(u, v): (u, v + n) in detected for u, v in g.edges}
     raise RuntimeError(f"detection failed to verify after {restart_cap} restarts")
-
-
-def _padded_baseline_lister(graph: Graph, cap: int) -> ListingResult:
-    padded = pad_graph_to_edges(graph, cap)
-    return baseline_list(padded, cap)
 
 
 def _list_blowup(

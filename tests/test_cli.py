@@ -211,6 +211,13 @@ class TestMinmax:
         rows = [list(map(int, line.split())) for line in out.splitlines()[1:] if line.strip()]
         assert rows == oracle_minmax(a, b).to_rows()
 
+    def test_entry_outside_int64_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "a.txt").write_text(f"1 1\n{2**63}\n")
+        (tmp_path / "b.txt").write_text("1 1\n1\n")
+        code = main(["minmax", "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "b.txt")])
+        assert code == 2
+        assert "int64" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_algorithm_pass(self, capsys, instance):
@@ -243,6 +250,19 @@ class TestVerify:
             "--answers", str(tmp / "bad.txt"),
         )
         assert code == 1 and out.strip() == "FAIL at query 4"
+
+    def test_answer_file_non_integer_is_usage_error(self, capsys, instance):
+        tmp, a, singles, _ = instance
+        lines = [str(oracle_pairs_query(EQP, a, q)) for q in singles]
+        lines[2] = "three"
+        (tmp / "answers.txt").write_text("\n" + "\n".join(lines) + "\n")
+        code = main([
+            "verify", "--problem", "req",
+            "--array", str(tmp / "a.txt"), "--queries", str(tmp / "singles.txt"),
+            "--answers", str(tmp / "answers.txt"),
+        ])
+        assert code == 2
+        assert f"{tmp / 'answers.txt'}:4: expected an integer" in capsys.readouterr().err
 
 
 class TestBench:

@@ -118,6 +118,15 @@ class TestTypes:
         with pytest.raises(ShapeError):
             DenseMatrix.from_rows([[1, 2], [3]])
 
+    def test_matrix_entries_must_fit_int64(self):
+        m = DenseMatrix(1, 2, [2**63 - 1, -(2**63)])
+        assert m.entries == [2**63 - 1, -(2**63)]
+        assert all(type(x) is int for x in m.entries + m.row(0) + m.col(1))
+        with pytest.raises(InputError, match="int64"):
+            DenseMatrix(1, 2, [0, 2**63])
+        with pytest.raises(InputError, match="int64"):
+            DenseMatrix.from_rows([[-(2**63) - 1]])
+
 
 class TestPairsOracle:
     def test_examples(self):

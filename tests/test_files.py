@@ -70,3 +70,10 @@ def test_matrix_ragged(tmp_path):
     path.write_text("2 3\n1 2 3\n4 5\n")
     with pytest.raises(InputError, match="3"):
         files.read_matrix(path)
+
+
+def test_matrix_entry_outside_int64(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 2\n1 {2**63}\n")
+    with pytest.raises(InputError, match="int64"):
+        files.read_matrix(path)

@@ -13,6 +13,7 @@ from rangetri.core import (
     MUL,
     CapabilityError,
     DenseMatrix,
+    InputError,
     IntArray,
     Range,
     normalize,
@@ -217,7 +218,7 @@ class TestMatmul:
         zero = DenseMatrix.zeros(2, 2)
         assert matmul(zero, x) == zero
 
-    def test_strassen_equals_naive(self):
+    def test_matches_triple_loop(self):
         rng = random.Random(41)
         for trial in range(200):
             if trial < 190:
@@ -226,11 +227,25 @@ class TestMatmul:
                 r = k = c = rng.randint(33, 64)
             a = DenseMatrix(r, k, [rng.randint(-9, 9) for _ in range(r * k)])
             b = DenseMatrix(k, c, [rng.randint(-9, 9) for _ in range(k * c)])
-            assert matmul(a, b, algo="strassen") == matmul(a, b, algo="naive")
+            ra, rb = a.to_rows(), b.to_rows()
+            expected = [
+                [sum(ra[i][t] * rb[t][j] for t in range(k)) for j in range(c)]
+                for i in range(r)
+            ]
+            assert matmul(a, b).to_rows() == expected
+
+    def test_rejects_possible_overflow(self):
+        row = DenseMatrix.from_rows([[2**31, 2**31]])
+        with pytest.raises(InputError, match="int64"):
+            matmul(row, DenseMatrix.from_rows([[2**31], [2**31]]))
+        fits = matmul(row, DenseMatrix.from_rows([[2**31 - 1], [2**31 - 1]]))
+        assert fits.to_rows() == [[2**63 - 2**32]]
+        with pytest.raises(InputError, match="int64"):
+            matmul(DenseMatrix.from_rows([[-(2**63)]]), DenseMatrix.from_rows([[-1]]))
 
     def test_counts_calls(self):
         counters = OpCounters()
         x = DenseMatrix.identity(2)
         matmul(x, x, counters=counters)
-        matmul(x, x, algo="strassen", counters=counters)
+        matmul(x, x, counters=counters)
         assert counters.matmul_calls == 2

@@ -26,7 +26,6 @@ from rangetri.triangle import (
     list_via_detection,
     main_listing,
     main_listing_retry,
-    pad_graph_to_edges,
 )
 
 
@@ -81,18 +80,6 @@ class TestBaselineList:
             res = baseline_list(g, g.n**3)
             assert res.status == COMPLETE
             assert res.triangles == oracle_triangle_list(g)
-
-
-class TestPadding:
-    def test_adds_no_triangles(self):
-        g = cycle_graph(3)
-        padded = pad_graph_to_edges(g, 50)
-        assert padded.m >= 50
-        assert oracle_triangle_list(padded) == {(1, 2, 3)}
-
-    def test_noop_when_large_enough(self):
-        g = complete_graph(4)
-        assert pad_graph_to_edges(g, 3) is g
 
 
 class TestListViaDetection:
