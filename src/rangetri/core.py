@@ -53,8 +53,9 @@ def normalize(values: Sequence[int]) -> list[int]:
 class IntArray:
     """Integer array A[1..n]; the substrate of all range problems.
 
-    Values are capped in magnitude by ``cap`` (default n**3) to keep
-    instances within the polynomially-bounded regime the solvers assume.
+    Values may be any integers: every solver rank-normalises them first.
+    A caller that needs a magnitude bound passes ``cap``, and then every
+    |value| must be at most ``cap``.
     """
 
     values: tuple[int, ...]
@@ -64,12 +65,12 @@ class IntArray:
         vals = tuple(int(v) for v in values)
         if len(vals) < 1:
             raise InputError("array length must be at least 1")
-        limit = cap if cap is not None else max(len(vals) ** 3, 1)
-        for v in vals:
-            if abs(v) > limit:
-                raise InputError(f"value {v} exceeds magnitude cap {limit}")
+        if cap is not None:
+            for v in vals:
+                if abs(v) > cap:
+                    raise InputError(f"value {v} exceeds magnitude cap {cap}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "cap", limit)
+        object.__setattr__(self, "cap", cap)
 
     @property
     def n(self) -> int:

@@ -159,6 +159,7 @@ def minmax_product(
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            assert lo[i][j] == hi[i][j]
+            if lo[i][j] != hi[i][j]:
+                raise RuntimeError(f"binary search did not converge at ({i}, {j})")
             out[i][j] = rank_to_value[lo[i][j] - 1]
     return DenseMatrix.from_rows(out)

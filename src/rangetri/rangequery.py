@@ -4,9 +4,10 @@ Three families live here:
 
 * the offline square-root-decomposition solver (``mo_offline``), which
   sorts queries into blocks and walks a stateful extender across them;
-* its online variant (``MoOnline``), which precomputes persistent
-  snapshots of the extender state for every block start and answers
-  arbitrary queries by extending a snapshot at the front;
+* its online variant (``MoOnline``), which precomputes an int64 row of
+  answers for every block start and answers an arbitrary query by
+  extending a row entry at the front, counting each front step in one
+  prefix-persistent count tree built once per array;
 * the online block/matrix equal-pairs structure (``online_eq_build`` /
   ``online_eq_query``), which splits the array into blocks, counts equal
   pairs between blocks with a matrix product for frequent values and
@@ -236,72 +237,28 @@ def _mo_precompute_all(f, vals, queries, counters) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Persistent value counter (online Mo)
-
-# A node is (size, left, right); leaves are (size, None, None).  Inserting
-# path-copies O(log domain) nodes, so old roots remain valid snapshots.
-
-_EMPTY = None
-
-
-def _pst_insert(node, lo: int, hi: int, v: int):
-    if lo == hi:
-        return ((node[0] if node else 0) + 1, None, None)
-    mid = (lo + hi) // 2
-    left = node[1] if node else None
-    right = node[2] if node else None
-    if v <= mid:
-        left = _pst_insert(left, lo, mid, v)
-    else:
-        right = _pst_insert(right, mid + 1, hi, v)
-    return ((left[0] if left else 0) + (right[0] if right else 0), left, right)
-
-
-def _pst_count_leq(node, lo: int, hi: int, v: int) -> int:
-    if node is None or v < lo:
-        return 0
-    if hi <= v:
-        return node[0]
-    mid = (lo + hi) // 2
-    return _pst_count_leq(node[1], lo, mid, v) + _pst_count_leq(node[2], mid + 1, hi, v)
-
-
-class PersistentCounter:
-    """Fully persistent multiset of values from [0, domain)."""
-
-    __slots__ = ("domain", "root", "size")
-
-    def __init__(self, domain: int, root=_EMPTY, size: int = 0):
-        self.domain = max(domain, 1)
-        self.root = root
-        self.size = size
-
-    def insert(self, v: int) -> "PersistentCounter":
-        root = _pst_insert(self.root, 0, self.domain - 1, v)
-        return PersistentCounter(self.domain, root, self.size + 1)
-
-    def count_leq(self, v: int) -> int:
-        return _pst_count_leq(self.root, 0, self.domain - 1, v)
-
-    def count_less(self, v: int) -> int:
-        return self.count_leq(v - 1) if v > 0 else 0
-
-    def count_eq(self, v: int) -> int:
-        return self.count_leq(v) - self.count_less(v)
-
-    def count_greater(self, v: int) -> int:
-        return self.size - self.count_leq(v)
+# Online Mo
 
 
 class MoOnline:
-    """Online variant of the block walk, via persistent snapshots.
+    """Online variant of the block walk: answer rows plus one persistent tree.
 
-    For every block start s the answers and counter snapshots for ranges
-    [s, k], k = s..n, are precomputed with extend-right steps only.  An
-    arriving query [l, r] picks the snapshot for the nearest block start
-    inside the range and extends it at the front.  The number-of-queries
-    guess doubles (and preprocessing reruns) whenever exceeded; rebuilds
-    never change any answer.
+    For every block start s, ``rows`` holds the int64 answers for the
+    ranges [s, k], k = s..n.  An arriving query [l, r] reads the row of the
+    first block start inside the range and extends it at the front; each
+    front step counts, in the range already covered, the values equal to
+    (EQP) or less than (INV) the prepended one.
+
+    Those counts come from one prefix-persistent ("chairman") count tree
+    over the value domain (Driscoll, Sarnak, Sleator and Tarjan, 1989),
+    built once per array: version i holds vals[0:i], so a count over
+    positions [a, b) is version b minus version a, read in one O(log d)
+    walk.  The tree is flat node lists (``_left``, ``_right``, ``_count``);
+    node 0 is the empty tree and is its own child.
+
+    The number-of-queries guess doubles whenever exceeded and only the
+    rows are rebuilt, in O(n * n / B) numpy work; rebuilds never change
+    any answer.
     """
 
     def __init__(
@@ -320,40 +277,77 @@ class MoOnline:
         self.counters = counters
         self.q_guess = max(1, q_guess)
         self.q_seen = 0
+        self._build_tree()
         self._prepare()
 
-    # number of equal/inversion pairs gained by appending v at the back
-    def _back_delta(self, counter: PersistentCounter, v: int) -> int:
-        if self.kind == "eqp":
-            return counter.count_eq(v)
-        return counter.count_greater(v)
+    def _build_tree(self) -> None:
+        """Insert vals[0], vals[1], ... by path copying, one version each.
 
-    # ... and by prepending v at the front
-    def _front_delta(self, counter: PersistentCounter, v: int) -> int:
-        if self.kind == "eqp":
-            return counter.count_eq(v)
-        return counter.count_less(v)
+        On the way down each insertion also reads, from the version it
+        copies, how many earlier values pair with the inserted one:
+        ``_before[j]`` = #{i < j : pair(vals[i], vals[j])}."""
+        left, right, count = [0], [0], [0]
+        roots = [0]
+        before = []
+        top = self.domain - 1
+        for x in self.vals:
+            old = roots[-1]
+            roots.append(len(count))
+            lo, hi = 0, top
+            greater = 0
+            while lo < hi:
+                mid = (lo + hi) // 2
+                count.append(count[old] + 1)
+                if x <= mid:
+                    greater += count[right[old]]
+                    left.append(len(count))
+                    right.append(right[old])
+                    old, hi = left[old], mid
+                else:
+                    left.append(left[old])
+                    right.append(len(count))
+                    old, lo = right[old], mid + 1
+            before.append(count[old] if self.kind == "eqp" else greater)
+            count.append(count[old] + 1)
+            left.append(0)
+            right.append(0)
+        self._left, self._right, self._count = left, right, count
+        self._roots = roots
+        self._before = np.asarray(before, dtype=np.int64)
+
+    def _front_count(self, a: int, b: int, x: int) -> int:
+        """Pairs gained by prepending x to vals[a:b]: the values there equal
+        to x (EQP) or less than x (INV)."""
+        left, right, count = self._left, self._right, self._count
+        na, nb = self._roots[a], self._roots[b]
+        lo, hi = 0, self.domain - 1
+        less = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if x <= mid:
+                na, nb, hi = left[na], left[nb], mid
+            else:
+                less += count[left[nb]] - count[left[na]]
+                na, nb, lo = right[na], right[nb], mid + 1
+        return count[nb] - count[na] if self.kind == "eqp" else less
 
     def _prepare(self) -> None:
-        n = self.n
-        self.block = mo_block_size(n, self.q_guess)
-        self.snaps: list[list[tuple[PersistentCounter, int]]] = []
-        steps = 0
-        start = 1
-        while start <= n:
-            counter = PersistentCounter(self.domain)
-            ans = 0
-            row: list[tuple[PersistentCounter, int]] = []
-            for k in range(start, n + 1):
-                v = self.vals[k - 1]
-                ans += self._back_delta(counter, v)
-                counter = counter.insert(v)
-                row.append((counter, ans))
-                steps += 1
-            self.snaps.append(row)
-            start += self.block
+        """Build the answer row of every block start for the current guess.
+
+        Appending vals[j] to [s, j) gains before[j] - C_s[vals[j]] pairs,
+        where C_s counts the values in vals[0:s] that pair with it: those
+        equal (EQP) or greater (INV)."""
+        n, domain = self.n, self.domain
+        self.block = block = mo_block_size(n, self.q_guess)
+        vals = np.asarray(self.vals, dtype=np.int64)
+        seen = np.zeros(domain, dtype=np.int64)  # value counts of vals[0:s]
+        self.rows: list[np.ndarray] = []
+        for s in range(0, n, block):
+            paired = seen if self.kind == "eqp" else s - np.cumsum(seen)
+            self.rows.append(np.cumsum(self._before[s:] - paired[vals[s:]]))
+            seen += np.bincount(vals[s : s + block], minlength=domain)
         if self.counters is not None:
-            self.counters.extender_steps += steps
+            self.counters.extender_steps += sum(n - s for s in range(0, n, block))
 
     def query(self, rng: Range) -> int:
         rng.check(self.n)
@@ -365,29 +359,15 @@ class MoOnline:
         l, r = rng.l, rng.r
         j = (l - 1 + self.block - 1) // self.block  # first block start >= l
         start = j * self.block + 1
-        steps = 0
-        if start > r:
-            counter = PersistentCounter(self.domain)
-            ans = 0
-            for p in range(r, l - 1, -1):
-                ans += self._front_delta(counter, self.vals[p - 1])
-                counter = counter.insert(self.vals[p - 1])
-                steps += 1
+        if start > r:  # no block start inside: extend over the whole range
+            start, ans = r + 1, 0
         else:
-            counter, ans = self.snaps[j][r - start]
-            for p in range(start - 1, l - 1, -1):
-                ans += self._front_delta(counter, self.vals[p - 1])
-                counter = counter.insert(self.vals[p - 1])
-                steps += 1
+            ans = int(self.rows[j][r - start])
+        for p in range(start - 1, l - 1, -1):
+            ans += self._front_count(p, r, self.vals[p - 1])
         if self.counters is not None:
-            self.counters.extender_steps += steps
+            self.counters.extender_steps += start - l
         return ans
-
-
-def mo_online(
-    f: PairFunction, a: IntArray, counters: Optional[OpCounters] = None
-) -> MoOnline:
-    return MoOnline(f, a, counters=counters)
 
 
 # ---------------------------------------------------------------------------

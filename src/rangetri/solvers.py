@@ -56,7 +56,9 @@ def _mo_single(f: PairFunction, counters: Optional[OpCounters]):
 
 def _mo_online_single(f: PairFunction, counters: Optional[OpCounters]):
     def solver(a: IntArray, queries) -> list[int]:
-        structure = MoOnline(f, a, counters=counters)
+        # batch interface: the query count is known, so start with the
+        # exact hint instead of paying the adaptive doubling rebuilds
+        structure = MoOnline(f, a, counters=counters, q_guess=max(1, len(queries)))
         return [structure.query(q) for q in queries]
 
     return solver

@@ -184,7 +184,8 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
     max_iter = max(1, math.ceil(math.log2(m))) + 1
     while any(len(c["v3"]) > 1 for c in components):
         iterations += 1
-        assert iterations <= max_iter, "third-part halving failed to terminate"
+        if iterations > max_iter:
+            raise RuntimeError("third-part halving failed to terminate")
 
         new_components: list[dict] = []
         for c in components:
@@ -452,7 +453,8 @@ def inner_listing(
     light, back = _induced(g, {v for v in range(1, g.n + 1) if v not in removed})
     if light is None:
         return ListingResult(triangles, COMPLETE)
-    assert all(light.degree(v) <= deg_limit for v in range(1, light.n + 1))
+    if any(light.degree(v) > deg_limit for v in range(1, light.n + 1)):
+        raise RuntimeError("light part exceeds its degree bound")
 
     q = m**3 / t**2
     cap = max(1, int(zeta * q))

@@ -10,9 +10,6 @@ from rangetri.core import Graph, IntArray, Range, RangePair
 def rand_array(rng: random.Random, n: int, lo: int = None, hi: int = None) -> IntArray:
     if lo is None:
         lo, hi = 0, max(0, n - 1)
-    # stay inside the default magnitude cap of n**3
-    cap = n**3
-    lo, hi = max(lo, -cap), min(hi, cap)
     return IntArray([rng.randint(lo, hi) for _ in range(n)])
 
 

@@ -83,6 +83,20 @@ class TestSolve:
             expected = [oracle_pairs_query(f, a, q) for q in queries]
             assert [int(x) for x in out.split()] == expected
 
+    @pytest.mark.parametrize("algo", ["oracle", "mo", "mo-online", "online-eq", "via-triangle"])
+    def test_values_beyond_n_cubed(self, capsys, tmp_path, algo):
+        # solvers rank-normalise, so |value| > n**3 is valid input
+        (tmp_path / "a.txt").write_text("2\n1 100\n")
+        (tmp_path / "q.txt").write_text("1 2\n2 2\n")
+        for problem in ("riq", "req"):
+            code, out = run(
+                capsys,
+                "solve", "--problem", problem, "--algo", algo,
+                "--array", str(tmp_path / "a.txt"), "--queries", str(tmp_path / "q.txt"),
+            )
+            assert code == 0
+            assert out.split() == ["0", "0"]
+
     def test_disjointness(self, capsys, instance):
         tmp, a, _, pairs = instance
         code, out = run(

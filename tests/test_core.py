@@ -64,7 +64,9 @@ class TestTypes:
         with pytest.raises(InputError):
             IntArray([10**9], cap=100)
         a = IntArray([3, 1, 2])
-        assert a.n == 3 and a.cap == 27
+        assert a.n == 3 and a.cap is None
+        assert IntArray([10**9]).values == (10**9,)  # no default cap
+        assert IntArray([-100], cap=100).cap == 100
         assert a.normalized().values == (2, 0, 1)
 
     def test_range_validation(self):

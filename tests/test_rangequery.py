@@ -144,10 +144,54 @@ class TestMoOnline:
         rng = random.Random(22)
         a = rand_array(rng, 30, 0, 4)
         queries = [rand_range(rng, 30) for _ in range(40)]
-        adaptive = MoOnline(INV, a, q_guess=1)
-        upfront = MoOnline(INV, a, q_guess=len(queries))
-        for q in queries:
-            assert adaptive.query(q) == upfront.query(q)
+        for f in (INV, EQP):
+            adaptive = MoOnline(f, a, q_guess=1)
+            upfront = MoOnline(f, a, q_guess=len(queries))
+            for q in queries:
+                assert adaptive.query(q) == upfront.query(q)
+            assert adaptive.q_guess == 64  # six rebuilds happened
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [7],
+            [3, 3],
+            [2, -9],
+            [5] * 12,
+            list(range(1, 13)),
+            list(range(12, 0, -1)),
+            [-4, 10**9, -4, 0, -(10**9), 10**9, -3],
+        ],
+        ids=["n1", "n2-equal", "n2-decreasing", "all-equal", "increasing", "decreasing", "negative"],
+    )
+    def test_adversarial_shapes(self, values):
+        a = IntArray(values)
+        n = a.n
+        every = [Range(l, r) for l in range(1, n + 1) for r in range(l, n + 1)]
+        for f in (EQP, INV):
+            expected = [oracle_pairs_query(f, a, q) for q in every]
+            for q_guess in (1, len(every)):
+                online = MoOnline(f, a, q_guess=q_guess)
+                assert [online.query(q) for q in every] == expected
+            for q in (every[0], every[-1], Range(1, n)):  # q = 1: one query per index
+                assert MoOnline(f, a).query(q) == oracle_pairs_query(f, a, q)
+
+    def test_step_budget(self):
+        # rows cost n - s per block start s, a front extension fewer than B steps
+        rng = random.Random(23)
+        for _ in range(30):
+            n = rng.randint(1, 80)
+            q = rng.randint(1, 60)
+            a = rand_array(rng, n, 0, 5)
+            queries = [rand_range(rng, n) for _ in range(q)]
+            block = mo_block_size(n, q)
+            for f in (EQP, INV):
+                counters = OpCounters()
+                online = MoOnline(f, a, counters=counters, q_guess=q)
+                for x in queries:
+                    online.query(x)
+                assert online.block == block
+                assert counters.extender_steps <= n * n / block + n + q * block
 
 
 class TestOnlineEq:
