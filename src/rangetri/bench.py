@@ -8,7 +8,6 @@ BenchRecord.  Cells run one after another in sorted cell order.
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,7 +32,7 @@ CSV_FIELDS = (
 )
 
 # cells above this many array cells are skipped with a diagnostic row
-DEFAULT_BUDGET = 1 << 22
+CELL_BUDGET = 1 << 22
 
 
 @dataclass
@@ -55,22 +54,14 @@ class BenchRecord:
         return [getattr(self, field) for field in CSV_FIELDS]
 
 
-def run_cell(
-    problem: str,
-    algo: str,
-    n: int,
-    q: int,
-    seed: int,
-    omega: float = 3.0,
-    budget: int = DEFAULT_BUDGET,
-) -> BenchRecord:
-    if n * max(1, q) > budget:
+def run_cell(problem: str, algo: str, n: int, q: int, seed: int) -> BenchRecord:
+    if n * max(1, q) > CELL_BUDGET:
         return BenchRecord(problem, algo, n, 0, q, 0, seed, 0, 0, 0, 0, "skipped")
     array = gen.gen_array(n, 0, n - 1, seed=seed)
     kind = "pair" if problem_is_pair(problem) else "single"
     queries = gen.gen_queries(n, q, kind=kind, seed=seed + 1)
     counters = OpCounters()
-    solver = range_solver(problem, algo, omega=omega, counters=counters)
+    solver = range_solver(problem, algo, counters=counters)
     start = time.perf_counter_ns()
     solver(array, queries)
     wall = time.perf_counter_ns() - start
@@ -96,8 +87,6 @@ def run_matrix(
     reps: int = 1,
     seed: int = 0,
     q: Optional[int] = None,
-    omega: float = 3.0,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[BenchRecord]:
     cells = []
     for problem in sorted(problems):
@@ -107,7 +96,7 @@ def run_matrix(
                     cells.append((problem, algo, n, q if q is not None else n, rep))
 
     return [
-        run_cell(problem, algo, n, cell_q, seed + rep, omega=omega, budget=budget)
+        run_cell(problem, algo, n, cell_q, seed + rep)
         for problem, algo, n, cell_q, rep in cells
     ]
 
@@ -117,9 +106,3 @@ def write_csv(records: Sequence[BenchRecord], stream) -> None:
     writer.writerow(CSV_FIELDS)
     for record in records:
         writer.writerow(record.row())
-
-
-def to_csv(records: Sequence[BenchRecord]) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()

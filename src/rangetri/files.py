@@ -6,7 +6,8 @@ Graph file:  line 1 = "n m", then m lines "u v", 1-based.
 Matrix file: line 1 = "rows cols", then one line per row.
 
 All indices are 1-based, matching the query notation used everywhere in
-the CLI output.
+the CLI output.  Each ``format_*`` returns the text its ``read_*``
+parses back, and ``write_*`` writes that text to a file.
 """
 
 from __future__ import annotations
@@ -42,8 +43,12 @@ def read_array(path: str | Path) -> IntArray:
     return IntArray(values)
 
 
+def format_array(a: IntArray) -> str:
+    return f"{a.n}\n{' '.join(map(str, a.values))}\n"
+
+
 def write_array(path: str | Path, a: IntArray) -> None:
-    Path(path).write_text(f"{a.n}\n{' '.join(map(str, a.values))}\n")
+    Path(path).write_text(format_array(a))
 
 
 def read_queries(path: str | Path) -> list[Query]:
@@ -66,14 +71,18 @@ def read_queries(path: str | Path) -> list[Query]:
     return queries
 
 
-def write_queries(path: str | Path, queries: Sequence[Query]) -> None:
-    out = []
+def format_queries(queries: Sequence[Query]) -> str:
+    lines = []
     for q in queries:
         if isinstance(q, RangePair):
-            out.append(f"{q.first.l} {q.first.r} {q.second.l} {q.second.r}")
+            lines.append(f"{q.first.l} {q.first.r} {q.second.l} {q.second.r}\n")
         else:
-            out.append(f"{q.l} {q.r}")
-    Path(path).write_text("\n".join(out) + ("\n" if out else ""))
+            lines.append(f"{q.l} {q.r}\n")
+    return "".join(lines)
+
+
+def write_queries(path: str | Path, queries: Sequence[Query]) -> None:
+    Path(path).write_text(format_queries(queries))
 
 
 def read_graph(path: str | Path) -> Graph:
@@ -95,10 +104,14 @@ def read_graph(path: str | Path) -> Graph:
     return Graph(n, edges)
 
 
-def write_graph(path: str | Path, g: Graph) -> None:
+def format_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_graph(path: str | Path, g: Graph) -> None:
+    Path(path).write_text(format_graph(g))
 
 
 def read_matrix(path: str | Path) -> DenseMatrix:
@@ -123,13 +136,11 @@ def read_matrix(path: str | Path) -> DenseMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def write_matrix(path: str | Path, m: DenseMatrix) -> None:
-    lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(map(str, m.row(i))) for i in range(m.rows))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def format_matrix(m: DenseMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
     lines.extend(" ".join(map(str, m.row(i))) for i in range(m.rows))
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
+
+
+def write_matrix(path: str | Path, m: DenseMatrix) -> None:
+    Path(path).write_text(format_matrix(m))

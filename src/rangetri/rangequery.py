@@ -565,25 +565,17 @@ def online_eq_query(s: OnlineEqStructure, rng: Range) -> int:
 class OnlineEqSolver:
     """Adaptive wrapper: doubles the query-count guess and rebuilds."""
 
-    def __init__(
-        self,
-        a: IntArray,
-        omega_eff: float = 3.0,
-        counters: Optional[OpCounters] = None,
-    ):
+    def __init__(self, a: IntArray, counters: Optional[OpCounters] = None):
         self.array = a
-        self.omega_eff = omega_eff
         self.counters = counters
         self.q_guess = 1
         self.q_seen = 0
-        self.structure = online_eq_build(a, self.q_guess, omega_eff, counters)
+        self.structure = online_eq_build(a, self.q_guess, counters=counters)
 
     def query(self, rng: Range) -> int:
         self.q_seen += 1
         if self.q_seen > self.q_guess:
             while self.q_seen > self.q_guess:
                 self.q_guess *= 2
-            self.structure = online_eq_build(
-                self.array, self.q_guess, self.omega_eff, self.counters
-            )
+            self.structure = online_eq_build(self.array, self.q_guess, counters=self.counters)
         return online_eq_query(self.structure, rng)

@@ -1,8 +1,11 @@
-"""Composition of range-query solvers from algorithms and reductions.
+"""The name -> solver registry: range-query solvers composed from
+algorithms and reductions, and the per-edge triangle solvers they use.
 
 ``range_solver(problem, algo)`` returns a batch solver callable as
 ``solver(array, queries)``; problems riq/req take single ranges, the
 2-prefixed problems take range pairs, and 2rdq returns booleans.
+``EDGE_COUNTERS`` and ``EDGE_DETECTORS`` map a name to a per-edge
+triangle counter or detector, ``solver(graph) -> {edge: answer}``.
 """
 
 from __future__ import annotations
@@ -64,47 +67,44 @@ def _mo_online_single(f: PairFunction, counters: Optional[OpCounters]):
     return solver
 
 
-def _online_eq_single(omega: float, counters: Optional[OpCounters]):
+def _online_eq_single(counters: Optional[OpCounters]):
     def solver(a: IntArray, queries) -> list[int]:
         # batch interface: the query count is known, so build once with
         # the exact hint instead of paying the adaptive doubling rebuilds
-        structure = online_eq_build(
-            a, max(1, len(queries)), omega_eff=omega, counters=counters
-        )
+        structure = online_eq_build(a, max(1, len(queries)), counters=counters)
         return [online_eq_query(structure, q) for q in queries]
 
     return solver
 
 
-def _triangle_counting_solver(inner: str):
-    if inner == "oracle":
-        return oracle_edge_triangle_counts
-    if inner == "ayz":
-        return lambda g: ayz_edge_counts(g)
-    raise CapabilityError(f"unknown inner triangle solver {inner!r}")
-
-
-def _triangle_detection_solver(inner: str):
-    if inner == "oracle":
-        return oracle_edge_triangle_detect
-    if inner == "ayz":
-        return lambda g: {e: c > 0 for e, c in ayz_edge_counts(g).items()}
-    raise CapabilityError(f"unknown inner triangle solver {inner!r}")
+# Entries look up the module globals when called, not when this table is
+# built, so rebinding ``ayz_edge_counts`` (a tracing wrapper, say) reaches
+# every solver composed from them.
+EDGE_COUNTERS = {
+    "oracle": lambda g: oracle_edge_triangle_counts(g),
+    "ayz": lambda g: ayz_edge_counts(g),
+}
+EDGE_DETECTORS = {
+    "oracle": lambda g: oracle_edge_triangle_detect(g),
+    "ayz": lambda g: {e: c > 0 for e, c in ayz_edge_counts(g).items()},
+}
 
 
 def range_solver(
     problem: str,
     algo: str,
-    omega: float = 3.0,
     inner: str = "oracle",
     counters: Optional[OpCounters] = None,
 ) -> Callable[[IntArray, Sequence], list]:
     """Batch solver for a range problem, built from the chosen algorithm
-    plus whatever reductions are needed to reach it."""
+    plus whatever reductions are needed to reach it; via-triangle hands
+    its graphs to the ``inner`` edge-triangle solver."""
     if problem not in PROBLEMS:
         raise CapabilityError(f"unknown problem {problem!r}")
     if algo not in ALGOS:
         raise CapabilityError(f"unknown algo {algo!r}")
+    if inner not in EDGE_COUNTERS:
+        raise CapabilityError(f"unknown inner triangle solver {inner!r}")
 
     if algo == "oracle":
         if problem == "2rdq":
@@ -124,7 +124,7 @@ def range_solver(
         return single
 
     if algo == "online-eq":
-        single_eqp = _online_eq_single(omega, counters)
+        single_eqp = _online_eq_single(counters)
         pair_eqp = reduce_2r_to_1r(EQP, single_eqp)
         if problem == "req":
             return single_eqp
@@ -139,9 +139,9 @@ def range_solver(
 
     # via-triangle
     if problem == "2rdq":
-        detector = _triangle_detection_solver(inner)
+        detector = EDGE_DETECTORS[inner]
         return lambda a, qs: reduce_2rdq_to_etd(a, qs, detector)
-    counter = _triangle_counting_solver(inner)
+    counter = EDGE_COUNTERS[inner]
     pair_eqp = lambda a, qs: reduce_2req_to_etc(a, qs, counter)
     if problem == "2req":
         return pair_eqp

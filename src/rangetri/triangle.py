@@ -202,11 +202,11 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
         if graph is None:
             break
         detected = detector(graph)
-        for c in components:
+        for k, c in enumerate(components):
             c["e12"] = {
                 pair
                 for pair in c["e12"]
-                if detected.get(edge_key[(id(c), pair)], False)
+                if detected.get(edge_key[(k, pair)], False)
             }
         components = [c for c in components if c["e12"]]
 
@@ -265,7 +265,7 @@ def _connected_components(g: Graph) -> list[list[int]]:
 def _blowup_graph(g: Graph, components: list[dict]):
     """One simple graph holding every component's blow-up side by side.
 
-    Returns (graph, edge_key) where edge_key maps (component identity,
+    Returns (graph, edge_key) where edge_key maps (component index,
     ordered first-second pair) to the graph edge carrying it; None when
     there is nothing to detect.
     """
@@ -279,8 +279,7 @@ def _blowup_graph(g: Graph, components: list[dict]):
 
     edges: set[Edge] = set()
     edge_key: dict[tuple, Edge] = {}
-    for c in components:
-        tag = id(c)
+    for tag, c in enumerate(components):
         part12 = {x for pair in c["e12"] for x in pair}
         for u, v in c["e12"]:
             a, b = vid(tag, 1, u), vid(tag, 2, v)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import rand_array, rand_pair, rand_range
-from rangetri import files
+from rangetri import files, gen
 from rangetri.cli import main
 from rangetri.core import (
     EQP,
@@ -61,6 +61,49 @@ class TestGen:
         code, out = run(capsys, "gen", "matrix", "--rows", "2", "--cols", "3")
         assert code == 0
         assert out.splitlines()[0] == "2 3"
+
+    @pytest.mark.parametrize(
+        "argv,made,fmt,read",
+        [
+            (
+                ["array", "--n", "9", "--vmin", "-3", "--vmax", "4", "--seed", "2"],
+                lambda: gen.gen_array(9, -3, 4, seed=2),
+                files.format_array,
+                files.read_array,
+            ),
+            (
+                ["queries", "--n", "12", "--q", "7", "--kind", "mixed", "--seed", "3"],
+                lambda: gen.gen_queries(12, 7, kind="mixed", seed=3),
+                files.format_queries,
+                files.read_queries,
+            ),
+            (
+                ["graph", "--kind", "powerlaw", "--n", "15", "--p", "0.3", "--seed", "4"],
+                lambda: gen.gen_graph("powerlaw", 15, p=0.3, seed=4),
+                files.format_graph,
+                files.read_graph,
+            ),
+            (
+                ["matrix", "--rows", "3", "--cols", "5", "--boolean", "--seed", "5"],
+                lambda: gen.gen_matrix(3, 5, 0, 15, seed=5, boolean=True),
+                files.format_matrix,
+                files.read_matrix,
+            ),
+        ],
+        ids=["array", "queries", "graph", "matrix"],
+    )
+    def test_round_trip(self, capsys, tmp_path, argv, made, fmt, read):
+        code, out = run(capsys, "gen", *argv)
+        assert code == 0
+        want = made()
+        assert out == fmt(want)
+        path = tmp_path / "instance.txt"
+        path.write_text(out)
+        back = read(path)
+        if argv[0] == "graph":
+            assert (back.n, back.sorted_edges()) == (want.n, want.sorted_edges())
+        else:
+            assert back == want
 
 
 class TestSolve:
@@ -302,6 +345,53 @@ class TestBench:
 class TestExitCodes:
     def test_bad_flag(self, capsys):
         assert main(["solve", "--nope"]) == 2
+
+    def test_bad_sizes_is_usage_error(self, capsys):
+        assert main(["bench", "--sizes", "abc"]) == 2
+        assert "--sizes" in capsys.readouterr().err
+
+    def test_directory_input_is_usage_error(self, capsys, instance):
+        tmp, _, _, _ = instance
+        code = main([
+            "solve", "--problem", "riq", "--algo", "oracle",
+            "--array", str(tmp), "--queries", str(tmp / "singles.txt"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "riq", "--algo", "oracle", "--zeta", "4"],
+            ["solve", "--problem", "riq", "--algo", "oracle", "--omega", "2.5"],
+            ["verify", "--problem", "riq", "--seed", "1"],
+            ["minmax", "--format", "csv"],
+            ["gen", "array", "--omega", "2.5"],
+        ],
+        ids=["solve-zeta", "solve-omega", "verify-seed", "minmax-format", "gen-omega"],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, instance, argv):
+        # every command line here is valid without its last flag pair
+        tmp, _, _, _ = instance
+        if argv[0] in ("solve", "verify"):
+            argv = argv + ["--array", str(tmp / "a.txt"), "--queries", str(tmp / "singles.txt")]
+        elif argv[0] == "minmax":
+            (tmp / "m.txt").write_text("2 2\n1 2\n3 4\n")
+            argv = argv + ["--a", str(tmp / "m.txt"), "--b", str(tmp / "m.txt")]
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_read_flags_accepted(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        run(capsys, "gen", "graph", "--kind", "complete", "--n", "5", "--out", str(path))
+        code, out = run(
+            capsys,
+            "list", "--graph", str(path), "--algo", "main",
+            "--zeta", "4", "--seed", "1", "--format", "csv",
+        )
+        assert code == 0
+        got = {tuple(map(int, line.split(","))) for line in out.splitlines()}
+        assert got == oracle_triangle_list(files.read_graph(path))
 
     def test_reproducible_stdout(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
