@@ -211,6 +211,12 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
         raise InputError(f"--sizes: expected integers, got {args.sizes!r}") from exc
+    if any(n < 1 for n in sizes):
+        raise InputError(f"--sizes: every size must be >= 1, got {args.sizes!r}")
+    if args.reps < 1:
+        raise InputError(f"--reps must be >= 1, got {args.reps}")
+    if args.q is not None and args.q < 0:
+        raise InputError(f"--q must be >= 0, got {args.q}")
     records = bench_mod.run_matrix(
         problems=args.problems.split(","),
         algos=args.algos.split(","),

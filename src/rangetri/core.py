@@ -8,6 +8,7 @@ triple loops) so that trusting them requires reading only a few lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -183,50 +184,102 @@ MUL = PairFunction.builtin("mul")
 # Graphs
 
 
+def _edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
+    """``edges`` (an iterable of pairs or an (m, 2) int array) as an
+    (m, 2) int64 array."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        arr = np.asarray(edges, dtype=np.int64)
+    except OverflowError as exc:
+        raise InputError("vertex id outside int64") from exc
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InputError("edges must be vertex pairs")
+    return arr
+
+
 class Graph:
-    """Undirected simple graph on vertices 1..n with no isolated vertices."""
+    """Undirected simple graph on vertices 1..n with no isolated vertices.
 
-    __slots__ = ("n", "edges", "adj")
+    Stored as int64 arrays: the edges ``eu < ev`` in lexicographic
+    order, and CSR rows ``indices[indptr[v]:indptr[v + 1]]``, the sorted
+    neighbours of v (``indptr`` is indexed by vertex id, so row 0 is
+    empty).  ``edges`` (a set) and ``adj`` (a dict of sets) are views
+    built on first use.  The constructor takes the edges as an iterable
+    of pairs or as an (m, 2) int array.
+    """
 
-    def __init__(self, n: int, edges: Iterable[Edge]):
-        norm = [(u, v) if u < v else (v, u) for u, v in edges]
-        edge_set = set(norm)
-        if len(edge_set) != len(norm):
-            seen: set[Edge] = set()
-            for e in norm:
-                if e in seen:
-                    raise InputError(f"parallel edge {e}")
-                seen.add(e)
-        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-        for u, v in edge_set:
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if u < 1 or v > n:
-                raise InputError(f"edge ({u}, {v}) outside vertex range 1..{n}")
-            adj[u].add(v)
-            adj[v].add(u)
-        for v in range(1, n + 1):
-            if not adj[v]:
-                raise InputError(f"isolated vertex {v}")
+    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
+        if n < 0:
+            raise InputError(f"vertex count {n} is negative")
+        arr = _edge_array(edges)
+        m = arr.shape[0]
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        loops = np.flatnonzero(lo == hi)
+        if loops.size:
+            raise InputError(f"self-loop at vertex {lo[loops[0]]}")
+        outside = np.flatnonzero((lo < 1) | (hi > n))
+        if outside.size:
+            k = outside[0]
+            raise InputError(f"edge ({lo[k]}, {hi[k]}) outside vertex range 1..{n}")
+        key = lo * (n + 1) + hi
+        order = np.argsort(key)
+        key, lo, hi = key[order], lo[order], hi[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            raise InputError(f"parallel edge ({lo[dup[0]]}, {hi[dup[0]]})")
+        src = np.concatenate((lo, hi))
+        dst = np.concatenate((hi, lo))
+        # 2m endpoints cover at most 2m vertices, so some vertex up to
+        # 2m + 1 is isolated when n is larger; count no further than that
+        span = min(n, 2 * m + 1)
+        deg = np.bincount(np.minimum(src, span), minlength=span + 1)
+        isolated = np.flatnonzero(deg[1:] == 0)
+        if isolated.size:
+            raise InputError(f"isolated vertex {isolated[0] + 1}")
         self.n = n
-        self.edges = edge_set
-        self.adj = adj
+        self.eu = lo
+        self.ev = hi
+        self.indptr = np.concatenate(([0], np.cumsum(deg)))
+        self.indices = np.sort(src * (n + 1) + dst) % (n + 1)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.eu.size
+
+    @cached_property
+    def edges(self) -> set[Edge]:
+        return set(self.sorted_edges())
+
+    @cached_property
+    def adj(self) -> dict[int, set[int]]:
+        ptr = self.indptr.tolist()
+        nb = self.indices.tolist()
+        return {v: set(nb[ptr[v] : ptr[v + 1]]) for v in range(1, self.n + 1)}
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self.adj[v])
+        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(zip(self.eu.tolist(), self.ev.tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
+
+
+def compact(edges) -> tuple[Graph, np.ndarray]:
+    """The graph on the vertex ids that ``edges`` uses, relabelled 1..k
+    in increasing order of old id, and ``back``: the sorted int64 array
+    of old ids, so new vertex i was old vertex ``back[i - 1]``."""
+    arr = _edge_array(edges)
+    back, new = np.unique(arr, return_inverse=True)
+    return Graph(back.size, new.reshape(arr.shape) + 1), back
 
 
 def canonical_triangle(a: int, b: int, c: int) -> TriangleT:

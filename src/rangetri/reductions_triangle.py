@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     Edge,
     Graph,
@@ -21,6 +23,7 @@ from .core import (
     Range,
     RangePair,
     TripartiteMultigraph,
+    compact,
     normalize,
 )
 from .reductions_range import PairSolver
@@ -41,13 +44,9 @@ def neighbor_list_array(g: Graph) -> tuple[IntArray, dict[int, Range]]:
     the triangle count through edge (u, v) is the number of equal pairs
     between segment(u) and segment(v).
     """
-    values: list[int] = []
-    segments: dict[int, Range] = {}
-    for v in range(1, g.n + 1):
-        nb = g.neighbors(v)
-        segments[v] = Range(len(values) + 1, len(values) + len(nb))
-        values.extend(nb)
-    return IntArray(values), segments
+    ptr = g.indptr.tolist()
+    segments = {v: Range(ptr[v] + 1, ptr[v + 1]) for v in range(1, g.n + 1)}
+    return IntArray(g.indices.tolist()), segments
 
 
 def reduce_etc_to_2req(g: Graph, pair_solver: PairSolver) -> dict[Edge, int]:
@@ -249,23 +248,26 @@ def build_query_multigraph(
 
 
 def _simple_graph_counts(
-    uv_edges: list[Edge],
-    uw_edges: list[Edge],
-    vw_edges: list[Edge],
-    solver: CountingSolver,
-) -> dict[Edge, int]:
-    """Relabel the union of edge lists contiguously, run the solver, and
-    return counts keyed by the original VW edges."""
-    verts = sorted({x for e in uv_edges + uw_edges + vw_edges for x in e})
-    label = {v: i + 1 for i, v in enumerate(verts)}
-    edges = [(label[x], label[y]) for x, y in uv_edges + uw_edges + vw_edges]
-    g = Graph(len(verts), edges)
+    edges: np.ndarray, vw: np.ndarray, solver: CountingSolver
+) -> list[int]:
+    """Relabel the (k, 2) edge array compactly, run the solver, and
+    return its counts at the original VW edges ``vw``, in row order."""
+    g, back = compact(edges)
+    a, b = np.sort(np.searchsorted(back, vw) + 1, axis=1).T.tolist()
     counts = solver(g)
+    return [counts[e] for e in zip(a, b)]
+
+
+def _bit_split(edges: dict[Edge, int]) -> dict[int, np.ndarray]:
+    """Bit i -> the (k, 2) array of edges whose multiplicity has bit i set,
+    for every bit set in some multiplicity."""
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    mult = np.array(list(edges.values()), dtype=np.int64)
     out = {}
-    for v, w in vw_edges:
-        # the relabeling is monotone, so one comparison normalizes
-        a, b = label[v], label[w]
-        out[(v, w)] = counts[(a, b) if a < b else (b, a)]
+    for i in range(int(mult.max()).bit_length() if mult.size else 0):
+        rows = pairs[(mult >> i) & 1 == 1]
+        if rows.size:
+            out[i] = rows
     return out
 
 
@@ -281,25 +283,14 @@ def multigraph_edge_counts(
     if not mg.e_vw:
         return {}
     vw_edges = sorted(mg.e_vw)
-    uv_bits: dict[int, list[Edge]] = {}
-    for e, mult in mg.e_uv.items():
-        for i in range(mult.bit_length()):
-            if (mult >> i) & 1:
-                uv_bits.setdefault(i, []).append(e)
-    uw_bits: dict[int, list[Edge]] = {}
-    for e, mult in mg.e_uw.items():
-        for j in range(mult.bit_length()):
-            if (mult >> j) & 1:
-                uw_bits.setdefault(j, []).append(e)
-
-    totals: dict[Edge, int] = {e: 0 for e in vw_edges}
-    for i, uv_edges in sorted(uv_bits.items()):
-        for j, uw_edges in sorted(uw_bits.items()):
-            piece = _simple_graph_counts(uv_edges, uw_edges, vw_edges, solver)
-            weight = 1 << (i + j)
-            for e, cnt in piece.items():
-                totals[e] += weight * cnt
-    return totals
+    vw = np.array(vw_edges, dtype=np.int64)
+    totals = np.zeros(len(vw_edges), dtype=np.int64)
+    uw_bits = _bit_split(mg.e_uw)
+    for i, uv in _bit_split(mg.e_uv).items():
+        for j, uw in uw_bits.items():
+            piece = _simple_graph_counts(np.concatenate((uv, uw, vw)), vw, solver)
+            totals += np.array(piece, dtype=np.int64) << (i + j)
+    return dict(zip(vw_edges, totals.tolist()))
 
 
 def multigraph_edge_detect(
@@ -310,14 +301,14 @@ def multigraph_edge_detect(
     if not mg.e_vw:
         return {}
     vw_edges = sorted(mg.e_vw)
+    vw = np.array(vw_edges, dtype=np.int64)
+    edges = np.array(sorted(mg.e_uv) + sorted(mg.e_uw) + vw_edges, dtype=np.int64)
 
     def counting(g: Graph) -> dict[Edge, int]:
         return {e: int(b) for e, b in solver(g).items()}
 
-    piece = _simple_graph_counts(
-        sorted(mg.e_uv), sorted(mg.e_uw), vw_edges, counting
-    )
-    return {e: bool(c) for e, c in piece.items()}
+    piece = _simple_graph_counts(edges, vw, counting)
+    return {e: bool(c) for e, c in zip(vw_edges, piece)}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .core import (
     InputError,
     TriangleT,
     canonical_triangle,
+    compact,
 )
 from .instrument import OpCounters
 from .rangequery import matmul
@@ -80,6 +81,10 @@ class ListingResult:
 # Heavy/light per-edge counting
 
 
+# light wedges matched per numpy batch; bounds the scratch arrays' size
+_WEDGE_CHUNK = 1 << 12
+
+
 def ayz_edge_counts(
     g: Graph,
     theta: Optional[int] = None,
@@ -98,32 +103,47 @@ def ayz_edge_counts(
     if theta < 1:
         raise InputError("degree threshold must be >= 1")
 
-    counts: dict[Edge, int] = {e: 0 for e in g.edges}
-    for c in range(1, g.n + 1):
-        if g.degree(c) > theta:
-            continue
-        nb = g.neighbors(c)
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                e = (nb[i], nb[j])
-                if e in counts:
-                    counts[e] += 1
+    deg = np.diff(g.indptr)
+    owner = np.repeat(np.arange(g.n + 1), deg)  # the vertex whose row holds each CSR slot
+    counts = np.zeros(m, dtype=np.int64)
 
-    heavy = [v for v in range(1, g.n + 1) if g.degree(v) > theta]
-    if heavy:
-        block = np.zeros((g.n, len(heavy)), dtype=np.int64)
-        for k, h in enumerate(heavy):
-            block[[x - 1 for x in g.adj[h]], k] = 1
+    # A light centre's wedges pair each slot of its row with every later
+    # slot; rows are sorted, so a wedge is the edge key a * (n + 1) + b
+    # with a < b, and it closes a triangle when that key is an edge's.
+    slots = np.flatnonzero(deg[owner] <= theta)
+    later = g.indptr[owner[slots] + 1] - slots - 1
+    slots, later = slots[later > 0], later[later > 0]
+    keys = g.eu * (g.n + 1) + g.ev
+    done = np.cumsum(later)
+    start = 0
+    while start < slots.size:
+        # slots[start:stop] make at most _WEDGE_CHUNK wedges, or one slot's
+        limit = done[start] - later[start] + _WEDGE_CHUNK
+        stop = max(start + 1, int(np.searchsorted(done, limit, "right")))
+        k = later[start:stop]
+        first = np.repeat(slots[start:stop], k)
+        second = first + np.arange(first.size) - np.repeat(np.cumsum(k) - k, k) + 1
+        # sorted needles make the search several times faster
+        wedge = np.sort(g.indices[first] * (g.n + 1) + g.indices[second])
+        at = np.searchsorted(keys, wedge)
+        hit = keys[np.minimum(at, m - 1)] == wedge
+        counts += np.bincount(at[hit], minlength=m)
+        start = stop
+
+    heavy = np.flatnonzero(deg > theta)
+    if heavy.size:
+        column = np.zeros(g.n + 1, dtype=np.int64)
+        column[heavy] = np.arange(heavy.size)
+        hslots = np.flatnonzero(deg[owner] > theta)
+        block = np.zeros((g.n, heavy.size), dtype=np.int64)
+        block[g.indices[hslots] - 1, column[owner[hslots]]] = 1
         product = matmul(
-            DenseMatrix(g.n, len(heavy), block),
-            DenseMatrix(len(heavy), g.n, block.T),
+            DenseMatrix(g.n, heavy.size, block),
+            DenseMatrix(heavy.size, g.n, block.T),
             counters=counters,
         )
-        edges = list(g.edges)
-        us, vs = np.array(edges).T
-        for e, c in zip(edges, product.array[us - 1, vs - 1].tolist()):
-            counts[e] += c
-    return counts
+        counts += product.array[g.eu - 1, g.ev - 1]
+    return dict(zip(g.sorted_edges(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +154,15 @@ def baseline_list(g: Graph, cap: int) -> ListingResult:
     """Deterministic degree-ordered wedge enumeration, up to cap triangles."""
     if cap < 0:
         raise InputError("cap must be >= 0")
-    order = {v: i for i, v in enumerate(sorted(range(1, g.n + 1), key=lambda v: (g.degree(v), v)))}
+    ptr, nb, adj = g.indptr.tolist(), g.indices.tolist(), g.adj
+    by_degree = sorted(range(1, g.n + 1), key=lambda v: (ptr[v + 1] - ptr[v], v))
+    order = {v: i for i, v in enumerate(by_degree)}
     found: set[TriangleT] = set()
     for u, v in g.sorted_edges():
         if order[u] > order[v]:
             u, v = v, u
-        for w in g.neighbors(u):
-            if order[w] > order[v] and w in g.adj[v]:
+        for w in nb[ptr[u] : ptr[u + 1]]:
+            if order[w] > order[v] and w in adj[v]:
                 if len(found) >= cap:
                     return ListingResult(found, TRUNCATED)
                 found.add(canonical_triangle(u, v, w))
@@ -294,16 +316,12 @@ def _blowup_graph(g: Graph, components: list[dict]):
                         edges.add((min(a, b), max(a, b)))
     if not edges:
         return None, {}
-    used = {x for e in edges for x in e}
     # ids were assigned in edge order, so every id is used except
     # possibly part-3 vertices with no surviving neighbors.
-    relabel = {old: i + 1 for i, old in enumerate(sorted(used))}
-    graph = Graph(len(used), [(relabel[a], relabel[b]) for a, b in edges])
-    remapped = {
-        k: (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-        for k, (a, b) in edge_key.items()
-    }
-    return graph, remapped
+    graph, back = compact(list(edges))
+    # compact keeps the order of ids, so each (min, max) key stays sorted
+    ends = np.searchsorted(back, list(edge_key.values())) + 1
+    return graph, dict(zip(edge_key, map(tuple, ends.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +398,12 @@ def _list_blowup(
                 edges.add((x, w + 2 * n))
             if x + n in part12:
                 edges.add((x + n, w + 2 * n))
-    used = sorted({x for e in edges for x in e})
-    relabel = {old: i + 1 for i, old in enumerate(used)}
-    back = {i + 1: old for i, old in enumerate(used)}
-    graph = Graph(len(used), [(relabel[a], relabel[b]) for a, b in edges])
+    graph, back = compact(list(edges))
+    back = back.tolist()
     result = lister(graph, cap)
     hits: set[Edge] = set()
     for tri in result.triangles:
-        orig = sorted(back[x] for x in tri if back.get(x) is not None)
+        orig = sorted(back[x - 1] for x in tri)
         pair = [x for x in orig if x <= 2 * n]
         if len(pair) == 2:
             hits.add((min(pair), max(pair)) if pair[0] <= n else (pair[1], pair[0]))
@@ -400,14 +416,14 @@ def _list_blowup(
 
 def _induced(g: Graph, keep: set[int]):
     """Induced subgraph with isolated vertices dropped; returns
-    (graph or None, map from new ids back to original ids)."""
-    edges = [(u, v) for u, v in g.edges if u in keep and v in keep]
-    if not edges:
-        return None, {}
-    used = sorted({x for e in edges for x in e})
-    relabel = {old: i + 1 for i, old in enumerate(used)}
-    back = {i + 1: old for i, old in enumerate(used)}
-    return Graph(len(used), [(relabel[u], relabel[v]) for u, v in edges]), back
+    (graph or None, list with the original id of new vertex i at i - 1)."""
+    kept = np.zeros(g.n + 1, dtype=bool)
+    kept[list(keep)] = True
+    inside = kept[g.eu] & kept[g.ev]
+    if not inside.any():
+        return None, []
+    graph, back = compact(np.stack((g.eu[inside], g.ev[inside]), axis=1))
+    return graph, back.tolist()
 
 
 def inner_listing(
@@ -429,6 +445,8 @@ def inner_listing(
     """
     if t <= 0:
         raise InputError("capacity must be positive")
+    if zeta < 1:
+        raise InputError("zeta must be >= 1")
     if rng is None:
         rng = RandomSource(0)
     m = g.m
@@ -491,7 +509,7 @@ def inner_listing(
                 clean = False
                 tris = tris[:cap]
             for tri in tris:
-                triangles.add(canonical_triangle(*(back[x] for x in tri)))
+                triangles.add(canonical_triangle(*(back[x - 1] for x in tri)))
 
     status = COMPLETE if clean else TRUNCATED
     return ListingResult(triangles, status)
@@ -527,7 +545,7 @@ def main_listing(
             counters.inner_calls += 1
         result = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s))
         for tri in result.triangles:
-            a, b, c = (back[x] for x in tri)
+            a, b, c = (back[x - 1] for x in tri)
             if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
                 collected.add(canonical_triangle(a, b, c))
         if len(collected) >= t:

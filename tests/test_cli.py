@@ -350,6 +350,29 @@ class TestExitCodes:
         assert main(["bench", "--sizes", "abc"]) == 2
         assert "--sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["0", "8,-1"])
+    def test_nonpositive_sizes_is_usage_error(self, capsys, sizes):
+        assert main(["bench", "--sizes", sizes]) == 2
+        assert "--sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_nonpositive_reps_is_usage_error(self, capsys, reps):
+        assert main(["bench", "--sizes", "8", "--reps", reps]) == 2
+        assert "--reps" in capsys.readouterr().err
+
+    def test_negative_q_is_usage_error(self, capsys):
+        assert main(["bench", "--sizes", "8", "--q", "-1"]) == 2
+        assert "--q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("zeta", ["0", "-5"])
+    def test_nonpositive_zeta_is_usage_error(self, capsys, tmp_path, zeta):
+        path = tmp_path / "g.txt"
+        run(capsys, "gen", "graph", "--kind", "complete", "--n", "3", "--out", str(path))
+        code = main(["list", "--graph", str(path), "--algo", "main", "--zeta", zeta])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "zeta must be >= 1" in err
+
     def test_directory_input_is_usage_error(self, capsys, instance):
         tmp, _, _, _ = instance
         code = main([

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from rangetri.core import (
     RangePair,
     ShapeError,
     canonical_triangle,
+    compact,
     normalize,
     oracle_disjoint_query,
     oracle_edge_triangle_counts,
@@ -94,17 +96,44 @@ class TestTypes:
             PairFunction.builtin("nope")
 
     def test_graph_validation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^self-loop at vertex 1$"):
             Graph(2, [(1, 1)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^parallel edge \(1, 2\)$"):
             Graph(2, [(1, 2), (2, 1)])
-        with pytest.raises(InputError):
-            Graph(3, [(1, 2)])  # vertex 3 isolated
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^isolated vertex 3$"):
+            Graph(3, [(1, 2)])
+        with pytest.raises(InputError, match=r"^isolated vertex 2$"):
+            Graph(5, [(1, 3), (3, 4), (4, 5)])
+        with pytest.raises(InputError, match=r"^edge \(1, 3\) outside vertex range 1..2$"):
             Graph(2, [(1, 3)])
         g = Graph(3, [(3, 1), (2, 3)])
         assert g.m == 2 and g.neighbors(3) == [1, 2]
         assert g.has_edge(1, 3) and not g.has_edge(1, 2)
+
+        pairs = [(4, 2), (1, 2), (3, 1), (2, 3), (5, 4)]
+        arr = np.array(pairs, dtype=np.int64)
+        for h in (Graph(5, arr), Graph(5, arr.astype(np.int32))):
+            g = Graph(5, pairs)
+            assert (h.n, h.m, h.edges, h.sorted_edges()) == (g.n, g.m, g.edges, g.sorted_edges())
+            assert all(h.neighbors(v) == g.neighbors(v) for v in range(1, 6))
+        assert g.sorted_edges() == [(1, 2), (1, 3), (2, 3), (2, 4), (4, 5)]
+        assert g.adj == {1: {2, 3}, 2: {1, 3, 4}, 3: {1, 2}, 4: {2, 5}, 5: {4}}
+        assert [g.degree(v) for v in range(1, 6)] == [2, 3, 2, 2, 1]
+        values = [g.n, g.m, g.degree(2), *g.neighbors(2), *(x for e in g.sorted_edges() for x in e)]
+        assert all(type(x) is int for x in values)
+
+    def test_compact(self):
+        old_edges = [(30, 7), (7, 12), (30, 12), (40, 30)]
+        g, back = compact(old_edges)
+        # unused ids (1..6, 8..11, ...) are dropped and the rest keep their order
+        assert back.tolist() == [7, 12, 30, 40]
+        assert g.n == 4 and g.sorted_edges() == [(1, 2), (1, 3), (2, 3), (3, 4)]
+        old = back.tolist()
+        assert {(old[u - 1], old[v - 1]) for u, v in g.sorted_edges()} == {
+            (min(e), max(e)) for e in old_edges
+        }
+        same, ident = compact(np.array([(1, 2), (2, 3)]))
+        assert ident.tolist() == [1, 2, 3] and same.sorted_edges() == [(1, 2), (2, 3)]
 
     def test_canonical_triangle(self):
         assert canonical_triangle(3, 1, 2) == (1, 2, 3)

@@ -13,6 +13,7 @@ from rangetri.core import (
     oracle_edge_triangle_detect,
     oracle_triangle_list,
 )
+from rangetri import gen, triangle
 from rangetri.instrument import OpCounters
 from rangetri.triangle import (
     COMPLETE,
@@ -53,6 +54,18 @@ class TestHeavyLightCounts:
             g = rand_graph(rng, rng.randint(4, 18), 0.4)
             expected = oracle_edge_triangle_counts(g)
             for theta in (1, 2, 4, g.n):
+                assert ayz_edge_counts(g, theta=theta) == expected
+
+        star = Graph(9, [(1, v) for v in range(2, 10)])
+        many_wedges = gen.gen_graph("gnp", 120, 0.3, seed=2)
+        degrees = [many_wedges.degree(v) for v in range(1, many_wedges.n + 1)]
+        assert sum(d * (d - 1) // 2 for d in degrees) > triangle._WEDGE_CHUNK
+        shapes = [star, complete_graph(8), gen.gen_graph("powerlaw", 60, 0.1, seed=3), many_wedges]
+        for g in shapes:
+            expected = oracle_edge_triangle_counts(g)
+            max_degree = max(g.degree(v) for v in range(1, g.n + 1))
+            # all heavy but leaves, the default mixed split, all light
+            for theta in (1, None, max_degree):
                 assert ayz_edge_counts(g, theta=theta) == expected
 
     def test_matmul_counter(self):
