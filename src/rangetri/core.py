@@ -7,8 +7,9 @@ triple loops) so that trusting them requires reading only a few lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -294,38 +295,47 @@ def canonical_triangle(a: int, b: int, c: int) -> TriangleT:
 class TripartiteMultigraph:
     """Tripartite multigraph used by the range-to-triangle reductions.
 
-    ``e_uv`` and ``e_uw`` map (u, v) / (u, w) pairs to positive
-    multiplicities; ``e_vw`` is a plain set of simple edges.  Vertex ids
-    across the three parts are globally distinct integers.
+    The parts are disjoint ranges of consecutive vertex ids.
+    ``uv`` and ``uw`` are (k, 2) int64 arrays of (u, v) / (u, w) edges
+    whose positive multiplicities are ``uv_mult`` / ``uw_mult``; ``vw``
+    holds the simple VW edges as unique rows in sorted order.
     """
 
-    part_u: set[int]
-    part_v: set[int]
-    part_w: set[int]
-    e_uv: dict[Edge, int] = field(default_factory=dict)
-    e_uw: dict[Edge, int] = field(default_factory=dict)
-    e_vw: set[Edge] = field(default_factory=set)
+    part_u: range
+    part_v: range
+    part_w: range
+    uv: np.ndarray
+    uv_mult: np.ndarray
+    uw: np.ndarray
+    uw_mult: np.ndarray
+    vw: np.ndarray
 
     def validate(self) -> None:
-        if self.part_u & self.part_v or self.part_u & self.part_w or self.part_v & self.part_w:
+        parts = (self.part_u, self.part_v, self.part_w)
+        if any(max(a.start, b.start) < min(a.stop, b.stop) for a, b in combinations(parts, 2)):
             raise InputError("parts are not disjoint")
-        for (u, v), mult in self.e_uv.items():
-            if mult < 1 or u not in self.part_u or v not in self.part_v:
-                raise InputError(f"bad UV edge ({u}, {v}) x{mult}")
-        for (u, w), mult in self.e_uw.items():
-            if mult < 1 or u not in self.part_u or w not in self.part_w:
-                raise InputError(f"bad UW edge ({u}, {w}) x{mult}")
-        for v, w in self.e_vw:
-            if v not in self.part_v or w not in self.part_w:
-                raise InputError(f"bad VW edge ({v}, {w})")
+        ones = np.ones(len(self.vw), dtype=np.int64)
+        for name, rows, mult, a, b in (
+            ("UV", self.uv, self.uv_mult, self.part_u, self.part_v),
+            ("UW", self.uw, self.uw_mult, self.part_u, self.part_w),
+            ("VW", self.vw, ones, self.part_v, self.part_w),
+        ):
+            if rows.shape != (len(mult), 2):
+                raise InputError(f"{name} edges have shape {rows.shape}, not ({len(mult)}, 2)")
+            x, y = rows[:, 0], rows[:, 1]
+            outside = (x < a.start) | (x >= a.stop) | (y < b.start) | (y >= b.stop)
+            bad = np.flatnonzero((mult < 1) | outside)
+            if bad.size:
+                k = bad[0]
+                raise InputError(f"bad {name} edge ({x[k]}, {y[k]}) x{mult[k]}")
 
     def triangle_count_through(self, v: int, w: int) -> int:
         """Multiplicity-weighted triangle count through a VW edge."""
+        uw = {(x, y): k for (x, y), k in zip(self.uw.tolist(), self.uw_mult.tolist())}
         total = 0
-        for u in self.part_u:
-            muv = self.e_uv.get((u, v), 0)
-            if muv:
-                total += muv * self.e_uw.get((u, w), 0)
+        for (u, x), k in zip(self.uv.tolist(), self.uv_mult.tolist()):
+            if x == v:
+                total += k * uw.get((u, w), 0)
         return total
 
 

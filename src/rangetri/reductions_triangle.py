@@ -10,9 +10,8 @@ piece is a simple graph handed to an edge-triangle solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,46 +48,28 @@ def neighbor_list_array(g: Graph) -> tuple[IntArray, dict[int, Range]]:
     return IntArray(g.indices.tolist()), segments
 
 
-def reduce_etc_to_2req(g: Graph, pair_solver: PairSolver) -> dict[Edge, int]:
-    """Per-edge triangle counts via one equal-pairs query per edge."""
+def _edge_queries(g: Graph) -> tuple[IntArray, list[Edge], list[RangePair]]:
+    """The neighbor-list array of ``g``, its edges in sorted order, and
+    for each edge (u, v) the query pair (segment(u), segment(v))."""
     arr, segments = neighbor_list_array(g)
     edges = g.sorted_edges()
-    queries = [RangePair(segments[u], segments[v]) for u, v in edges]
-    answers = pair_solver(arr, queries)
-    return dict(zip(edges, answers))
+    return arr, edges, [RangePair(segments[u], segments[v]) for u, v in edges]
+
+
+def reduce_etc_to_2req(g: Graph, pair_solver: PairSolver) -> dict[Edge, int]:
+    """Per-edge triangle counts via one equal-pairs query per edge."""
+    arr, edges, queries = _edge_queries(g)
+    return dict(zip(edges, pair_solver(arr, queries)))
 
 
 def reduce_etd_to_2rdq(g: Graph, disjoint_solver: DisjointSolver) -> dict[Edge, bool]:
     """Per-edge triangle detection via one disjointness query per edge."""
-    arr, segments = neighbor_list_array(g)
-    edges = g.sorted_edges()
-    queries = [RangePair(segments[u], segments[v]) for u, v in edges]
-    answers = disjoint_solver(arr, queries)
-    return {e: not disjoint for e, disjoint in zip(edges, answers)}
+    arr, edges, queries = _edge_queries(g)
+    return {e: not disjoint for e, disjoint in zip(edges, disjoint_solver(arr, queries))}
 
 
 # ---------------------------------------------------------------------------
 # Base interval decomposition
-
-
-@dataclass(frozen=True)
-class BaseInterval:
-    """Aligned interval [index * 2^level, (index+1) * 2^level - 1], 0-based."""
-
-    level: int
-    index: int
-
-    @property
-    def lo(self) -> int:
-        return self.index << self.level
-
-    @property
-    def hi(self) -> int:
-        return ((self.index + 1) << self.level) - 1
-
-    @property
-    def length(self) -> int:
-        return 1 << self.level
 
 
 def padded_length(n: int) -> int:
@@ -99,32 +80,43 @@ def padded_length(n: int) -> int:
     return p
 
 
-@lru_cache(maxsize=1 << 16)
-def base_decompose(lo: int, hi: int, n_pad: int) -> tuple[BaseInterval, ...]:
-    """Write [lo, hi] as a disjoint union of maximal aligned intervals.
+def base_decompose(lo, hi, n_pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Write each 0-based range [lo[k], hi[k]] as a disjoint union of
+    maximal aligned intervals: the standard segment-tree cover over a
+    tree of width n_pad (a power of two), at most 2 * log2(n_pad)
+    intervals per range for n_pad > 1.
 
-    Standard segment-tree cover over a tree of width n_pad (a power of
-    two); at most 2 * log2(n_pad) intervals for n_pad > 1.
+    An interval is named by its segment-tree node id: the root is 1 and
+    node h has children 2h and 2h + 1, so node h at depth
+    d = floor(log2 h) covers positions (h - 2^d) << (L - d) up to
+    ((h - 2^d + 1) << (L - d)) - 1, where L = log2(n_pad).  Returns
+    (query, node) int64 arrays with one entry per interval, sorted by
+    query.
     """
-    if not (0 <= lo <= hi < n_pad):
-        raise ValueError(f"interval [{lo}, {hi}] outside [0, {n_pad - 1}]")
-    if n_pad & (n_pad - 1):
+    lo = np.asarray(lo, dtype=np.int64).reshape(-1)
+    hi = np.asarray(hi, dtype=np.int64).reshape(-1)
+    if n_pad < 1 or n_pad & (n_pad - 1):
         raise ValueError(f"{n_pad} is not a power of two")
-    out: list[BaseInterval] = []
-
-    def go(level: int, index: int) -> None:
-        node_lo = index << level
-        node_hi = ((index + 1) << level) - 1
-        if node_lo > hi or node_hi < lo:
-            return
-        if lo <= node_lo and node_hi <= hi:
-            out.append(BaseInterval(level, index))
-            return
-        go(level - 1, 2 * index)
-        go(level - 1, 2 * index + 1)
-
-    go(n_pad.bit_length() - 1, 0)
-    return tuple(out)
+    bad = np.flatnonzero((lo < 0) | (lo > hi) | (hi >= n_pad))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"interval [{lo[k]}, {hi[k]}] outside [0, {n_pad - 1}]")
+    # bottom-up cover of the half-open leaf span [l, r), one level per
+    # step; row k of ``cover`` holds query k's nodes, 0 in unused slots
+    levels = n_pad.bit_length()
+    cover = np.zeros((lo.size, 2 * levels), dtype=np.int64)
+    l, r = lo + n_pad, hi + n_pad + 1
+    for k in range(levels):
+        live = l < r
+        left = live & ((l & 1) == 1)
+        right = live & ((r & 1) == 1)
+        r = r - right
+        cover[:, 2 * k] = l * left
+        cover[:, 2 * k + 1] = r * right
+        l = (l + left) >> 1
+        r >>= 1
+    query, slot = np.nonzero(cover)
+    return query, cover[query, slot]
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +127,20 @@ def base_decompose(lo: int, hi: int, n_pad: int) -> tuple[BaseInterval, ...]:
 class MultigraphBuild:
     """A query batch compiled to a tripartite multigraph.
 
-    ``per_query`` lists, for each input query, the VW edges whose
-    triangle counts sum to the query answer.  ``meta`` records sizes
-    used by the invariant tests.
+    The answer to query k is read from the VW edges
+    ``mg.vw[query_vw[query_ptr[k]:query_ptr[k + 1]]]``, a per-query CSR
+    of row indices into ``mg.vw``; ``n_pad`` is the segment tree width.
     """
 
     mg: TripartiteMultigraph
-    per_query: list[list[Edge]]
+    query_ptr: np.ndarray
+    query_vw: np.ndarray
     n_pad: int
-    v_ids: dict[BaseInterval, int]
-    w_ids: dict[BaseInterval, int]
-    u_ids: dict[int, int]
 
-    @property
-    def uv_multiplicity_total(self) -> int:
-        return sum(self.mg.e_uv.values())
-
-    @property
-    def uw_multiplicity_total(self) -> int:
-        return sum(self.mg.e_uw.values())
+    def fold(self, ufunc: np.ufunc, per_edge: np.ndarray) -> np.ndarray:
+        """Reduce per-VW-edge results (aligned with ``mg.vw``) to one
+        result per query with ``ufunc``."""
+        return ufunc.reduceat(per_edge[self.query_vw], self.query_ptr[:-1])
 
 
 def build_query_multigraph(
@@ -168,79 +155,62 @@ def build_query_multigraph(
     but not counts).  Only intervals actually used by some query get a
     vertex.
     """
-    for q in queries:
-        q.check(a.n)
-    vals = normalize(a.values)
-    n = len(vals)
-    n_pad = padded_length(max(1, n))
+    vals = np.array(normalize(a.values), dtype=np.int64)
+    n_pad = padded_length(a.n)
+    bounds = np.array(
+        [(q.first.l, q.first.r, q.second.l, q.second.r) for q in queries], dtype=np.int64
+    ).reshape(-1, 4)
+    outside = np.flatnonzero(bounds.max(axis=1) > a.n)
+    if outside.size:
+        queries[outside[0]].check(a.n)
+    vq, v_node = base_decompose(bounds[:, 0] - 1, bounds[:, 1] - 1, n_pad)
+    wq, w_node = base_decompose(bounds[:, 2] - 1, bounds[:, 3] - 1, n_pad)
 
-    per_query_ivs: list[tuple[tuple[BaseInterval, ...], tuple[BaseInterval, ...]]] = []
-    used_v: set[BaseInterval] = set()
-    used_w: set[BaseInterval] = set()
-    for q in queries:
-        d1 = base_decompose(q.first.l - 1, q.first.r - 1, n_pad)
-        d2 = base_decompose(q.second.l - 1, q.second.r - 1, n_pad)
-        per_query_ivs.append((d1, d2))
-        used_v.update(d1)
-        used_w.update(d2)
+    # vertex ids V, then W, then U; v_of / w_of map a node to its id, or 0
+    v_of = np.zeros(2 * n_pad, dtype=np.int64)
+    w_of = np.zeros(2 * n_pad, dtype=np.int64)
+    v_nodes, w_nodes = np.unique(v_node), np.unique(w_node)
+    part_v = range(1, v_nodes.size + 1)
+    part_w = range(part_v.stop, part_v.stop + w_nodes.size)
+    v_of[v_nodes] = part_v
+    w_of[w_nodes] = part_w
 
-    counts_cache: dict[BaseInterval, dict[int, int]] = {}
+    # occurrences of each value in each used node: position p lies in
+    # the nodes (p + n_pad) >> k for k = 0..L
+    anc = (np.arange(a.n) + n_pad) >> np.arange(n_pad.bit_length())[:, None]
+    used = (v_of[anc] > 0) | (w_of[anc] > 0)
+    d = int(vals.max()) + 1
+    key, mult = np.unique((anc * d + vals)[used], return_counts=True)
+    node, val = np.divmod(key, d)
+    if collapse:
+        mult = np.ones_like(mult)
+    values, u_id = np.unique(val, return_inverse=True)
+    part_u = range(part_w.stop, part_w.stop + values.size)
+    u_id += part_u.start
 
-    def interval_counts(iv: BaseInterval) -> dict[int, int]:
-        cached = counts_cache.get(iv)
-        if cached is None:
-            cached = {}
-            for pos in range(iv.lo, min(iv.hi, n - 1) + 1):
-                v = vals[pos]
-                cached[v] = cached.get(v, 0) + 1
-            counts_cache[iv] = cached
-        return cached
+    def u_edges(of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit = of[node] > 0
+        return np.stack((u_id[hit], of[node[hit]]), axis=1), mult[hit]
 
-    used_values: set[int] = set()
-    for iv in used_v | used_w:
-        used_values.update(interval_counts(iv))
+    uv, uv_mult = u_edges(v_of)
+    uw, uw_mult = u_edges(w_of)
 
-    u_ids = {val: i + 1 for i, val in enumerate(sorted(used_values))}
-    next_id = len(u_ids) + 1
-    v_ids: dict[BaseInterval, int] = {}
-    for iv in sorted(used_v, key=lambda b: (b.level, b.index)):
-        v_ids[iv] = next_id
-        next_id += 1
-    w_ids: dict[BaseInterval, int] = {}
-    for iv in sorted(used_w, key=lambda b: (b.level, b.index)):
-        w_ids[iv] = next_id
-        next_id += 1
+    # query k pairs each of its nv[k] V intervals with each of its nw[k]
+    # W intervals; the pairs of one query are contiguous
+    nv = np.bincount(vq, minlength=len(queries))
+    nw = np.bincount(wq, minlength=len(queries))
+    w_start = np.cumsum(nw) - nw
+    reps = nw[vq]
+    i = np.repeat(np.arange(vq.size), reps)
+    j = np.repeat(w_start[vq] - (np.cumsum(reps) - reps), reps) + np.arange(i.size)
+    vw_key = v_of[v_node[i]] * part_w.stop + w_of[w_node[j]]
+    vw_key, query_vw = np.unique(vw_key, return_inverse=True)
+    vw = np.stack(np.divmod(vw_key, part_w.stop), axis=1)
+    query_ptr = np.concatenate(([0], np.cumsum(nv * nw)))
 
-    e_uv: dict[Edge, int] = {}
-    for iv, vid in v_ids.items():
-        for val, cnt in interval_counts(iv).items():
-            e_uv[(u_ids[val], vid)] = 1 if collapse else cnt
-    e_uw: dict[Edge, int] = {}
-    for iv, wid in w_ids.items():
-        for val, cnt in interval_counts(iv).items():
-            e_uw[(u_ids[val], wid)] = 1 if collapse else cnt
-
-    e_vw: set[Edge] = set()
-    per_query: list[list[Edge]] = []
-    for d1, d2 in per_query_ivs:
-        keys = []
-        for iv1 in d1:
-            for iv2 in d2:
-                e = (v_ids[iv1], w_ids[iv2])
-                e_vw.add(e)
-                keys.append(e)
-        per_query.append(keys)
-
-    mg = TripartiteMultigraph(
-        part_u=set(u_ids.values()),
-        part_v=set(v_ids.values()),
-        part_w=set(w_ids.values()),
-        e_uv=e_uv,
-        e_uw=e_uw,
-        e_vw=e_vw,
-    )
+    mg = TripartiteMultigraph(part_u, part_v, part_w, uv, uv_mult, uw, uw_mult, vw)
     mg.validate()
-    return MultigraphBuild(mg, per_query, n_pad, v_ids, w_ids, u_ids)
+    return MultigraphBuild(mg, query_ptr, query_vw, n_pad)
 
 
 # ---------------------------------------------------------------------------
@@ -248,67 +218,50 @@ def build_query_multigraph(
 
 
 def _simple_graph_counts(
-    edges: np.ndarray, vw: np.ndarray, solver: CountingSolver
-) -> list[int]:
+    edges: np.ndarray, vw: np.ndarray, solver: CountingSolver | DetectionSolver
+) -> np.ndarray:
     """Relabel the (k, 2) edge array compactly, run the solver, and
-    return its counts at the original VW edges ``vw``, in row order."""
+    return its answers at the original VW edges ``vw`` as int64, in row
+    order."""
     g, back = compact(edges)
     a, b = np.sort(np.searchsorted(back, vw) + 1, axis=1).T.tolist()
     counts = solver(g)
-    return [counts[e] for e in zip(a, b)]
+    return np.fromiter((counts[e] for e in zip(a, b)), dtype=np.int64, count=len(a))
 
 
-def _bit_split(edges: dict[Edge, int]) -> dict[int, np.ndarray]:
-    """Bit i -> the (k, 2) array of edges whose multiplicity has bit i set,
-    for every bit set in some multiplicity."""
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    mult = np.array(list(edges.values()), dtype=np.int64)
-    out = {}
+def _bit_split(pairs: np.ndarray, mult: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(i, rows) for every bit i set in some multiplicity, where rows are
+    the (k, 2) edges of ``pairs`` whose multiplicity has bit i set."""
+    out = []
     for i in range(int(mult.max()).bit_length() if mult.size else 0):
         rows = pairs[(mult >> i) & 1 == 1]
         if rows.size:
-            out[i] = rows
+            out.append((i, rows))
     return out
 
 
-def multigraph_edge_counts(
-    mg: TripartiteMultigraph, solver: CountingSolver
-) -> dict[Edge, int]:
-    """Triangle counts through each VW edge, honoring multiplicities.
+def multigraph_edge_counts(mg: TripartiteMultigraph, solver: CountingSolver) -> np.ndarray:
+    """Triangle counts through each VW edge, aligned with ``mg.vw`` and
+    honoring multiplicities.
 
     UV and UW multiplicities are split into bits; the (i, j) bit-pair
     graph is simple, and its per-edge counts scaled by 2^(i+j) sum to the
     multiplicity-weighted answer.
     """
-    if not mg.e_vw:
-        return {}
-    vw_edges = sorted(mg.e_vw)
-    vw = np.array(vw_edges, dtype=np.int64)
-    totals = np.zeros(len(vw_edges), dtype=np.int64)
-    uw_bits = _bit_split(mg.e_uw)
-    for i, uv in _bit_split(mg.e_uv).items():
-        for j, uw in uw_bits.items():
-            piece = _simple_graph_counts(np.concatenate((uv, uw, vw)), vw, solver)
-            totals += np.array(piece, dtype=np.int64) << (i + j)
-    return dict(zip(vw_edges, totals.tolist()))
+    totals = np.zeros(len(mg.vw), dtype=np.int64)
+    uw_bits = _bit_split(mg.uw, mg.uw_mult)
+    for i, uv in _bit_split(mg.uv, mg.uv_mult):
+        for j, uw in uw_bits:
+            piece = _simple_graph_counts(np.concatenate((uv, uw, mg.vw)), mg.vw, solver)
+            totals += piece << (i + j)
+    return totals
 
 
-def multigraph_edge_detect(
-    mg: TripartiteMultigraph, solver: DetectionSolver
-) -> dict[Edge, bool]:
-    """Triangle detection through each VW edge; multiplicities collapse
-    to one, so a single simple graph suffices."""
-    if not mg.e_vw:
-        return {}
-    vw_edges = sorted(mg.e_vw)
-    vw = np.array(vw_edges, dtype=np.int64)
-    edges = np.array(sorted(mg.e_uv) + sorted(mg.e_uw) + vw_edges, dtype=np.int64)
-
-    def counting(g: Graph) -> dict[Edge, int]:
-        return {e: int(b) for e, b in solver(g).items()}
-
-    piece = _simple_graph_counts(edges, vw, counting)
-    return {e: bool(c) for e, c in zip(vw_edges, piece)}
+def multigraph_edge_detect(mg: TripartiteMultigraph, solver: DetectionSolver) -> np.ndarray:
+    """Triangle detection through each VW edge, aligned with ``mg.vw``;
+    multiplicities collapse to one, so a single simple graph suffices."""
+    edges = np.concatenate((mg.uv, mg.uw, mg.vw))
+    return _simple_graph_counts(edges, mg.vw, solver) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +276,7 @@ def reduce_2req_to_etc(
         return []
     build = build_query_multigraph(a, queries)
     counts = multigraph_edge_counts(build.mg, solver)
-    return [sum(counts[e] for e in keys) for keys in build.per_query]
+    return build.fold(np.add, counts).tolist()
 
 
 def reduce_2rdq_to_etd(
@@ -336,4 +289,4 @@ def reduce_2rdq_to_etd(
         return []
     build = build_query_multigraph(a, queries, collapse=True)
     detected = multigraph_edge_detect(build.mg, solver)
-    return [not any(detected[e] for e in keys) for keys in build.per_query]
+    return (~build.fold(np.logical_or, detected)).tolist()

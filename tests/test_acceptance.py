@@ -153,11 +153,8 @@ def test_criterion_3_query_to_triangle_round_trips(capsys):
         ok &= got == [oracle_pairs_query(EQP, a, qq) for qq in queries]
         build = build_query_multigraph(a, queries)
         log = int(math.log2(build.n_pad)) if build.n_pad > 1 else 1
-        ok &= (
-            build.uv_multiplicity_total + build.uw_multiplicity_total
-            <= 2 * build.n_pad * (log + 1)
-        )
-        ok &= len(build.mg.e_vw) <= q * (2 * log) ** 2
+        ok &= build.mg.uv_mult.sum() + build.mg.uw_mult.sum() <= 2 * build.n_pad * (log + 1)
+        ok &= len(build.mg.vw) <= q * (2 * log) ** 2
     for _ in range(500):
         n = rng.randint(2, 64)
         q = log_uniform(rng, 1, 64)

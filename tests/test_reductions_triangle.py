@@ -3,15 +3,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import complete_graph, cycle_graph, rand_array, rand_graph, rand_pair
 from rangetri.core import (
     EQP,
+    INV,
     Graph,
+    InputError,
     IntArray,
     Range,
+    RangeError,
     RangePair,
+    TripartiteMultigraph,
     oracle_disjoint_query,
     oracle_edge_triangle_counts,
     oracle_edge_triangle_detect,
@@ -30,6 +35,7 @@ from rangetri.reductions_triangle import (
     reduce_etc_to_2req,
     reduce_etd_to_2rdq,
 )
+from rangetri.solvers import PROBLEMS, problem_is_pair, range_solver
 
 
 def pair_oracle(a, queries):
@@ -65,34 +71,70 @@ class TestGraphToArray:
         assert set(reduce_etd_to_2rdq(g, disjoint_oracle).values()) == {False}
 
 
+def node_positions(h: int, n_pad: int) -> range:
+    """Positions covered by segment-tree node h in a tree of width n_pad."""
+    depth = h.bit_length() - 1
+    shift = n_pad.bit_length() - 1 - depth
+    lo = (h - (1 << depth)) << shift
+    return range(lo, lo + (1 << shift))
+
+
 class TestBaseDecompose:
     def test_examples(self):
-        assert base_decompose(0, 7, 8) == base_decompose(0, 7, 8)
-        (whole,) = base_decompose(0, 7, 8)
-        assert whole.lo == 0 and whole.hi == 7
-        singles = base_decompose(3, 3, 8)
-        assert len(singles) == 1 and singles[0].level == 0
+        query, node = base_decompose([0, 3, 1], [7, 3, 6], 8)
+        again = base_decompose([0, 3, 1], [7, 3, 6], 8)
+        assert np.array_equal(query, again[0]) and np.array_equal(node, again[1])
+        assert query.tolist() == [0, 1, 2, 2, 2, 2]
+        # root; leaf of position 3; [1, 6] = {1} + [2, 3] + [4, 5] + {6}
+        assert node[:2].tolist() == [1, 8 + 3]
+        assert sorted(node[2:].tolist()) == [5, 6, 8 + 1, 8 + 6]
+        assert base_decompose([0], [0], 1)[1].tolist() == [1]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            base_decompose(0, 8, 8)
+            base_decompose([0], [8], 8)
         with pytest.raises(ValueError):
-            base_decompose(2, 1, 8)
+            base_decompose([2], [1], 8)
         with pytest.raises(ValueError):
-            base_decompose(0, 2, 6)
+            base_decompose([0], [2], 6)
+        with pytest.raises(ValueError):
+            base_decompose([-1], [2], 8)
+        with pytest.raises(ValueError):
+            base_decompose([0, 1, 0], [3, 4, 8], 8)
+
+    def test_node_positions(self):
+        for n_pad in (1, 2, 4, 8, 16, 32):
+            levels = n_pad.bit_length() - 1
+            for h in range(1, 2 * n_pad):
+                pos = node_positions(h, n_pad)
+                assert len(pos) == n_pad >> (h.bit_length() - 1)
+                # h is the ancestor, k = L - depth levels up, of each
+                # position it covers, and of no other
+                k = levels - (h.bit_length() - 1)
+                assert [p for p in range(n_pad) if (p + n_pad) >> k == h] == list(pos)
 
     def test_cover_disjoint_and_bounded(self):
         for n_pad in (1, 2, 4, 8, 16, 32):
-            for lo in range(n_pad):
-                for hi in range(lo, n_pad):
-                    ivs = base_decompose(lo, hi, n_pad)
-                    covered = sorted(p for iv in ivs for p in range(iv.lo, iv.hi + 1))
-                    assert covered == list(range(lo, hi + 1))
-                    if n_pad > 1:
-                        assert len(ivs) <= 2 * int(math.log2(n_pad))
+            spans = [(lo, hi) for lo in range(n_pad) for hi in range(lo, n_pad)]
+            lo, hi = np.array(spans).T
+            query, node = base_decompose(lo, hi, n_pad)
+            assert np.all(np.diff(query) >= 0)
+            starts = np.searchsorted(query, np.arange(len(spans) + 1))
+            for k, (l, h) in enumerate(spans):
+                nodes = node[starts[k] : starts[k + 1]].tolist()
+                covered = sorted(p for x in nodes for p in node_positions(x, n_pad))
+                assert covered == list(range(l, h + 1))
+                if n_pad > 1:
+                    assert len(nodes) <= 2 * int(math.log2(n_pad))
 
     def test_padded_length(self):
         assert [padded_length(n) for n in (1, 2, 3, 4, 5, 8, 9)] == [1, 2, 4, 4, 8, 8, 16]
+
+
+def per_query_vw(build) -> list[list[tuple[int, int]]]:
+    """The VW edges of each query, read from the build's CSR."""
+    ptr, rows = build.query_ptr.tolist(), build.mg.vw[build.query_vw].tolist()
+    return [[tuple(e) for e in rows[ptr[k] : ptr[k + 1]]] for k in range(len(ptr) - 1)]
 
 
 class TestQueryMultigraph:
@@ -104,13 +146,20 @@ class TestQueryMultigraph:
             q = rng.randint(1, 10)
             queries = [rand_pair(rng, n) for _ in range(q)]
             build = build_query_multigraph(a, queries)
+            mg = build.mg
             n_pad = build.n_pad
             log = int(math.log2(n_pad)) if n_pad > 1 else 1
             # each array position contributes once per tree level at most
             level_bound = 2 * n_pad * (log + 1)
-            assert build.uv_multiplicity_total + build.uw_multiplicity_total <= level_bound
-            assert len(build.mg.e_vw) <= q * (2 * log) ** 2
-            assert len(build.per_query) == q
+            assert mg.uv_mult.sum() + mg.uw_mult.sum() <= level_bound
+            assert len(mg.vw) <= q * (2 * log) ** 2
+            assert len(build.query_ptr) == q + 1
+            assert np.all(np.diff(build.query_ptr) > 0)
+            assert len(set(map(tuple, mg.vw.tolist()))) == len(mg.vw)
+            assert mg.vw.tolist() == sorted(mg.vw.tolist())
+            # the parts number the vertices 1..N consecutively
+            parts = sorted((mg.part_u, mg.part_v, mg.part_w), key=lambda p: p.start)
+            assert [p.start for p in parts] == [1, parts[0].stop, parts[1].stop]
 
     def test_per_query_sum_equals_answer(self):
         rng = random.Random(3)
@@ -119,7 +168,7 @@ class TestQueryMultigraph:
             a = rand_array(rng, n, 0, 6)
             queries = [rand_pair(rng, n) for _ in range(5)]
             build = build_query_multigraph(a, queries)
-            for keys, q in zip(build.per_query, queries):
+            for keys, q in zip(per_query_vw(build), queries):
                 total = sum(build.mg.triangle_count_through(v, w) for v, w in keys)
                 assert total == oracle_pairs_query(EQP, a, q)
 
@@ -131,8 +180,9 @@ class TestQueryMultigraph:
             queries = [rand_pair(rng, n) for _ in range(4)]
             build = build_query_multigraph(a, queries)
             counts = multigraph_edge_counts(build.mg, oracle_edge_triangle_counts)
-            for v, w in build.mg.e_vw:
-                assert counts[(v, w)] == build.mg.triangle_count_through(v, w)
+            assert counts.shape == (len(build.mg.vw),)
+            for (v, w), c in zip(build.mg.vw.tolist(), counts.tolist()):
+                assert c == build.mg.triangle_count_through(v, w)
 
     def test_collapse_preserves_emptiness(self):
         rng = random.Random(5)
@@ -141,11 +191,36 @@ class TestQueryMultigraph:
             a = rand_array(rng, n, 0, 4)
             queries = [rand_pair(rng, n) for _ in range(4)]
             build = build_query_multigraph(a, queries, collapse=True)
-            assert set(build.mg.e_uv.values()) <= {1}
-            assert set(build.mg.e_uw.values()) <= {1}
+            assert set(build.mg.uv_mult.tolist()) <= {1}
+            assert set(build.mg.uw_mult.tolist()) <= {1}
             detected = multigraph_edge_detect(build.mg, oracle_edge_triangle_detect)
-            for v, w in build.mg.e_vw:
-                assert detected[(v, w)] == (build.mg.triangle_count_through(v, w) > 0)
+            assert detected.shape == (len(build.mg.vw),)
+            for (v, w), d in zip(build.mg.vw.tolist(), detected.tolist()):
+                assert d == (build.mg.triangle_count_through(v, w) > 0)
+
+    def test_validate_rejects_bad_multigraph(self):
+        def mg(**change):
+            edge = np.array([[1, 2]])
+            parts = dict(part_u=range(1, 2), part_v=range(2, 3), part_w=range(3, 4))
+            fields = dict(
+                parts, uv=edge, uv_mult=np.array([2]),
+                uw=np.array([[1, 3]]), uw_mult=np.array([1]), vw=np.array([[2, 3]]),
+            )
+            return TripartiteMultigraph(**{**fields, **change})
+
+        mg().validate()
+        assert mg().triangle_count_through(2, 3) == 2
+        bad = [
+            dict(part_v=range(1, 3)),
+            dict(uv_mult=np.array([0])),
+            dict(uv_mult=np.array([1, 1])),
+            dict(uv=np.array([[2, 2]])),
+            dict(uw=np.array([[1, 2]])),
+            dict(vw=np.array([[2, 1]])),
+        ]
+        for change in bad:
+            with pytest.raises(InputError):
+                mg(**change).validate()
 
 
 class TestArraySideSolvers:
@@ -172,3 +247,62 @@ class TestArraySideSolvers:
         assert reduce_2req_to_etc(a, [pair(1, 2, 3, 5)], oracle_edge_triangle_counts) == [2]
         assert reduce_2rdq_to_etd(a, [pair(1, 2, 5, 5)], oracle_edge_triangle_detect) == [True]
         assert reduce_2rdq_to_etd(a, [pair(1, 1, 3, 3)], oracle_edge_triangle_detect) == [False]
+
+    def test_rejects_range_outside_array(self):
+        # r = 6 lies inside the padded width 8, so only the array length catches it
+        a = IntArray([1, 2, 1, 2, 3])
+        queries = [pair(1, 2, 3, 5), pair(1, 2, 3, 6)]
+        with pytest.raises(RangeError):
+            reduce_2req_to_etc(a, queries, oracle_edge_triangle_counts)
+        with pytest.raises(RangeError):
+            reduce_2rdq_to_etd(a, queries, oracle_edge_triangle_detect)
+
+
+ADVERSARIAL_ARRAYS = {
+    "n=2": [5, 5],
+    "all-equal": [7] * 16,
+    "increasing": list(range(16)),
+    "decreasing": list(range(16, 0, -1)),
+    "two-valued": [0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0],
+    "huge": [10**12, -(10**12), 10**12, 3, -(10**12), 10**12 - 1, 3, -(10**12), 10**12, 0, 10**12, -3],
+}
+
+
+def shared_pairs(n: int) -> list[RangePair]:
+    """Pairs that repeat, or share a first or second range, so that their
+    base intervals are shared in the multigraph."""
+    half = n // 2
+    out = [pair(1, half, half + 1, n)] * 3
+    out += [pair(1, k, k + 1, n) for k in range(1, n)]
+    out += [pair(1, 1, k, n) for k in range(2, n + 1)]
+    return out
+
+
+def shared_ranges(n: int) -> list[Range]:
+    out = [Range(1, n)] * 3 + [Range(k, n) for k in range(1, n + 1)]
+    return out + [Range(1, k) for k in range(1, n + 1)]
+
+
+class TestViaTriangleAdversarial:
+    """Every problem via the triangle reductions on degenerate shapes:
+    the shortest array, maximal multiplicities (all-equal, the most
+    bit-split pieces), monotone and two-valued arrays, values near 1e12,
+    no queries, and queries sharing base intervals."""
+
+    @pytest.mark.parametrize("inner", ["oracle", "ayz"])
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_matches_oracle(self, problem, inner):
+        solver = range_solver(problem, "via-triangle", inner=inner)
+        for name, values in ADVERSARIAL_ARRAYS.items():
+            a = IntArray(values)
+            queries = shared_pairs(a.n) if problem_is_pair(problem) else shared_ranges(a.n)
+            if problem == "2rdq":
+                want = [oracle_disjoint_query(a, q) for q in queries]
+            else:
+                f = INV if problem.endswith("riq") else EQP
+                want = [oracle_pairs_query(f, a, q) for q in queries]
+            got = solver(a, queries)
+            assert got == want, name
+            answer_type = bool if problem == "2rdq" else int
+            assert all(type(x) is answer_type for x in got), name
+            assert solver(a, []) == [], name
