@@ -44,6 +44,7 @@ from .solvers import (
 )
 from .triangle import (
     RandomSource,
+    ayz_edge_counts,
     baseline_list,
     detect_via_listing,
     list_via_detection,
@@ -135,13 +136,18 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _emit_edges(g, answers, fmt: str) -> None:
+    """One "u v answer" row per edge, from answers in sorted edge order."""
+    _emit([[u, v, int(x)] for (u, v), x in zip(g.sorted_edges(), answers)], fmt)
+
+
 def cmd_count(args) -> int:
     g = files.read_graph(args.graph)
     if args.algo == "via-2req":
         counts = reduce_etc_to_2req(g, range_solver("2req", "mo"))
+        _emit_edges(g, map(counts.get, g.sorted_edges()), args.format)
     else:
-        counts = EDGE_COUNTERS[args.algo](g)
-    _emit([[u, v, counts[(u, v)]] for u, v in g.sorted_edges()], args.format)
+        _emit_edges(g, EDGE_COUNTERS[args.algo](g), args.format)
     return 0
 
 
@@ -149,19 +155,21 @@ def cmd_detect(args) -> int:
     g = files.read_graph(args.graph)
     if args.algo == "via-listing":
         det = detect_via_listing(g, rng=RandomSource(args.seed))
+        _emit_edges(g, map(det.get, g.sorted_edges()), args.format)
     else:
-        det = EDGE_DETECTORS[args.algo](g)
-    _emit([[u, v, int(det[(u, v)])] for u, v in g.sorted_edges()], args.format)
+        _emit_edges(g, EDGE_DETECTORS[args.algo](g), args.format)
     return 0
 
 
 def cmd_list(args) -> int:
     g = files.read_graph(args.graph)
-    t = args.t if args.t is not None else g.m
+    # an empty graph lists nothing under the smallest valid capacity
+    t = args.t if args.t is not None else max(1, g.m)
     if args.algo == "baseline":
         result = baseline_list(g, t)
     elif args.algo == "via-detection":
-        result = list_via_detection(g, EDGE_DETECTORS["ayz"])
+        detector = lambda h: {e: c > 0 for e, c in ayz_edge_counts(h).items()}
+        result = list_via_detection(g, detector)
     else:
         result = main_listing_retry(g, t, RandomSource(args.seed), zeta=args.zeta)
     _emit([list(tri) for tri in sorted(result.triangles)], args.format)

@@ -15,7 +15,7 @@ Three families live here:
   table plus per-value index lists for the range tails.
 
 ``matmul``, the exact int64 matrix product, is also defined here since
-the block structure is its main consumer.
+the block structure is its one consumer.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ from .core import (
 from .reductions_range import PairSolver
 
 DisjointSolver = Callable[[IntArray, Sequence[RangePair]], list[bool]]
-CountingSolver = Callable[[Graph], dict[Edge, int]]
-DetectionSolver = Callable[[Graph], dict[Edge, bool]]
+# per-edge answers as an int64 / bool array aligned with g.sorted_edges()
+CountingSolver = Callable[[Graph], np.ndarray]
+DetectionSolver = Callable[[Graph], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,8 @@ def _edge_queries(g: Graph) -> tuple[IntArray, list[Edge], list[RangePair]]:
 
 def reduce_etc_to_2req(g: Graph, pair_solver: PairSolver) -> dict[Edge, int]:
     """Per-edge triangle counts via one equal-pairs query per edge."""
+    if not g.m:
+        return {}
     arr, edges, queries = _edge_queries(g)
     return dict(zip(edges, pair_solver(arr, queries)))
 
@@ -221,12 +224,11 @@ def _simple_graph_counts(
     edges: np.ndarray, vw: np.ndarray, solver: CountingSolver | DetectionSolver
 ) -> np.ndarray:
     """Relabel the (k, 2) edge array compactly, run the solver, and
-    return its answers at the original VW edges ``vw`` as int64, in row
-    order."""
+    return its answers at the original VW edges ``vw``, in row order."""
     g, back = compact(edges)
-    a, b = np.sort(np.searchsorted(back, vw) + 1, axis=1).T.tolist()
-    counts = solver(g)
-    return np.fromiter((counts[e] for e in zip(a, b)), dtype=np.int64, count=len(a))
+    a, b = np.sort(np.searchsorted(back, vw) + 1, axis=1).T
+    at = np.searchsorted(g.eu * (g.n + 1) + g.ev, a * (g.n + 1) + b)
+    return solver(g)[at]
 
 
 def _bit_split(pairs: np.ndarray, mult: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -261,7 +263,7 @@ def multigraph_edge_detect(mg: TripartiteMultigraph, solver: DetectionSolver) ->
     """Triangle detection through each VW edge, aligned with ``mg.vw``;
     multiplicities collapse to one, so a single simple graph suffices."""
     edges = np.concatenate((mg.uv, mg.uw, mg.vw))
-    return _simple_graph_counts(edges, mg.vw, solver) > 0
+    return _simple_graph_counts(edges, mg.vw, solver)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ algorithms and reductions, and the per-edge triangle solvers they use.
 ``solver(array, queries)``; problems riq/req take single ranges, the
 2-prefixed problems take range pairs, and 2rdq returns booleans.
 ``EDGE_COUNTERS`` and ``EDGE_DETECTORS`` map a name to a per-edge
-triangle counter or detector, ``solver(graph) -> {edge: answer}``.
+triangle counter or detector, ``solver(graph)``, whose answers form an
+int64 (counts) or bool (detection) array aligned with
+``graph.sorted_edges()``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     EQP,
@@ -31,7 +35,7 @@ from .reductions_range import (
     reduce_inv_to_eqp,
 )
 from .reductions_triangle import reduce_2rdq_to_etd, reduce_2req_to_etc
-from .triangle import ayz_edge_counts
+from .triangle import ayz_counts
 
 PROBLEMS = ("riq", "req", "2riq", "2req", "2rdq")
 ALGOS = ("oracle", "mo", "mo-online", "online-eq", "via-triangle")
@@ -77,16 +81,27 @@ def _online_eq_single(counters: Optional[OpCounters]):
     return solver
 
 
-# Entries look up the module globals when called, not when this table is
-# built, so rebinding ``ayz_edge_counts`` (a tracing wrapper, say) reaches
-# every solver composed from them.
+def _aligned(oracle: Callable, dtype) -> Callable:
+    """An edge solver from one of ``core``'s dict oracles: its answers
+    in ``g.sorted_edges()`` order, as a ``dtype`` array."""
+
+    def solver(g):
+        answers = oracle(g)
+        return np.array([answers[e] for e in g.sorted_edges()], dtype=dtype)
+
+    return solver
+
+
+# The ayz entries look up ``ayz_counts`` when called, not when this table
+# is built, so rebinding it (a tracing wrapper, say) reaches every solver
+# composed from them.
 EDGE_COUNTERS = {
-    "oracle": lambda g: oracle_edge_triangle_counts(g),
-    "ayz": lambda g: ayz_edge_counts(g),
+    "oracle": _aligned(oracle_edge_triangle_counts, np.int64),
+    "ayz": lambda g: ayz_counts(g),
 }
 EDGE_DETECTORS = {
-    "oracle": lambda g: oracle_edge_triangle_detect(g),
-    "ayz": lambda g: {e: c > 0 for e, c in ayz_edge_counts(g).items()},
+    "oracle": _aligned(oracle_edge_triangle_detect, bool),
+    "ayz": lambda g: ayz_counts(g) > 0,
 }
 
 

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    DenseMatrix,
     Edge,
     Graph,
     InputError,
@@ -27,7 +26,6 @@ from .core import (
     compact,
 )
 from .instrument import OpCounters
-from .rangequery import matmul
 
 
 def _derive_seed(seed: int, tags: tuple) -> int:
@@ -81,21 +79,18 @@ class ListingResult:
 # Heavy/light per-edge counting
 
 
-# light wedges matched per numpy batch; bounds the scratch arrays' size
+# light wedges, or heavy-block cells, handled per numpy batch; bounds
+# the scratch arrays' size
 _WEDGE_CHUNK = 1 << 12
 
 
-def ayz_edge_counts(
-    g: Graph,
-    theta: Optional[int] = None,
-    counters: Optional[OpCounters] = None,
-) -> dict[Edge, int]:
-    """Per-edge triangle counts split by the degree of the third vertex.
+def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
+    """Per-edge triangle counts as an int64 array aligned with
+    ``g.eu``/``g.ev``, split by the degree of the third vertex.
 
     Third vertices of degree <= theta are counted by wedge enumeration
-    centered at them; the rest through one multiplication of the
-    vertex-by-heavy adjacency matrix with its transpose, read off only
-    at existing edges.
+    centered at them; the rest by intersecting the two endpoints' rows
+    of the vertex-by-heavy adjacency block, at the m edges only.
     """
     m = g.m
     if theta is None:
@@ -130,20 +125,25 @@ def ayz_edge_counts(
         counts += np.bincount(at[hit], minlength=m)
         start = stop
 
+    # block[v, h]: v is adjacent to the h-th heavy vertex; an edge's
+    # heavy third vertices are where its endpoints' rows are both set
     heavy = np.flatnonzero(deg > theta)
     if heavy.size:
         column = np.zeros(g.n + 1, dtype=np.int64)
         column[heavy] = np.arange(heavy.size)
         hslots = np.flatnonzero(deg[owner] > theta)
-        block = np.zeros((g.n, heavy.size), dtype=np.int64)
-        block[g.indices[hslots] - 1, column[owner[hslots]]] = 1
-        product = matmul(
-            DenseMatrix(g.n, heavy.size, block),
-            DenseMatrix(heavy.size, g.n, block.T),
-            counters=counters,
-        )
-        counts += product.array[g.eu - 1, g.ev - 1]
-    return dict(zip(g.sorted_edges(), counts.tolist()))
+        block = np.zeros((g.n + 1, heavy.size), dtype=bool)
+        block[g.indices[hslots], column[owner[hslots]]] = True
+        step = max(1, _WEDGE_CHUNK // heavy.size)  # edges per batch
+        for lo in range(0, m, step):
+            both = block[g.eu[lo : lo + step]] & block[g.ev[lo : lo + step]]
+            counts[lo : lo + step] += np.count_nonzero(both, axis=1)
+    return counts
+
+
+def ayz_edge_counts(g: Graph, theta: Optional[int] = None) -> dict[Edge, int]:
+    """``ayz_counts`` as a dict keyed by edge."""
+    return dict(zip(g.sorted_edges(), ayz_counts(g, theta).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,8 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
     third part is a single vertex, the surviving edges name triangles.
     """
     n, m = g.n, g.m
+    if not m:
+        return ListingResult(set(), COMPLETE)
     t_cap = 6 * m
 
     # Component state: third-part vertex set, first-second edges as
@@ -347,6 +349,8 @@ def detect_via_listing(
     if rng is None:
         rng = RandomSource(0)
     n, m = g.n, g.m
+    if not m:
+        return {}
     capacity = 100 * m
     log_m = max(1, math.ceil(math.log2(m)))
     phases = list(range(int(math.log2(m)) if m > 1 else 0, -1, -1))

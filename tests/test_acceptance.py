@@ -44,7 +44,7 @@ from rangetri.reductions_triangle import (
     reduce_2rdq_to_etd,
     reduce_2req_to_etc,
 )
-from rangetri.solvers import range_solver
+from rangetri.solvers import EDGE_COUNTERS, EDGE_DETECTORS, range_solver
 from rangetri.triangle import (
     RandomSource,
     ayz_edge_counts,
@@ -149,7 +149,7 @@ def test_criterion_3_query_to_triangle_round_trips(capsys):
         q = log_uniform(rng, 1, 64)
         a = IntArray([rng.randint(0, n - 1) for _ in range(n)])
         queries = [rand_pair(rng, n) for _ in range(q)]
-        got = reduce_2req_to_etc(a, queries, oracle_edge_triangle_counts)
+        got = reduce_2req_to_etc(a, queries, EDGE_COUNTERS["oracle"])
         ok &= got == [oracle_pairs_query(EQP, a, qq) for qq in queries]
         build = build_query_multigraph(a, queries)
         log = int(math.log2(build.n_pad)) if build.n_pad > 1 else 1
@@ -160,7 +160,7 @@ def test_criterion_3_query_to_triangle_round_trips(capsys):
         q = log_uniform(rng, 1, 64)
         a = IntArray([rng.randint(0, n - 1) for _ in range(n)])
         queries = [rand_pair(rng, n) for _ in range(q)]
-        got = reduce_2rdq_to_etd(a, queries, oracle_edge_triangle_detect)
+        got = reduce_2rdq_to_etd(a, queries, EDGE_DETECTORS["oracle"])
         ok &= got == [oracle_disjoint_query(a, qq) for qq in queries]
     report(capsys, 3, "query/triangle round trips with size bounds", ok)
 
@@ -286,7 +286,7 @@ def test_criterion_8_minmax_product(capsys):
     ok = True
 
     def chain(arr, qs):
-        return reduce_2rdq_to_etd(arr, qs, oracle_edge_triangle_detect)
+        return reduce_2rdq_to_etd(arr, qs, EDGE_DETECTORS["oracle"])
 
     def direct(arr, qs):
         return [oracle_disjoint_query(arr, q) for q in qs]

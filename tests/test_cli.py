@@ -14,10 +14,12 @@ from rangetri.core import (
     Range,
     oracle_disjoint_query,
     oracle_edge_triangle_counts,
+    oracle_edge_triangle_detect,
     oracle_minmax,
     oracle_pairs_query,
     oracle_triangle_list,
 )
+from rangetri.triangle import list_via_detection
 
 
 def run(capsys, *argv):
@@ -247,6 +249,60 @@ class TestGraphCommands:
             assert got <= truth and len(got) == min(g.m, len(truth))
         else:
             assert got == truth
+
+
+class TestGraphOutput:
+    """The exact text of count, detect and list --algo via-detection, on a
+    generated gnp graph and on the empty graph ``0 0``."""
+
+    @pytest.fixture(params=["gnp", "empty"])
+    def graph_file(self, request, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        if request.param == "empty":
+            path.write_text("0 0\n")
+        else:
+            argv = ["gen", "graph", "--n", "24", "--p", "0.3", "--seed", "5", "--out", str(path)]
+            assert run(capsys, *argv)[0] == 0
+        return path, files.read_graph(path)
+
+    @staticmethod
+    def edge_lines(g, answers) -> str:
+        return "".join(f"{u} {v} {int(answers[(u, v)])}\n" for u, v in g.sorted_edges())
+
+    @pytest.mark.parametrize("algo", ["oracle", "ayz", "via-2req"])
+    def test_count(self, capsys, graph_file, algo):
+        path, g = graph_file
+        code, out = run(capsys, "count", "--graph", str(path), "--algo", algo)
+        assert code == 0
+        assert out == self.edge_lines(g, oracle_edge_triangle_counts(g))
+
+    @pytest.mark.parametrize("algo", ["oracle", "ayz", "via-listing"])
+    def test_detect(self, capsys, graph_file, algo):
+        path, g = graph_file
+        code, out = run(capsys, "detect", "--graph", str(path), "--algo", algo)
+        assert code == 0
+        assert out == self.edge_lines(g, oracle_edge_triangle_detect(g))
+
+    def test_list_via_detection(self, capsys, graph_file):
+        path, g = graph_file
+        code, out = run(capsys, "list", "--graph", str(path), "--algo", "via-detection")
+        assert code == 0
+        # the ayz detector answers as the oracle does, so the halving
+        # takes the same path and keeps the same triangles
+        result = list_via_detection(g, oracle_edge_triangle_detect)
+        assert out == "".join(f"{a} {b} {c}\n" for a, b, c in sorted(result.triangles))
+
+    @pytest.mark.parametrize("algo", ["baseline", "main"])
+    def test_list_empty(self, capsys, tmp_path, algo):
+        path = tmp_path / "g.txt"
+        path.write_text("0 0\n")
+        assert run(capsys, "list", "--graph", str(path), "--algo", algo) == (0, "")
+
+    def test_zero_capacity_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 3\n1 2\n1 3\n2 3\n")
+        code, _ = run(capsys, "list", "--graph", str(path), "--algo", "main", "--t", "0")
+        assert code == 2
 
 
 class TestMinmax:

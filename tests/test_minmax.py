@@ -10,11 +10,11 @@ from rangetri.core import (
     IntArray,
     ShapeError,
     oracle_disjoint_query,
-    oracle_edge_triangle_detect,
     oracle_minmax,
 )
 from rangetri.minmax import MinMaxStats, _rank_entries, build_table, minmax_product
 from rangetri.reductions_triangle import reduce_2rdq_to_etd
+from rangetri.solvers import EDGE_DETECTORS
 
 
 def disjoint_oracle(a, queries):
@@ -22,7 +22,7 @@ def disjoint_oracle(a, queries):
 
 
 def disjoint_via_triangle_detection(a, queries):
-    return reduce_2rdq_to_etd(a, queries, oracle_edge_triangle_detect)
+    return reduce_2rdq_to_etd(a, queries, EDGE_DETECTORS["oracle"])
 
 
 def rand_matrix(rng, n, lo=-50, hi=50):

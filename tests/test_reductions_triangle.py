@@ -35,7 +35,13 @@ from rangetri.reductions_triangle import (
     reduce_etc_to_2req,
     reduce_etd_to_2rdq,
 )
-from rangetri.solvers import PROBLEMS, problem_is_pair, range_solver
+from rangetri.solvers import (
+    EDGE_COUNTERS,
+    EDGE_DETECTORS,
+    PROBLEMS,
+    problem_is_pair,
+    range_solver,
+)
 
 
 def pair_oracle(a, queries):
@@ -179,7 +185,7 @@ class TestQueryMultigraph:
             a = rand_array(rng, n, 0, 3)  # few distinct values -> big multiplicities
             queries = [rand_pair(rng, n) for _ in range(4)]
             build = build_query_multigraph(a, queries)
-            counts = multigraph_edge_counts(build.mg, oracle_edge_triangle_counts)
+            counts = multigraph_edge_counts(build.mg, EDGE_COUNTERS["oracle"])
             assert counts.shape == (len(build.mg.vw),)
             for (v, w), c in zip(build.mg.vw.tolist(), counts.tolist()):
                 assert c == build.mg.triangle_count_through(v, w)
@@ -193,7 +199,7 @@ class TestQueryMultigraph:
             build = build_query_multigraph(a, queries, collapse=True)
             assert set(build.mg.uv_mult.tolist()) <= {1}
             assert set(build.mg.uw_mult.tolist()) <= {1}
-            detected = multigraph_edge_detect(build.mg, oracle_edge_triangle_detect)
+            detected = multigraph_edge_detect(build.mg, EDGE_DETECTORS["oracle"])
             assert detected.shape == (len(build.mg.vw),)
             for (v, w), d in zip(build.mg.vw.tolist(), detected.tolist()):
                 assert d == (build.mg.triangle_count_through(v, w) > 0)
@@ -230,7 +236,7 @@ class TestArraySideSolvers:
             n = rng.randint(2, 48)
             a = rand_array(rng, n, -5, 5)
             queries = [rand_pair(rng, n) for _ in range(rng.randint(0, 6))]
-            got = reduce_2req_to_etc(a, queries, oracle_edge_triangle_counts)
+            got = reduce_2req_to_etc(a, queries, EDGE_COUNTERS["oracle"])
             assert got == [oracle_pairs_query(EQP, a, q) for q in queries]
 
     def test_2rdq_matches_oracle(self):
@@ -239,23 +245,23 @@ class TestArraySideSolvers:
             n = rng.randint(2, 48)
             a = rand_array(rng, n, 0, 5)
             queries = [rand_pair(rng, n) for _ in range(rng.randint(0, 6))]
-            got = reduce_2rdq_to_etd(a, queries, oracle_edge_triangle_detect)
+            got = reduce_2rdq_to_etd(a, queries, EDGE_DETECTORS["oracle"])
             assert got == [oracle_disjoint_query(a, q) for q in queries]
 
     def test_examples(self):
         a = IntArray([1, 2, 1, 2, 3])
-        assert reduce_2req_to_etc(a, [pair(1, 2, 3, 5)], oracle_edge_triangle_counts) == [2]
-        assert reduce_2rdq_to_etd(a, [pair(1, 2, 5, 5)], oracle_edge_triangle_detect) == [True]
-        assert reduce_2rdq_to_etd(a, [pair(1, 1, 3, 3)], oracle_edge_triangle_detect) == [False]
+        assert reduce_2req_to_etc(a, [pair(1, 2, 3, 5)], EDGE_COUNTERS["oracle"]) == [2]
+        assert reduce_2rdq_to_etd(a, [pair(1, 2, 5, 5)], EDGE_DETECTORS["oracle"]) == [True]
+        assert reduce_2rdq_to_etd(a, [pair(1, 1, 3, 3)], EDGE_DETECTORS["oracle"]) == [False]
 
     def test_rejects_range_outside_array(self):
         # r = 6 lies inside the padded width 8, so only the array length catches it
         a = IntArray([1, 2, 1, 2, 3])
         queries = [pair(1, 2, 3, 5), pair(1, 2, 3, 6)]
         with pytest.raises(RangeError):
-            reduce_2req_to_etc(a, queries, oracle_edge_triangle_counts)
+            reduce_2req_to_etc(a, queries, EDGE_COUNTERS["oracle"])
         with pytest.raises(RangeError):
-            reduce_2rdq_to_etd(a, queries, oracle_edge_triangle_detect)
+            reduce_2rdq_to_etd(a, queries, EDGE_DETECTORS["oracle"])
 
 
 ADVERSARIAL_ARRAYS = {

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, rand_graph
@@ -20,6 +21,7 @@ from rangetri.triangle import (
     TRUNCATED,
     ListingResult,
     RandomSource,
+    ayz_counts,
     ayz_edge_counts,
     baseline_list,
     detect_via_listing,
@@ -56,23 +58,31 @@ class TestHeavyLightCounts:
             for theta in (1, 2, 4, g.n):
                 assert ayz_edge_counts(g, theta=theta) == expected
 
+        single_edge = Graph(2, [(1, 2)])
         star = Graph(9, [(1, v) for v in range(2, 10)])
         many_wedges = gen.gen_graph("gnp", 120, 0.3, seed=2)
         degrees = [many_wedges.degree(v) for v in range(1, many_wedges.n + 1)]
         assert sum(d * (d - 1) // 2 for d in degrees) > triangle._WEDGE_CHUNK
-        shapes = [star, complete_graph(8), gen.gen_graph("powerlaw", 60, 0.1, seed=3), many_wedges]
+        shapes = [
+            single_edge, star, complete_graph(8), gen.gen_graph("powerlaw", 60, 0.1, seed=3),
+            many_wedges,
+        ]
         for g in shapes:
             expected = oracle_edge_triangle_counts(g)
+            expected = [expected[e] for e in g.sorted_edges()]
             max_degree = max(g.degree(v) for v in range(1, g.n + 1))
             # all heavy but leaves, the default mixed split, all light
             for theta in (1, None, max_degree):
-                assert ayz_edge_counts(g, theta=theta) == expected
+                counts = ayz_counts(g, theta=theta)
+                assert counts.dtype == np.int64 and counts.shape == (g.m,)
+                assert counts.tolist() == expected
 
-    def test_matmul_counter(self):
-        counters = OpCounters()
-        ayz_edge_counts(complete_graph(6), theta=1, counters=counters)
-        assert counters.matmul_calls == 1
-
+    def test_heavy_part_spans_several_chunks(self):
+        g = gen.gen_graph("gnp", 120, 0.3, seed=2)
+        heavy = sum(1 for v in range(1, g.n + 1) if g.degree(v) > 1)
+        # one chunk holds at most _WEDGE_CHUNK cells of the m x heavy rows
+        assert g.m > triangle._WEDGE_CHUNK // heavy
+        assert ayz_edge_counts(g, theta=1) == oracle_edge_triangle_counts(g)
 
 class TestBaselineList:
     def test_examples(self):
