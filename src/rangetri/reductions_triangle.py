@@ -67,6 +67,8 @@ def reduce_etc_to_2req(g: Graph, pair_solver: PairSolver) -> dict[Edge, int]:
 
 def reduce_etd_to_2rdq(g: Graph, disjoint_solver: DisjointSolver) -> dict[Edge, bool]:
     """Per-edge triangle detection via one disjointness query per edge."""
+    if not g.m:
+        return {}
     arr, edges, queries = _edge_queries(g)
     return {e: not disjoint for e, disjoint in zip(edges, disjoint_solver(arr, queries))}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -169,8 +169,48 @@ def baseline_list(g: Graph, cap: int) -> ListingResult:
     return ListingResult(found, COMPLETE)
 
 
+# a lister returns at most cap canonical triangles of the graph; a
+# detector maps each (u, v) edge, u < v, to whether a triangle uses it
 Lister = Callable[[Graph, int], ListingResult]
 Detector = Callable[[Graph], dict[Edge, bool]]
+
+
+# ---------------------------------------------------------------------------
+# Tripartite blow-ups
+
+
+def _blowup(g: Graph, comp12, first, second, comp3, third):
+    """Copies of a tripartite blow-up of g side by side, as one graph.
+
+    Copy c has the first-second edges (first[k], second[k]) with
+    comp12[k] == c, first in part 0 and second in part 1, and the part-2
+    vertices third[j] with comp3[j] == c, each joined to the part-0 and
+    part-1 vertices of c that are its neighbours in g.  Vertex
+    (c, part, x) is keyed (3c + part)(n + 1) + x, and ``compact`` numbers
+    the keys in increasing order.  Returns (graph, back, a, b): the
+    blow-up, ``compact``'s array of keys, and the graph ids a < b of each
+    first-second edge.
+    """
+    n1 = g.n + 1
+    lo = 3 * n1 * comp12 + first
+    hi = lo - first + n1 + second
+    # one (third[j], neighbour x) pair per CSR slot of third[j]'s row
+    start = g.indptr[third]
+    deg = g.indptr[third + 1] - start
+    j = np.repeat(np.arange(third.size), deg)
+    x = g.indices[np.arange(j.size) + (start - np.cumsum(deg) + deg)[j]]
+    key0 = 3 * n1 * comp3[j] + x  # (c, 0, x)
+    key2 = key0 - x + 2 * n1 + third[j]  # (c, 2, third[j])
+    # keep the joins whose part-0 or part-1 end is an end of a
+    # first-second edge: a sorted-key lookup, linear in memory
+    near = np.concatenate((key0, key0 + n1))
+    ends = np.sort(np.concatenate((lo, hi)))
+    hit = ends[np.minimum(np.searchsorted(ends, near), ends.size - 1)] == near
+    lo = np.concatenate((lo, near[hit]))
+    hi = np.concatenate((hi, np.concatenate((key2, key2))[hit]))
+    graph, back = compact(np.stack((lo, hi), axis=1))
+    k = comp12.size
+    return graph, back, np.searchsorted(back, lo[:k]) + 1, np.searchsorted(back, hi[:k]) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,142 +228,79 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
     n, m = g.n, g.m
     if not m:
         return ListingResult(set(), COMPLETE)
-    t_cap = 6 * m
 
-    # Component state: third-part vertex set, first-second edges as
-    # ordered original pairs (u plays part 1, v part 2), and the
-    # surviving original edges feeding part-3 connections.
-    comp_vertices = _connected_components(g)
-    components: list[dict] = []
-    for verts in comp_vertices:
-        e12 = set()
-        for u, v in g.sorted_edges():
-            if u in verts:
-                e12.add((u, v))
-                e12.add((v, u))
-        components.append({"v3": set(verts), "e12": e12})
+    # Connected components by minimum-label propagation with pointer
+    # jumping, numbered in order of their smallest vertex.
+    label = np.arange(n + 1)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, g.eu, label[g.ev])
+        np.minimum.at(low, g.ev, label[g.eu])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    comp = np.unique(label, return_inverse=True)[1] - 1  # label[0] = 0 is no vertex
+
+    # A component is its third part, (comp3, third) sorted by component
+    # then vertex, and its first-second edges, (comp12, first, second)
+    # sorted by component then edge: at first both orientations of every
+    # edge, with the component's vertices as the third part.
+    third = np.argsort(comp[1:], kind="stable") + 1
+    comp3 = comp[third]
+    first = np.concatenate((g.eu, g.ev))
+    second = np.concatenate((g.ev, g.eu))
+    order = np.lexsort((second, first, comp[first]))
+    comp12, first, second = comp[first[order]], first[order], second[order]
 
     truncated = False
-    iterations = 0
-    max_iter = max(1, math.ceil(math.log2(m))) + 1
-    while any(len(c["v3"]) > 1 for c in components):
-        iterations += 1
-        if iterations > max_iter:
-            raise RuntimeError("third-part halving failed to terminate")
+    while third.size > comp3[-1] + 1:  # some third part has two vertices
+        # Split every third part of size s > 1 into its first ceil(s / 2)
+        # vertices and the rest; the two halves take consecutive
+        # component numbers and each gets a copy of the edges.
+        size = np.bincount(comp3)
+        split = (size > 1).astype(np.int64)
+        base = np.cumsum(1 + split) - 1 - split
+        rank = np.arange(third.size) - (np.cumsum(size) - size)[comp3]
+        comp3 = base[comp3] + (rank >= (size[comp3] + 1) // 2)
+        copy = np.repeat(np.arange(comp12.size), 1 + split[comp12])
+        half = np.arange(copy.size) - np.searchsorted(copy, copy)  # 0 or 1
+        comp12 = base[comp12[copy]] + half
+        order = np.argsort(comp12, kind="stable")
+        comp12, first, second = comp12[order], first[copy[order]], second[copy[order]]
 
-        new_components: list[dict] = []
-        for c in components:
-            v3 = sorted(c["v3"])
-            if len(v3) <= 1:
-                new_components.append(c)
-                continue
-            half = (len(v3) + 1) // 2
-            for part in (v3[:half], v3[half:]):
-                new_components.append({"v3": set(part), "e12": set(c["e12"])})
-        components = new_components
-
-        graph, edge_key = _blowup_graph(g, components)
-        if graph is None:
-            break
+        graph, _, a, b = _blowup(g, comp12, first, second, comp3, third)
         detected = detector(graph)
-        for k, c in enumerate(components):
-            c["e12"] = {
-                pair
-                for pair in c["e12"]
-                if detected.get(edge_key[(k, pair)], False)
-            }
-        components = [c for c in components if c["e12"]]
-
-        total = sum(len(c["e12"]) for c in components)
-        if total > t_cap:
+        keep = np.array([detected.get(e, False) for e in zip(a.tolist(), b.tolist())], dtype=bool)
+        comp12, first, second = comp12[keep], first[keep], second[keep]
+        if comp12.size > 6 * m:
+            # drop the lexicographically last edges, by component then edge
             truncated = True
-            keep = total - t_cap
-            # Remove the lexicographically last edges, by component order
-            # then edge order, until the cap is met.
-            excess = keep
-            for c in reversed(components):
-                drop = sorted(c["e12"])[max(0, len(c["e12"]) - excess):]
-                c["e12"] -= set(drop)
-                excess -= len(drop)
-                if excess <= 0:
-                    break
-            components = [c for c in components if c["e12"]]
+            comp12, first, second = comp12[: 6 * m], first[: 6 * m], second[: 6 * m]
+        if not comp12.size:
+            break
+        # drop components left without edges and renumber the rest
+        alive = np.zeros(comp3[-1] + 1, dtype=bool)
+        alive[comp12] = True
+        number = np.cumsum(alive) - 1
+        comp12 = number[comp12]
+        third, comp3 = third[alive[comp3]], number[comp3[alive[comp3]]]
 
-    triangles: set[TriangleT] = set()
-    for c in components:
-        if len(c["v3"]) != 1 or not c["e12"]:
-            continue
-        (w,) = c["v3"]
-        for u, v in c["e12"]:
-            if w not in (u, v) and g.has_edge(u, w) and g.has_edge(v, w):
-                triangles.add(canonical_triangle(u, v, w))
+    # every third part is one vertex w; a surviving edge (u, v) of its
+    # component names the triangle {u, v, w}
+    tris = np.sort(np.stack((first, second, third[comp12]), axis=1), axis=1)
+    # keep the triples whose three pairs are edges of g, in case the
+    # detector confirmed an edge no triangle goes through
+    keys = g.eu * (n + 1) + g.ev
+    want = tris[:, [0, 0, 1]] * (n + 1) + tris[:, [1, 2, 2]]
+    real = (keys[np.minimum(np.searchsorted(keys, want), m - 1)] == want).all(axis=1)
+    tris = np.unique(tris[real], axis=0)
     # One triangle can survive through up to six edge slots (three third
     # vertices times two orientations), so the slot cap of 6m does not by
     # itself bound the distinct output; trim deterministically to m.
-    if len(triangles) > m:
-        triangles = set(sorted(triangles)[:m])
-        truncated = True
-    return ListingResult(triangles, TRUNCATED if truncated else COMPLETE)
-
-
-def _connected_components(g: Graph) -> list[list[int]]:
-    seen: set[int] = set()
-    out = []
-    for start in range(1, g.n + 1):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
-
-
-def _blowup_graph(g: Graph, components: list[dict]):
-    """One simple graph holding every component's blow-up side by side.
-
-    Returns (graph, edge_key) where edge_key maps (component index,
-    ordered first-second pair) to the graph edge carrying it; None when
-    there is nothing to detect.
-    """
-    ids: dict[tuple, int] = {}
-
-    def vid(comp_tag, part, orig):
-        key = (comp_tag, part, orig)
-        if key not in ids:
-            ids[key] = len(ids) + 1
-        return ids[key]
-
-    edges: set[Edge] = set()
-    edge_key: dict[tuple, Edge] = {}
-    for tag, c in enumerate(components):
-        part12 = {x for pair in c["e12"] for x in pair}
-        for u, v in c["e12"]:
-            a, b = vid(tag, 1, u), vid(tag, 2, v)
-            e = (min(a, b), max(a, b))
-            edges.add(e)
-            edge_key[(tag, (u, v))] = e
-        for w in c["v3"]:
-            for x in g.adj[w]:
-                if x in part12:
-                    for part in (1, 2):
-                        a, b = vid(tag, part, x), vid(tag, 3, w)
-                        edges.add((min(a, b), max(a, b)))
-    if not edges:
-        return None, {}
-    # ids were assigned in edge order, so every id is used except
-    # possibly part-3 vertices with no surviving neighbors.
-    graph, back = compact(list(edges))
-    # compact keeps the order of ids, so each (min, max) key stays sorted
-    ends = np.searchsorted(back, list(edge_key.values())) + 1
-    return graph, dict(zip(edge_key, map(tuple, ends.tolist())))
+    if len(tris) > m:
+        tris, truncated = tris[:m], True
+    return ListingResult(set(map(tuple, tris.tolist())), TRUNCATED if truncated else COMPLETE)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +321,8 @@ def detect_via_listing(
     capacity-one verification makes the answer exact or forces a
     restart with fresh randomness.
     """
+    if restart_cap < 1:
+        raise InputError("restart cap must be >= 1")
     if lister is None:
         lister = baseline_list
     if rng is None:
@@ -354,64 +333,47 @@ def detect_via_listing(
     capacity = 100 * m
     log_m = max(1, math.ceil(math.log2(m)))
     phases = list(range(int(math.log2(m)) if m > 1 else 0, -1, -1))
+    # The first-second edges are the directed edges u -> v, one per CSR
+    # slot: u in part 0 and v in part 1.  slot_keys is sorted.
+    owner = np.repeat(np.arange(n + 1), np.diff(g.indptr))
+    slot_keys = owner * (n + 1) + g.indices
+    none = np.zeros(0, dtype=np.int64)
+
+    def listed(remaining: np.ndarray, third: np.ndarray, cap: int) -> np.ndarray:
+        """Slots of the first-second edges that the lister finds a
+        triangle through, in the blow-up of the remaining slots with
+        the given third part."""
+        slots = remaining.nonzero()[0]
+        if not slots.size or not third.size:
+            return none
+        graph, back, _, _ = _blowup(
+            g, np.zeros_like(slots), owner[slots], g.indices[slots], np.zeros_like(third), third
+        )
+        found = lister(graph, cap).triangles
+        if not found:
+            return none
+        tris = np.array(list(found), dtype=np.int64)
+        # ids follow key order, so a triangle's two smallest ids are its
+        # part-0 vertex u, keyed u, and part-1 vertex v, keyed n + 1 + v
+        ends = back[np.sort(tris, axis=1)[:, :2] - 1]
+        return np.searchsorted(slot_keys, ends[:, 0] * (n + 1) + ends[:, 1] - (n + 1))
 
     for attempt in range(restart_cap):
-        remaining: set[Edge] = set()
-        for u, v in g.edges:
-            remaining.add((u, v + n))
-            remaining.add((v, u + n))
-        detected: set[Edge] = set()
-
+        remaining = np.ones(2 * m, dtype=bool)
+        detected = np.zeros(2 * m, dtype=bool)
         for s in phases:
             p = 2.0 ** (-s)
             for it in range(2 * log_m):
                 stream = rng.stream("detect", attempt, s, it)
-                sampled = [w for w in range(1, n + 1) if stream.random() < p]
-                found = _list_blowup(g, remaining, sampled, lister, capacity)
-                for e12 in found:
-                    if e12 in remaining:
-                        remaining.discard(e12)
-                        detected.add(e12)
+                sampled = np.array([stream.random() < p for _ in range(n)]).nonzero()[0] + 1
+                found = listed(remaining, sampled, capacity)
+                detected[found] = True
+                remaining[found] = False
 
-        leftovers = _list_blowup(g, remaining, list(range(1, n + 1)), lister, 1)
-        if not leftovers:
-            return {(u, v): (u, v + n) in detected for u, v in g.edges}
+        if not listed(remaining, np.arange(1, n + 1), 1).size:
+            at = np.searchsorted(slot_keys, g.eu * (n + 1) + g.ev)
+            return dict(zip(g.sorted_edges(), detected[at].tolist()))
     raise RuntimeError(f"detection failed to verify after {restart_cap} restarts")
-
-
-def _list_blowup(
-    g: Graph,
-    remaining: set[Edge],
-    sampled_v3: Sequence[int],
-    lister: Lister,
-    cap: int,
-) -> set[Edge]:
-    """List triangles of the blow-up restricted to the sampled third
-    part and report which first-second edges they go through.
-
-    Blow-up ids: v itself in part 1, v + n in part 2, v + 2n in part 3.
-    """
-    n = g.n
-    if not remaining or not sampled_v3:
-        return set()
-    edges: set[Edge] = set(remaining)
-    part12 = {x for e in remaining for x in e}
-    for w in sampled_v3:
-        for x in g.adj[w]:
-            if x in part12:
-                edges.add((x, w + 2 * n))
-            if x + n in part12:
-                edges.add((x + n, w + 2 * n))
-    graph, back = compact(list(edges))
-    back = back.tolist()
-    result = lister(graph, cap)
-    hits: set[Edge] = set()
-    for tri in result.triangles:
-        orig = sorted(back[x - 1] for x in tri)
-        pair = [x for x in orig if x <= 2 * n]
-        if len(pair) == 2:
-            hits.add((min(pair), max(pair)) if pair[0] <= n else (pair[1], pair[0]))
-    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +416,8 @@ def inner_listing(
     if rng is None:
         rng = RandomSource(0)
     m = g.m
+    if not m:
+        return ListingResult(set(), COMPLETE)
     if t <= zeta * m:
         return baseline_list(g, t)
 
@@ -567,6 +531,8 @@ def main_listing_retry(
 ) -> ListingResult:
     """Union of repeated main_listing runs until t triangles are found
     or the retry budget is spent."""
+    if retries < 1:
+        raise InputError("retries must be >= 1")
     if rng is None:
         rng = RandomSource(0)
     collected: set[TriangleT] = set()

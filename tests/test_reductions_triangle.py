@@ -76,6 +76,14 @@ class TestGraphToArray:
         g = Graph(5, [(1, v) for v in range(2, 6)])
         assert set(reduce_etd_to_2rdq(g, disjoint_oracle).values()) == {False}
 
+    @pytest.mark.parametrize(
+        "reduce, solver",
+        [(reduce_etc_to_2req, pair_oracle), (reduce_etd_to_2rdq, disjoint_oracle)],
+        ids=["etc", "etd"],
+    )
+    def test_empty_graph(self, reduce, solver):
+        assert reduce(Graph(0, []), solver) == {}
+
 
 def node_positions(h: int, n_pad: int) -> range:
     """Positions covered by segment-tree node h in a tree of width n_pad."""

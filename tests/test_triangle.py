@@ -105,9 +105,20 @@ class TestBaselineList:
             assert res.triangles == oracle_triangle_list(g)
 
 
+def two_k4_and_path() -> Graph:
+    """Disjoint union of two K4s and a path on four vertices."""
+    k4 = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+    edges = k4 + [(u + 4, v + 4) for u, v in k4] + [(9, 10), (10, 11), (11, 12)]
+    return Graph(12, edges)
+
+
 class TestListViaDetection:
+    # 2K4+P has three components; K7 has 35 triangles > m = 21, so the
+    # blow-up's edges are truncated
     @pytest.mark.parametrize(
-        "g", [cycle_graph(3), complete_graph(4), complete_graph(6)], ids=["C3", "K4", "K6"]
+        "g",
+        [cycle_graph(3), complete_graph(4), complete_graph(6), two_k4_and_path(), complete_graph(7)],
+        ids=["C3", "K4", "K6", "2K4+P", "K7"],
     )
     def test_named_graphs(self, g):
         res = list_via_detection(g, oracle_edge_triangle_detect)
@@ -143,11 +154,19 @@ class TestListViaDetection:
 
 
 class TestDetectViaListing:
-    def test_example(self):
-        # triangle with a pendant edge
-        g = Graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
-        det = detect_via_listing(g, rng=RandomSource(0))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)]), two_k4_and_path(), complete_graph(7)],
+        ids=["pendant-triangle", "2K4+P", "K7"],
+    )
+    def test_named_graphs(self, g, seed):
+        det = detect_via_listing(g, rng=RandomSource(seed))
         assert det == oracle_edge_triangle_detect(g)
+
+    def test_rejects_nonpositive_restart_cap(self):
+        with pytest.raises(InputError):
+            detect_via_listing(cycle_graph(3), restart_cap=0)
 
     def test_multi_seed_oracle_equality(self):
         rng = random.Random(3)
@@ -198,6 +217,10 @@ class TestInnerListing:
         res = inner_listing(path_graph(8), 1000, zeta=4, rng=RandomSource(0))
         assert res.triangles == set()
 
+    def test_empty_graph(self):
+        res = inner_listing(Graph(0, []), 5)
+        assert res.triangles == set() and res.status == COMPLETE
+
 
 class TestMainListing:
     def test_finds_requested_count(self):
@@ -229,6 +252,10 @@ class TestMainListing:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(InputError):
             main_listing(cycle_graph(3), 0)
+
+    def test_rejects_nonpositive_retries(self):
+        with pytest.raises(InputError):
+            main_listing_retry(complete_graph(4), 4, retries=0)
 
 
 class TestDeterminism:
