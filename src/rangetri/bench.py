@@ -27,7 +27,6 @@ CSV_FIELDS = (
     "wall_ns",
     "extender_steps",
     "matmul_calls",
-    "inner_calls",
     "status",
 )
 
@@ -47,7 +46,6 @@ class BenchRecord:
     wall_ns: int
     extender_steps: int
     matmul_calls: int
-    inner_calls: int
     status: str = "ok"
 
     def row(self) -> list:
@@ -56,7 +54,7 @@ class BenchRecord:
 
 def run_cell(problem: str, algo: str, n: int, q: int, seed: int) -> BenchRecord:
     if n * max(1, q) > CELL_BUDGET:
-        return BenchRecord(problem, algo, n, 0, q, 0, seed, 0, 0, 0, 0, "skipped")
+        return BenchRecord(problem, algo, n, 0, q, 0, seed, 0, 0, 0, "skipped")
     array = gen.gen_array(n, 0, n - 1, seed=seed)
     kind = "pair" if problem_is_pair(problem) else "single"
     queries = gen.gen_queries(n, q, kind=kind, seed=seed + 1)
@@ -76,7 +74,6 @@ def run_cell(problem: str, algo: str, n: int, q: int, seed: int) -> BenchRecord:
         wall,
         counters.extender_steps,
         counters.matmul_calls,
-        counters.inner_calls,
     )
 
 

@@ -8,7 +8,6 @@ triple loops) so that trusting them requires reading only a few lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -205,11 +204,11 @@ class Graph:
     """Undirected simple graph on vertices 1..n with no isolated vertices.
 
     Stored as int64 arrays: the edges ``eu < ev`` in lexicographic
-    order, and CSR rows ``indices[indptr[v]:indptr[v + 1]]``, the sorted
-    neighbours of v (``indptr`` is indexed by vertex id, so row 0 is
-    empty).  ``edges`` (a set) and ``adj`` (a dict of sets) are views
-    built on first use.  The constructor takes the edges as an iterable
-    of pairs or as an (m, 2) int array.
+    order, their sorted keys ``keys = eu * (n + 1) + ev``, and CSR rows
+    ``indices[indptr[v]:indptr[v + 1]]``, the sorted neighbours of v
+    (``indptr`` is indexed by vertex id, so row 0 is empty).  The
+    constructor takes the edges as an iterable of pairs or as an (m, 2)
+    int array.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
@@ -244,22 +243,13 @@ class Graph:
         self.n = n
         self.eu = lo
         self.ev = hi
+        self.keys = key
         self.indptr = np.concatenate(([0], np.cumsum(deg)))
         self.indices = np.sort(src * (n + 1) + dst) % (n + 1)
 
     @property
     def m(self) -> int:
         return self.eu.size
-
-    @cached_property
-    def edges(self) -> set[Edge]:
-        return set(self.sorted_edges())
-
-    @cached_property
-    def adj(self) -> dict[int, set[int]]:
-        ptr = self.indptr.tolist()
-        nb = self.indices.tolist()
-        return {v: set(nb[ptr[v] : ptr[v + 1]]) for v in range(1, self.n + 1)}
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -270,8 +260,15 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return list(zip(self.eu.tolist(), self.ev.tolist()))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+    def edge_index(self, u, v) -> np.ndarray:
+        """Position in ``eu``/``ev`` of each edge {u, v}, or -1 where u
+        and v (vertex ids in 1..n, in either order) are not adjacent.
+        Vectorised: u and v are ints or int arrays of one shape."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        key = np.minimum(u, v) * (self.n + 1) + np.maximum(u, v)
+        at = np.searchsorted(self.keys, key)
+        found = self.keys[np.minimum(at, self.m - 1)] == key if self.m else False
+        return np.where(found, at, -1)
 
 
 def compact(edges) -> tuple[Graph, np.ndarray]:
@@ -281,14 +278,6 @@ def compact(edges) -> tuple[Graph, np.ndarray]:
     arr = _edge_array(edges)
     back, new = np.unique(arr, return_inverse=True)
     return Graph(back.size, new.reshape(arr.shape) + 1), back
-
-
-def canonical_triangle(a: int, b: int, c: int) -> TriangleT:
-    """Three distinct vertex ids in sorted order."""
-    t = tuple(sorted((a, b, c)))
-    if len(set(t)) != 3:
-        raise InputError(f"degenerate triangle {t}")
-    return t  # type: ignore[return-value]
 
 
 @dataclass
@@ -450,6 +439,15 @@ def oracle_disjoint_query(a: IntArray, q: RangePair) -> bool:
     return oracle_pairs_query(EQP, a, q) == 0
 
 
+def _adjacency_sets(g: Graph) -> dict[int, set[int]]:
+    """Neighbour sets of vertices 1..n, built from the edge list alone."""
+    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.sorted_edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
@@ -465,7 +463,8 @@ def oracle_edge_triangle_counts(g: Graph) -> dict[Edge, int]:
         packed = np.packbits(bits, axis=1)
         common = _BYTE_POPCOUNT[packed[earr[:, 0]] & packed[earr[:, 1]]].sum(axis=1)
         return {e: int(c) for e, c in zip(edges, common.tolist())}
-    return {(u, v): len(g.adj[u] & g.adj[v]) for u, v in g.edges}
+    adj = _adjacency_sets(g)
+    return {(u, v): len(adj[u] & adj[v]) for u, v in g.sorted_edges()}
 
 
 def oracle_edge_triangle_detect(g: Graph) -> dict[Edge, bool]:
@@ -475,9 +474,10 @@ def oracle_edge_triangle_detect(g: Graph) -> dict[Edge, bool]:
 
 def oracle_triangle_list(g: Graph) -> set[TriangleT]:
     """Exact set of all triangles, canonicalized."""
+    adj = _adjacency_sets(g)
     out: set[TriangleT] = set()
-    for u, v in g.edges:
-        for w in g.adj[u] & g.adj[v]:
+    for u, v in g.sorted_edges():
+        for w in adj[u] & adj[v]:
             if w > v:
                 out.add((u, v, w))
     return out

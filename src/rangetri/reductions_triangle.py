@@ -228,9 +228,8 @@ def _simple_graph_counts(
     """Relabel the (k, 2) edge array compactly, run the solver, and
     return its answers at the original VW edges ``vw``, in row order."""
     g, back = compact(edges)
-    a, b = np.sort(np.searchsorted(back, vw) + 1, axis=1).T
-    at = np.searchsorted(g.eu * (g.n + 1) + g.ev, a * (g.n + 1) + b)
-    return solver(g)[at]
+    a, b = (np.searchsorted(back, vw) + 1).T
+    return solver(g)[g.edge_index(a, b)]
 
 
 def _bit_split(pairs: np.ndarray, mult: np.ndarray) -> list[tuple[int, np.ndarray]]:

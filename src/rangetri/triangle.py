@@ -17,15 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    Edge,
-    Graph,
-    InputError,
-    TriangleT,
-    canonical_triangle,
-    compact,
-)
-from .instrument import OpCounters
+from .core import Edge, Graph, InputError, TriangleT, compact
 
 
 def _derive_seed(seed: int, tags: tuple) -> int:
@@ -84,6 +76,38 @@ class ListingResult:
 _WEDGE_CHUNK = 1 << 12
 
 
+def _closed_wedges(g: Graph, slots: np.ndarray, owner: np.ndarray):
+    """The closed pairs of selected CSR slots: (first, second, edge)
+    int64 arrays, one entry per pair of slots first < second of
+    ``slots`` (sorted) that lie in one row and whose two neighbours are
+    joined by the edge at position ``edge``.  ``owner[s]`` is the vertex
+    whose row holds slot s; rows are sorted, so the neighbour at
+    ``first`` has the smaller id.
+    """
+    row, nb = owner[slots], g.indices[slots]
+    later = np.searchsorted(row, row, "right") - np.arange(slots.size) - 1
+    done = np.cumsum(later)
+    out = [(slots[:0],) * 3]
+    start = 0
+    while start < slots.size:
+        # slots[start:stop] make at most _WEDGE_CHUNK pairs, or one slot's
+        limit = done[start] - later[start] + _WEDGE_CHUNK
+        stop = max(start + 1, int(np.searchsorted(done, limit, "right")))
+        k = later[start:stop]
+        i = np.repeat(np.arange(start, stop), k)
+        j = i + np.arange(i.size) - np.repeat(np.cumsum(k) - k, k) + 1
+        edge = g.edge_index(nb[i], nb[j])
+        hit = edge >= 0
+        out.append((slots[i[hit]], slots[j[hit]], edge[hit]))
+        start = stop
+    return tuple(map(np.concatenate, zip(*out)))
+
+
+def _owner(g: Graph) -> np.ndarray:
+    """The vertex whose row holds each CSR slot."""
+    return np.repeat(np.arange(g.n + 1), np.diff(g.indptr))
+
+
 def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
     """Per-edge triangle counts as an int64 array aligned with
     ``g.eu``/``g.ev``, split by the degree of the third vertex.
@@ -99,31 +123,10 @@ def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
         raise InputError("degree threshold must be >= 1")
 
     deg = np.diff(g.indptr)
-    owner = np.repeat(np.arange(g.n + 1), deg)  # the vertex whose row holds each CSR slot
-    counts = np.zeros(m, dtype=np.int64)
-
-    # A light centre's wedges pair each slot of its row with every later
-    # slot; rows are sorted, so a wedge is the edge key a * (n + 1) + b
-    # with a < b, and it closes a triangle when that key is an edge's.
-    slots = np.flatnonzero(deg[owner] <= theta)
-    later = g.indptr[owner[slots] + 1] - slots - 1
-    slots, later = slots[later > 0], later[later > 0]
-    keys = g.eu * (g.n + 1) + g.ev
-    done = np.cumsum(later)
-    start = 0
-    while start < slots.size:
-        # slots[start:stop] make at most _WEDGE_CHUNK wedges, or one slot's
-        limit = done[start] - later[start] + _WEDGE_CHUNK
-        stop = max(start + 1, int(np.searchsorted(done, limit, "right")))
-        k = later[start:stop]
-        first = np.repeat(slots[start:stop], k)
-        second = first + np.arange(first.size) - np.repeat(np.cumsum(k) - k, k) + 1
-        # sorted needles make the search several times faster
-        wedge = np.sort(g.indices[first] * (g.n + 1) + g.indices[second])
-        at = np.searchsorted(keys, wedge)
-        hit = keys[np.minimum(at, m - 1)] == wedge
-        counts += np.bincount(at[hit], minlength=m)
-        start = stop
+    owner = _owner(g)
+    # a light centre's closed wedges each close a triangle at one edge
+    edge = _closed_wedges(g, np.flatnonzero(deg[owner] <= theta), owner)[2]
+    counts = np.bincount(edge, minlength=m)
 
     # block[v, h]: v is adjacent to the h-th heavy vertex; an edge's
     # heavy third vertices are where its endpoints' rows are both set
@@ -150,23 +153,36 @@ def ayz_edge_counts(g: Graph, theta: Optional[int] = None) -> dict[Edge, int]:
 # Baseline bounded lister
 
 
+def _triangle_set(tris: np.ndarray) -> set[TriangleT]:
+    """The rows of a (k, 3) int array as a set of canonical triangles."""
+    return set(map(tuple, np.sort(tris, axis=1).tolist()))
+
+
 def baseline_list(g: Graph, cap: int) -> ListingResult:
-    """Deterministic degree-ordered wedge enumeration, up to cap triangles."""
+    """Deterministic degree-ordered listing (compact-forward), up to cap
+    triangles.
+
+    Vertices are ranked by (degree, id), and each triangle is the closed
+    wedge at its lowest-ranked vertex u between two neighbours ranked
+    above u.  Triangles are taken in order of the edge from u to the
+    middle-ranked vertex v, then of the id of the third vertex w; past
+    cap of them the result is truncated.
+    """
     if cap < 0:
         raise InputError("cap must be >= 0")
-    ptr, nb, adj = g.indptr.tolist(), g.indices.tolist(), g.adj
-    by_degree = sorted(range(1, g.n + 1), key=lambda v: (ptr[v + 1] - ptr[v], v))
-    order = {v: i for i, v in enumerate(by_degree)}
-    found: set[TriangleT] = set()
-    for u, v in g.sorted_edges():
-        if order[u] > order[v]:
-            u, v = v, u
-        for w in nb[ptr[u] : ptr[u + 1]]:
-            if order[w] > order[v] and w in adj[v]:
-                if len(found) >= cap:
-                    return ListingResult(found, TRUNCATED)
-                found.add(canonical_triangle(u, v, w))
-    return ListingResult(found, COMPLETE)
+    deg = np.diff(g.indptr)
+    rank = np.empty(g.n + 1, dtype=np.int64)
+    rank[np.lexsort((np.arange(g.n + 1), deg))] = np.arange(g.n + 1)
+    owner = _owner(g)
+    forward = np.flatnonzero(rank[g.indices] > rank[owner])
+    first, second, _ = _closed_wedges(g, forward, owner)
+    u, a, b = owner[first], g.indices[first], g.indices[second]
+    a_middle = rank[a] < rank[b]
+    v, w = np.where(a_middle, a, b), np.where(a_middle, b, a)
+    order = np.lexsort((w, g.edge_index(u, v)))
+    status = COMPLETE if order.size <= cap else TRUNCATED
+    order = order[:cap]
+    return ListingResult(_triangle_set(np.column_stack((u[order], v[order], w[order]))), status)
 
 
 # a lister returns at most cap canonical triangles of the graph; a
@@ -291,10 +307,7 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
     tris = np.sort(np.stack((first, second, third[comp12]), axis=1), axis=1)
     # keep the triples whose three pairs are edges of g, in case the
     # detector confirmed an edge no triangle goes through
-    keys = g.eu * (n + 1) + g.ev
-    want = tris[:, [0, 0, 1]] * (n + 1) + tris[:, [1, 2, 2]]
-    real = (keys[np.minimum(np.searchsorted(keys, want), m - 1)] == want).all(axis=1)
-    tris = np.unique(tris[real], axis=0)
+    tris = np.unique(tris[_is_triangle(g, tris)], axis=0)
     # One triangle can survive through up to six edge slots (three third
     # vertices times two orientations), so the slot cap of 6m does not by
     # itself bound the distinct output; trim deterministically to m.
@@ -333,21 +346,19 @@ def detect_via_listing(
     capacity = 100 * m
     log_m = max(1, math.ceil(math.log2(m)))
     phases = list(range(int(math.log2(m)) if m > 1 else 0, -1, -1))
-    # The first-second edges are the directed edges u -> v, one per CSR
-    # slot: u in part 0 and v in part 1.  slot_keys is sorted.
-    owner = np.repeat(np.arange(n + 1), np.diff(g.indptr))
-    slot_keys = owner * (n + 1) + g.indices
+    # The first-second edges are the directed edges u -> v, u in part 0
+    # and v in part 1: d < m is eu[d] -> ev[d] and m + d is ev[d] -> eu[d].
+    first, second = np.concatenate((g.eu, g.ev)), np.concatenate((g.ev, g.eu))
     none = np.zeros(0, dtype=np.int64)
 
     def listed(remaining: np.ndarray, third: np.ndarray, cap: int) -> np.ndarray:
-        """Slots of the first-second edges that the lister finds a
-        triangle through, in the blow-up of the remaining slots with
-        the given third part."""
-        slots = remaining.nonzero()[0]
-        if not slots.size or not third.size:
+        """The directed edges that the lister finds a triangle through,
+        in the blow-up of the remaining ones with the given third part."""
+        d = remaining.nonzero()[0]
+        if not d.size or not third.size:
             return none
         graph, back, _, _ = _blowup(
-            g, np.zeros_like(slots), owner[slots], g.indices[slots], np.zeros_like(third), third
+            g, np.zeros_like(d), first[d], second[d], np.zeros_like(third), third
         )
         found = lister(graph, cap).triangles
         if not found:
@@ -356,7 +367,8 @@ def detect_via_listing(
         # ids follow key order, so a triangle's two smallest ids are its
         # part-0 vertex u, keyed u, and part-1 vertex v, keyed n + 1 + v
         ends = back[np.sort(tris, axis=1)[:, :2] - 1]
-        return np.searchsorted(slot_keys, ends[:, 0] * (n + 1) + ends[:, 1] - (n + 1))
+        u, v = ends[:, 0], ends[:, 1] - (n + 1)
+        return g.edge_index(u, v) + m * (u > v)
 
     for attempt in range(restart_cap):
         remaining = np.ones(2 * m, dtype=bool)
@@ -371,8 +383,7 @@ def detect_via_listing(
                 remaining[found] = False
 
         if not listed(remaining, np.arange(1, n + 1), 1).size:
-            at = np.searchsorted(slot_keys, g.eu * (n + 1) + g.ev)
-            return dict(zip(g.sorted_edges(), detected[at].tolist()))
+            return dict(zip(g.sorted_edges(), detected[:m].tolist()))
     raise RuntimeError(f"detection failed to verify after {restart_cap} restarts")
 
 
@@ -380,16 +391,19 @@ def detect_via_listing(
 # High-capacity randomized listing
 
 
-def _induced(g: Graph, keep: set[int]):
-    """Induced subgraph with isolated vertices dropped; returns
-    (graph or None, list with the original id of new vertex i at i - 1)."""
-    kept = np.zeros(g.n + 1, dtype=bool)
-    kept[list(keep)] = True
-    inside = kept[g.eu] & kept[g.ev]
+def _is_triangle(g: Graph, tris: np.ndarray) -> np.ndarray:
+    """Whether the three pairs of each row of a (k, 3) array are edges."""
+    return (g.edge_index(tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]) >= 0).all(axis=1)
+
+
+def _induced(g: Graph, keep: np.ndarray):
+    """Subgraph induced by the vertices v with keep[v] (a boolean mask
+    over ids 0..n), with isolated vertices dropped; returns (graph or
+    None, ``compact``'s array of old ids)."""
+    inside = keep[g.eu] & keep[g.ev]
     if not inside.any():
-        return None, []
-    graph, back = compact(np.stack((g.eu[inside], g.ev[inside]), axis=1))
-    return graph, back.tolist()
+        return None, None
+    return compact(np.stack((g.eu[inside], g.ev[inside]), axis=1))
 
 
 def inner_listing(
@@ -397,17 +411,16 @@ def inner_listing(
     t: int,
     zeta: int = 128,
     rng: Optional[RandomSource] = None,
-    rounds_constant: int = 2,
 ) -> ListingResult:
     """List up to t triangles by random coloring, exact when the graph
     has at most t of them (with high probability).
 
     Capacities at or below zeta * m go straight to the baseline lister.
-    Otherwise: vertices of degree above m^2/t are handled by a full edge
-    scan and removed; then several rounds assign one of t/m colors to
-    each vertex and every color triple whose tripartite subgraph is
-    small enough is listed by the baseline, bounded by zeta * m^3/t^2
-    triangles per triple.
+    Otherwise: triangles through a vertex of degree above m^2/t are
+    listed from those vertices' rows, and the vertices removed; then
+    2 log2 m rounds assign one of t/m colors to each vertex and every
+    color triple whose tripartite subgraph is small enough keeps its
+    triangles, bounded by zeta * m^3/t^2 per triple.
     """
     if t <= 0:
         raise InputError("capacity must be positive")
@@ -423,61 +436,48 @@ def inner_listing(
 
     r = t // m
     deg_limit = m / r
-    triangles: set[TriangleT] = set()
+    deg = np.diff(g.indptr)
+    owner = _owner(g)
+    first, second, _ = _closed_wedges(g, np.flatnonzero(deg[owner] > deg_limit), owner)
+    triangles = _triangle_set(np.column_stack((owner[first], g.indices[first], g.indices[second])))
 
-    heavy = sorted(v for v in range(1, g.n + 1) if g.degree(v) > deg_limit)
-    removed: set[int] = set()
-    for v in heavy:
-        for u, w in g.sorted_edges():
-            if v in (u, w) or u in removed or w in removed:
-                continue
-            if u in g.adj[v] and w in g.adj[v]:
-                triangles.add(canonical_triangle(v, u, w))
-        removed.add(v)
-
-    light, back = _induced(g, {v for v in range(1, g.n + 1) if v not in removed})
+    light, back = _induced(g, deg <= deg_limit)
     if light is None:
         return ListingResult(triangles, COMPLETE)
-    if any(light.degree(v) > deg_limit for v in range(1, light.n + 1)):
+    if np.diff(light.indptr).max() > deg_limit:
         raise RuntimeError("light part exceeds its degree bound")
 
     q = m**3 / t**2
     cap = max(1, int(zeta * q))
-    rounds = max(1, math.ceil(rounds_constant * math.log2(max(2, m))))
+    # The light graph's triangles, listed once; a color triple keeps its
+    # triangles in this (sorted) order, which matches running the
+    # baseline on every color-triple subgraph but skips the empty ones.
+    tris = np.array(sorted(baseline_list(light, light.m**2).triangles), dtype=np.int64)
+    tris = tris.reshape(-1, 3)
     clean = True
-    for rnd in range(rounds):
+    for rnd in range(math.ceil(2 * math.log2(max(2, m)))):
         stream = rng.stream("inner", rnd)
-        colors = {v: stream.randrange(r) for v in range(1, light.n + 1)}
-
-        # Group triangles of the light graph by their color triple; this
-        # matches running the baseline on every color-triple subgraph
-        # (triples without triangles contribute nothing either way) but
-        # skips the empty ones.
-        edge_count: dict[tuple[int, int], int] = {}
-        for u, v in light.edges:
-            cu, cv = colors[u], colors[v]
-            if cu != cv:
-                key = (min(cu, cv), max(cu, cv))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        by_triple: dict[tuple[int, int, int], list[TriangleT]] = {}
-        for tri in sorted(baseline_list(light, light.m**2).triangles):
-            cs = sorted({colors[x] for x in tri})
-            if len(cs) == 3:
-                by_triple.setdefault(tuple(cs), []).append(tri)
-        for (c1, c2, c3), tris in sorted(by_triple.items()):
-            total_edges = (
-                edge_count.get((c1, c2), 0)
-                + edge_count.get((c1, c3), 0)
-                + edge_count.get((c2, c3), 0)
-            )
-            if total_edges > zeta * q:
-                clean = False
-                continue
-            if len(tris) > cap:
-                clean = False
-                tris = tris[:cap]
-            for tri in tris:
-                triangles.add(canonical_triangle(*(back[x - 1] for x in tri)))
+        drawn = [stream.randrange(r) for _ in range(light.n)]
+        # colors renumbered in order, indexed by vertex id; a color pair
+        # (x, y), x < y, is keyed x * k + y
+        color = np.concatenate(([0], np.unique(drawn, return_inverse=True)[1]))
+        k = light.n + 1
+        cu, cv = np.sort(color[np.stack((light.eu, light.ev))], axis=0)
+        pair, pair_edges = np.unique((cu * k + cv)[cu < cv], return_counts=True)
+        # the triangles with three colors, by color triple, then in order
+        c = np.sort(color[tris], axis=1)
+        rainbow = np.flatnonzero((c[:, 0] < c[:, 1]) & (c[:, 1] < c[:, 2]))
+        rainbow = rainbow[np.lexsort(c[rainbow].T[::-1])]
+        triple, start, size = np.unique(c[rainbow], axis=0, return_index=True, return_counts=True)
+        # every color pair of a triple is in ``pair``: its triangles' edges
+        edges = sum(
+            pair_edges[np.searchsorted(pair, triple[:, x] * k + triple[:, y])]
+            for x, y in ((0, 1), (0, 2), (1, 2))
+        )
+        fits = edges <= zeta * q
+        clean = clean and fits.all() and (size[fits] <= cap).all()
+        keep = np.repeat(fits, size) & (np.arange(rainbow.size) - np.repeat(start, size) < cap)
+        triangles |= _triangle_set(back[tris[rainbow[keep]] - 1])
 
     status = COMPLETE if clean else TRUNCATED
     return ListingResult(triangles, status)
@@ -488,7 +488,6 @@ def main_listing(
     t: int,
     rng: Optional[RandomSource] = None,
     zeta: int = 128,
-    counters: Optional[OpCounters] = None,
 ) -> ListingResult:
     """List at least t triangles (or all, if fewer exist) by running the
     colored lister on vertex samples of geometrically increasing rate.
@@ -505,17 +504,13 @@ def main_listing(
     for s in range(int(math.log2(m)) + 1 if m > 1 else 1):
         p = 2.0 ** (-s)
         stream = rng.stream("main", s)
-        keep = {v for v in range(1, g.n + 1) if stream.random() < p}
+        keep = np.array([False] + [stream.random() < p for _ in range(g.n)])
         sub, back = _induced(g, keep)
         if sub is None:
             continue
-        if counters is not None:
-            counters.inner_calls += 1
         result = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s))
-        for tri in result.triangles:
-            a, b, c = (back[x - 1] for x in tri)
-            if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-                collected.add(canonical_triangle(a, b, c))
+        tris = back[np.array(list(result.triangles), dtype=np.int64).reshape(-1, 3) - 1]
+        collected |= _triangle_set(tris[_is_triangle(g, tris)])
         if len(collected) >= t:
             return ListingResult(collected, TRUNCATED)
     return ListingResult(collected, COMPLETE if len(collected) < t else TRUNCATED)
@@ -527,7 +522,6 @@ def main_listing_retry(
     rng: Optional[RandomSource] = None,
     zeta: int = 128,
     retries: int = 10,
-    counters: Optional[OpCounters] = None,
 ) -> ListingResult:
     """Union of repeated main_listing runs until t triangles are found
     or the retry budget is spent."""
@@ -538,7 +532,7 @@ def main_listing_retry(
     collected: set[TriangleT] = set()
     status = COMPLETE
     for attempt in range(retries):
-        result = main_listing(g, t, rng.split("retry", attempt), zeta=zeta, counters=counters)
+        result = main_listing(g, t, rng.split("retry", attempt), zeta=zeta)
         collected |= result.triangles
         status = result.status
         if len(collected) >= t:

@@ -21,7 +21,6 @@ from rangetri.core import (
     RangeError,
     RangePair,
     ShapeError,
-    canonical_triangle,
     compact,
     normalize,
     oracle_disjoint_query,
@@ -108,19 +107,29 @@ class TestTypes:
             Graph(2, [(1, 3)])
         g = Graph(3, [(3, 1), (2, 3)])
         assert g.m == 2 and g.neighbors(3) == [1, 2]
-        assert g.has_edge(1, 3) and not g.has_edge(1, 2)
+        assert g.edge_index(1, 3) == 0 and g.edge_index(3, 2) == 1 and g.edge_index(1, 2) == -1
 
         pairs = [(4, 2), (1, 2), (3, 1), (2, 3), (5, 4)]
         arr = np.array(pairs, dtype=np.int64)
         for h in (Graph(5, arr), Graph(5, arr.astype(np.int32))):
             g = Graph(5, pairs)
-            assert (h.n, h.m, h.edges, h.sorted_edges()) == (g.n, g.m, g.edges, g.sorted_edges())
+            assert (h.n, h.m, h.sorted_edges()) == (g.n, g.m, g.sorted_edges())
             assert all(h.neighbors(v) == g.neighbors(v) for v in range(1, 6))
         assert g.sorted_edges() == [(1, 2), (1, 3), (2, 3), (2, 4), (4, 5)]
-        assert g.adj == {1: {2, 3}, 2: {1, 3, 4}, 3: {1, 2}, 4: {2, 5}, 5: {4}}
+        assert [g.neighbors(v) for v in range(1, 6)] == [[2, 3], [1, 3, 4], [1, 2], [2, 5], [4]]
         assert [g.degree(v) for v in range(1, 6)] == [2, 3, 2, 2, 1]
         values = [g.n, g.m, g.degree(2), *g.neighbors(2), *(x for e in g.sorted_edges() for x in e)]
         assert all(type(x) is int for x in values)
+
+    def test_edge_index(self):
+        g = Graph(5, [(4, 2), (1, 2), (3, 1), (2, 3), (5, 4)])
+        u = np.array([[1, 2, 4], [3, 5, 1]])
+        v = np.array([[2, 1, 5], [2, 3, 5]])
+        got = g.edge_index(u, v)
+        assert got.shape == (2, 3) and got.tolist() == [[0, 0, 4], [2, -1, -1]]
+        pairs = g.sorted_edges()
+        assert g.edge_index(g.ev, g.eu).tolist() == list(range(len(pairs)))
+        assert Graph(0, []).edge_index([1, 2], [2, 1]).tolist() == [-1, -1]
 
     def test_compact(self):
         old_edges = [(30, 7), (7, 12), (30, 12), (40, 30)]
@@ -134,11 +143,6 @@ class TestTypes:
         }
         same, ident = compact(np.array([(1, 2), (2, 3)]))
         assert ident.tolist() == [1, 2, 3] and same.sorted_edges() == [(1, 2), (2, 3)]
-
-    def test_canonical_triangle(self):
-        assert canonical_triangle(3, 1, 2) == (1, 2, 3)
-        with pytest.raises(InputError):
-            canonical_triangle(1, 1, 2)
 
     def test_matrix(self):
         m = DenseMatrix.from_rows([[1, 2], [3, 4]])

@@ -48,7 +48,7 @@ def test_graph_roundtrip(tmp_path):
     g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     files.write_graph(path, g)
     back = files.read_graph(path)
-    assert back.n == g.n and back.edges == g.edges
+    assert back.n == g.n and back.sorted_edges() == g.sorted_edges()
 
 
 def test_graph_edge_count_mismatch(tmp_path):

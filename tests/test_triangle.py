@@ -1,5 +1,6 @@
 """Direct triangle solvers and the randomized listing/detection machinery."""
 
+import collections
 import math
 import random
 
@@ -15,7 +16,6 @@ from rangetri.core import (
     oracle_triangle_list,
 )
 from rangetri import gen, triangle
-from rangetri.instrument import OpCounters
 from rangetri.triangle import (
     COMPLETE,
     TRUNCATED,
@@ -104,12 +104,52 @@ class TestBaselineList:
             assert res.status == COMPLETE
             assert res.triangles == oracle_triangle_list(g)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(0, []),
+            Graph(9, [(1, v) for v in range(2, 10)]),
+            complete_graph(6),
+            gen.gen_graph("gnp", 30, 0.3, seed=1),
+            gen.gen_graph("powerlaw", 60, 0.1, seed=3),
+        ],
+        ids=["empty", "star", "K6", "gnp", "powerlaw"],
+    )
+    def test_every_cap_matches_edge_loop(self, g):
+        total = len(oracle_triangle_list(g))
+        for cap in range(total + 2):
+            res = baseline_list(g, cap)
+            assert (res.triangles, res.status) == edge_loop_list(g, cap)
+
+
+def edge_loop_list(g: Graph, cap: int):
+    """Reference for baseline_list: edges in sorted order, each from its
+    end u of lower (degree, id) rank to the other end v, then u's
+    neighbours w in id order that rank above v and are adjacent to v;
+    the first cap triangles found, and the status."""
+    rank = {v: (g.degree(v), v) for v in range(1, g.n + 1)}
+    found = set()
+    for u, v in g.sorted_edges():
+        if rank[u] > rank[v]:
+            u, v = v, u
+        for w in g.neighbors(u):
+            if rank[w] > rank[v] and w in g.neighbors(v):
+                if len(found) >= cap:
+                    return found, TRUNCATED
+                found.add(tuple(sorted((u, v, w))))
+    return found, COMPLETE
+
 
 def two_k4_and_path() -> Graph:
     """Disjoint union of two K4s and a path on four vertices."""
     k4 = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
     edges = k4 + [(u + 4, v + 4) for u, v in k4] + [(9, 10), (10, 11), (11, 12)]
     return Graph(12, edges)
+
+
+def eight_triangles() -> Graph:
+    """Disjoint union of eight triangles."""
+    return Graph(24, [(v + a, v + b) for v in range(0, 24, 3) for a, b in ((1, 2), (1, 3), (2, 3))])
 
 
 class TestListViaDetection:
@@ -147,6 +187,32 @@ class TestListViaDetection:
         g = complete_graph(7)
         list_via_detection(g, counting_detector)
         assert calls["n"] <= max(1, math.ceil(math.log2(g.m))) + 1
+
+    @pytest.mark.parametrize(
+        "g, largest",
+        [
+            (complete_graph(8), 8),
+            (complete_graph(10), 10),
+            (eight_triangles(), 3),
+            (two_k4_and_path(), 4),
+        ],
+        ids=["K8", "K10", "8C3", "2K4+P"],
+    )
+    def test_blowups_stay_bounded(self, g, largest):
+        # One blow-up per halving of the largest component's third part.
+        # Each holds at most 12m first-second edges (at most 6m survivors,
+        # each copied into both halves) and 4m third-part joins (every
+        # vertex w lies in one third part and joins at most the part-0
+        # and part-1 copies of its deg(w) neighbours).
+        sizes = []
+
+        def counting_detector(graph):
+            sizes.append(graph.m)
+            return oracle_edge_triangle_detect(graph)
+
+        list_via_detection(g, counting_detector)
+        assert len(sizes) <= math.ceil(math.log2(largest))
+        assert max(sizes) <= 16 * g.m
 
     def test_triangle_free(self):
         res = list_via_detection(path_graph(6), oracle_edge_triangle_detect)
@@ -213,6 +279,20 @@ class TestInnerListing:
                 ok += 1
         assert ok >= int(0.9 * trials)
 
+    def test_colored_rounds_match_loops(self):
+        rng = random.Random(8)
+        graphs = [rand_graph(rng, rng.randint(6, 16), 0.45) for _ in range(30)]
+        cases = [(g, k * g.m) for g in graphs for k in (5, 16, 64)]
+        # K17 at t = 4m + 1 has a color triple that fits but holds more
+        # than zeta * q triangles, so its triangles are cut to that cap
+        cases.append((complete_graph(17), 4 * 136 + 1))
+        statuses = set()
+        for seed, (g, t) in enumerate(cases):
+            res = inner_listing(g, t, zeta=4, rng=RandomSource(seed))
+            assert (res.triangles, res.status) == loop_inner_listing(g, t, 4, RandomSource(seed))
+            statuses.add(res.status)
+        assert statuses == {COMPLETE, TRUNCATED}
+
     def test_triangle_free(self):
         res = inner_listing(path_graph(8), 1000, zeta=4, rng=RandomSource(0))
         assert res.triangles == set()
@@ -220,6 +300,43 @@ class TestInnerListing:
     def test_empty_graph(self):
         res = inner_listing(Graph(0, []), 5)
         assert res.triangles == set() and res.status == COMPLETE
+
+
+def loop_inner_listing(g: Graph, t: int, zeta: int, rng: RandomSource):
+    """Reference for inner_listing above capacity zeta * m, as Python
+    loops: triangles through a vertex of degree above m / (t // m), then
+    per round a color per light vertex (in id order) and each color
+    triple's triangles, in sorted order, unless its edges exceed zeta * q;
+    at most zeta * q of them."""
+    m = g.m
+    r = t // m
+    heavy = {v for v in range(1, g.n + 1) if g.degree(v) > m / r}
+    truth = oracle_triangle_list(g)
+    found = {tri for tri in truth if heavy & set(tri)}
+    light_edges = [(u, v) for u, v in g.sorted_edges() if not heavy & {u, v}]
+    light = sorted({x for e in light_edges for x in e})
+    light_tris = sorted(truth - found)
+    q = m**3 / t**2
+    cap = max(1, int(zeta * q))
+    clean = True
+    for rnd in range(math.ceil(2 * math.log2(max(2, m))) if light else 0):
+        stream = rng.stream("inner", rnd)
+        color = {v: stream.randrange(r) for v in light}
+        pair_edges = collections.Counter(
+            tuple(sorted((color[u], color[v]))) for u, v in light_edges if color[u] != color[v]
+        )
+        by_triple = {}
+        for tri in light_tris:
+            cs = sorted({color[x] for x in tri})
+            if len(cs) == 3:
+                by_triple.setdefault(tuple(cs), []).append(tri)
+        for (a, b, c), tris in sorted(by_triple.items()):
+            if pair_edges[a, b] + pair_edges[a, c] + pair_edges[b, c] > zeta * q:
+                clean = False
+                continue
+            clean = clean and len(tris) <= cap
+            found.update(tris[:cap])
+    return found, COMPLETE if clean else TRUNCATED
 
 
 class TestMainListing:
@@ -243,11 +360,6 @@ class TestMainListing:
     def test_triangle_free(self):
         res = main_listing(path_graph(6), 5, rng=RandomSource(0))
         assert res.triangles == set() and res.status == COMPLETE
-
-    def test_counts_inner_calls(self):
-        counters = OpCounters()
-        main_listing(complete_graph(5), 5, rng=RandomSource(0), counters=counters)
-        assert counters.inner_calls >= 1
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(InputError):
