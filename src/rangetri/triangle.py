@@ -76,31 +76,36 @@ class ListingResult:
 _WEDGE_CHUNK = 1 << 12
 
 
-def _closed_wedges(g: Graph, slots: np.ndarray, owner: np.ndarray):
-    """The closed pairs of selected CSR slots: (first, second, edge)
-    int64 arrays, one entry per pair of slots first < second of
-    ``slots`` (sorted) that lie in one row and whose two neighbours are
-    joined by the edge at position ``edge``.  ``owner[s]`` is the vertex
-    whose row holds slot s; rows are sorted, so the neighbour at
-    ``first`` has the smaller id.
-    """
+def _wedge_chunks(g: Graph, slots: np.ndarray, owner: np.ndarray, firsts=None):
+    """The wedge kernel: yield, a chunk at a time, (first, second, edge)
+    int64 arrays with one entry per pair of positions p < q of ``slots``
+    in one row whose two neighbours are joined by the edge at position
+    ``edge``.  ``slots`` is grouped by row, rows ascending, and
+    ``owner[s]`` is the vertex whose row holds slot s.  Pairs go by
+    first position, whole, in the order of ``firsts`` (default: all in
+    order), so a caller may stop early."""
     row, nb = owner[slots], g.indices[slots]
-    later = np.searchsorted(row, row, "right") - np.arange(slots.size) - 1
+    firsts = np.arange(slots.size) if firsts is None else firsts
+    later = (np.searchsorted(row, row, "right") - np.arange(slots.size) - 1)[firsts]
     done = np.cumsum(later)
-    out = [(slots[:0],) * 3]
     start = 0
-    while start < slots.size:
-        # slots[start:stop] make at most _WEDGE_CHUNK pairs, or one slot's
+    while start < firsts.size:
+        # firsts[start:stop] make at most _WEDGE_CHUNK pairs, or one's
         limit = done[start] - later[start] + _WEDGE_CHUNK
         stop = max(start + 1, int(np.searchsorted(done, limit, "right")))
         k = later[start:stop]
-        i = np.repeat(np.arange(start, stop), k)
+        i = np.repeat(firsts[start:stop], k)
         j = i + np.arange(i.size) - np.repeat(np.cumsum(k) - k, k) + 1
         edge = g.edge_index(nb[i], nb[j])
         hit = edge >= 0
-        out.append((slots[i[hit]], slots[j[hit]], edge[hit]))
+        yield slots[i[hit]], slots[j[hit]], edge[hit]
         start = stop
-    return tuple(map(np.concatenate, zip(*out)))
+
+
+def _closed_wedges(g: Graph, slots: np.ndarray, owner: np.ndarray):
+    """All of ``_wedge_chunks``' pairs, as three arrays."""
+    empty = (slots[:0],) * 3
+    return tuple(map(np.concatenate, zip(empty, *_wedge_chunks(g, slots, owner))))
 
 
 def _owner(g: Graph) -> np.ndarray:
@@ -171,18 +176,24 @@ def baseline_list(g: Graph, cap: int) -> ListingResult:
     if cap < 0:
         raise InputError("cap must be >= 0")
     deg = np.diff(g.indptr)
-    rank = np.empty(g.n + 1, dtype=np.int64)
-    rank[np.lexsort((np.arange(g.n + 1), deg))] = np.arange(g.n + 1)
+    rank = np.argsort(np.lexsort((np.arange(g.n + 1), deg)))  # by (degree, id)
     owner = _owner(g)
+    # forward slots by row then rank, so a pair in u's row is (u -> v,
+    # u -> w) with v middle-ranked; one per edge, at its lower-ranked end
     forward = np.flatnonzero(rank[g.indices] > rank[owner])
-    first, second, _ = _closed_wedges(g, forward, owner)
-    u, a, b = owner[first], g.indices[first], g.indices[second]
-    a_middle = rank[a] < rank[b]
-    v, w = np.where(a_middle, a, b), np.where(a_middle, b, a)
-    order = np.lexsort((w, g.edge_index(u, v)))
-    status = COMPLETE if order.size <= cap else TRUNCATED
-    order = order[:cap]
-    return ListingResult(_triangle_set(np.column_stack((u[order], v[order], w[order]))), status)
+    forward = forward[np.lexsort((rank[g.indices[forward]], owner[forward]))]
+    # take them in edge order, and stop once cap + 1 triangles are found
+    firsts = np.argsort(g.edge_index(owner[forward], g.indices[forward]))
+    found, total = [np.empty((0, 3), dtype=np.int64)], 0
+    for first, second, _ in _wedge_chunks(g, forward, owner, firsts):
+        u, v, w = owner[first], g.indices[first], g.indices[second]
+        # a chunk holds whole edges, so its hits follow the ones before
+        found.append(np.column_stack((u, v, w))[np.lexsort((w, g.edge_index(u, v)))])
+        total += first.size
+        if total > cap:
+            break
+    status = COMPLETE if total <= cap else TRUNCATED
+    return ListingResult(_triangle_set(np.concatenate(found)[:cap]), status)
 
 
 # a lister returns at most cap canonical triangles of the graph; a

@@ -121,6 +121,23 @@ class TestBaselineList:
             res = baseline_list(g, cap)
             assert (res.triangles, res.status) == edge_loop_list(g, cap)
 
+    @pytest.mark.parametrize("cap", [0, 5, 1000])
+    def test_small_cap_stops_early(self, cap, monkeypatch):
+        # K60 has 34 220 triangles; a small cap must not collect them all
+        g = complete_graph(60)
+        seen = []
+
+        def counting(*args):
+            for chunk in kernel(*args):
+                seen.append(chunk[0].size)
+                yield chunk
+
+        kernel = triangle._wedge_chunks
+        monkeypatch.setattr(triangle, "_wedge_chunks", counting)
+        res = baseline_list(g, cap)
+        assert (res.triangles, res.status) == edge_loop_list(g, cap)
+        assert sum(seen) <= cap + triangle._WEDGE_CHUNK
+
 
 def edge_loop_list(g: Graph, cap: int):
     """Reference for baseline_list: edges in sorted order, each from its
