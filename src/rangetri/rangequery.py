@@ -3,7 +3,8 @@
 Three families live here:
 
 * the offline square-root-decomposition solver (``mo_offline``), which
-  sorts queries into blocks and walks a stateful extender across them;
+  groups queries by the first block start at or after their left end and
+  answers each group from one int64 answer row plus vectorised front sums;
 * its online variant (``MoOnline``), which precomputes an int64 row of
   answers for every block start and answers an arbitrary query by
   extending a row entry at the front, counting each front step in one
@@ -41,126 +42,96 @@ from .instrument import OpCounters
 
 
 # ---------------------------------------------------------------------------
-# Mutable extenders (offline Mo)
+# Pair counts over the rank-normalised array (offline Mo)
 
 
-class Fenwick:
-    """Binary indexed tree over value counts, 0-based value domain."""
+class Wavelet:
+    """Wavelet matrix over values in [0, domain) ("The Wavelet Matrix",
+    SPIRE 2012): one row of prefix zero counts per bit, top bit first,
+    each level stably partitioned by its bit.
 
-    __slots__ = ("n", "tree", "total")
+    ``less(x, v)`` answers #{i < x : vals[i] < v} for whole needle arrays
+    in one pass per level; x lies in [0, n] and v in [0, domain]."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-        self.total = 0
+    def __init__(self, vals: np.ndarray, domain: int):
+        n = len(vals)
+        self.zeros = np.zeros((domain.bit_length(), n + 1), dtype=np.int64)
+        for level, row in enumerate(self.zeros):
+            bit = (vals >> (len(self.zeros) - 1 - level)) & 1
+            np.cumsum(1 - bit, out=row[1:])
+            vals = np.concatenate((vals[bit == 0], vals[bit == 1]))
 
-    def add(self, v: int, delta: int) -> None:
-        self.total += delta
-        i = v + 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, v: int) -> int:
-        """Count of stored values <= v."""
-        i = v + 1
-        res = 0
-        while i > 0:
-            res += self.tree[i]
-            i -= i & (-i)
-        return res
-
-
-class Extender:
-    """Stateful accumulator over a current range.
-
-    After any sequence of extend/shrink calls producing range [l, r], the
-    ``answer`` equals the brute-force pair sum for [l, r].  Values passed
-    in must come from the normalized domain the extender was built for.
-    """
-
-    def add_left(self, v: int) -> None:
-        raise NotImplementedError
-
-    def add_right(self, v: int) -> None:
-        raise NotImplementedError
-
-    def remove_left(self, v: int) -> None:
-        raise NotImplementedError
-
-    def remove_right(self, v: int) -> None:
-        raise NotImplementedError
-
-    @property
-    def answer(self) -> int:
-        raise NotImplementedError
+    def less(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        lo, hi = np.zeros_like(x), x
+        count = np.zeros_like(x)
+        for level, row in enumerate(self.zeros):
+            one = ((v >> (len(self.zeros) - 1 - level)) & 1).astype(bool)
+            zlo, zhi = row[lo], row[hi]
+            count += np.where(one, zhi - zlo, 0)
+            lo = np.where(one, row[-1] + lo - zlo, zlo)
+            hi = np.where(one, row[-1] + hi - zhi, zhi)
+        return count
 
 
-class EqExtender(Extender):
-    """Equal-pairs extender: a value-count table, O(1) per step."""
+def _pair_counts(kind: str, vals: np.ndarray, domain: int):
+    """``(before, gain)`` for the pair function ``kind`` on ``vals``.
 
-    def __init__(self, domain: int):
-        self.count = [0] * domain
-        self._answer = 0
+    before[j] = #{i < j : pair(vals[i], vals[j])}, and gain(p, r) is the
+    number of pairs gained by prepending position p to (p, r]: the values
+    in vals[p+1 : r+1] equal to (EQP) or less than (INV) vals[p]."""
+    n = len(vals)
+    pos = np.arange(n, dtype=np.int64)
+    if kind == "eqp":
+        order = np.argsort(vals, kind="stable")
+        keys = vals[order] * (n + 1) + order  # sorted (value, position) keys
+        rank = np.empty(n, dtype=np.int64)  # position -> index in keys
+        rank[order] = pos
+        before = rank - np.searchsorted(keys, vals * (n + 1))
 
-    def _add(self, v: int) -> None:
-        self._answer += self.count[v]
-        self.count[v] += 1
+        def gain(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+            return np.searchsorted(keys, vals[p] * (n + 1) + r, side="right") - rank[p] - 1
 
-    def _remove(self, v: int) -> None:
-        self.count[v] -= 1
-        self._answer -= self.count[v]
+    else:
+        wavelet = Wavelet(vals, domain)
+        before = pos - wavelet.less(pos, vals + 1)
+        below = wavelet.less(pos, vals)  # #{i < p : vals[i] < vals[p]}
 
-    add_left = _add
-    add_right = _add
-    remove_left = _remove
-    remove_right = _remove
+        def gain(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+            return wavelet.less(r + 1, vals[p]) - below[p]
 
-    @property
-    def answer(self) -> int:
-        return self._answer
-
-
-class InvExtender(Extender):
-    """Inversion extender backed by an order-statistic count structure."""
-
-    def __init__(self, domain: int):
-        self.fen = Fenwick(domain)
-        self._answer = 0
-
-    def add_left(self, v: int) -> None:
-        # new pairs (v, existing): inversion iff existing < v
-        self._answer += self.fen.prefix(v - 1) if v > 0 else 0
-        self.fen.add(v, 1)
-
-    def add_right(self, v: int) -> None:
-        # new pairs (existing, v): inversion iff existing > v
-        self._answer += self.fen.total - self.fen.prefix(v)
-        self.fen.add(v, 1)
-
-    def remove_left(self, v: int) -> None:
-        self.fen.add(v, -1)
-        self._answer -= self.fen.prefix(v - 1) if v > 0 else 0
-
-    def remove_right(self, v: int) -> None:
-        self.fen.add(v, -1)
-        self._answer -= self.fen.total - self.fen.prefix(v)
-
-    @property
-    def answer(self) -> int:
-        return self._answer
+    return before, gain
 
 
-def make_extender(f: PairFunction, domain: int) -> Extender:
-    if f.kind == "eqp":
-        return EqExtender(domain)
-    if f.kind == "inv":
-        return InvExtender(domain)
-    raise CapabilityError(f"no incremental extender for pair function {f.kind!r}")
+def _answer_row(kind: str, vals: np.ndarray, before: np.ndarray, seen: np.ndarray, s: int):
+    """int64 answers of the ranges [s, k], k = s..n-1 (0-based), given the
+    value counts ``seen`` of vals[0:s].
+
+    Appending vals[j] to [s, j) gains before[j] - C_s[vals[j]] pairs, where
+    C_s counts the values in vals[0:s] that pair with it: those equal (EQP)
+    or greater (INV)."""
+    paired = seen if kind == "eqp" else s - np.cumsum(seen)
+    return np.cumsum(before[s:] - paired[vals[s:]])
+
+
+def _front_sums(gain, l: np.ndarray, r: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """For each query i, the sum of gain(p, r[i]) over p in [l[i], l[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    p = np.arange(lens.sum()) - np.repeat(ends - lens - l, lens)
+    sums = np.concatenate(([0], np.cumsum(gain(p, np.repeat(r, lens)))))
+    return sums[ends] - sums[ends - lens]
+
+
+def _check_kind(f: PairFunction) -> None:
+    if f.kind not in ("inv", "eqp"):
+        raise CapabilityError(f"no square-root solver for pair function {f.kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # Offline Mo
+
+
+# front steps summed in one numpy batch; bounds the scratch memory of a group
+FRONT_BATCH = 1 << 16
 
 
 def mo_block_size(n: int, q: int) -> int:
@@ -173,67 +144,52 @@ def mo_offline(
     queries: Sequence[Range],
     counters: Optional[OpCounters] = None,
 ) -> list[int]:
-    """Answer offline single-range queries by the block-sorted extender walk.
+    """Answer offline single-range queries from block rows plus front sums.
 
-    Queries are sorted by (l // B, r) with B = max(1, n / sqrt(q)); the
-    extender is dragged from one query range to the next.  When q > n**2
-    every possible range is cheaper to precompute, so we do that instead.
+    With B = max(1, n / sqrt(q)), a query [l, r] is grouped by s, the first
+    block start at or after l.  If s <= r its answer starts from the answer
+    row of s, the int64 answers of [s, k] for every k, built once per group
+    in O(n) numpy work; the front steps p in [l, min(s, r + 1)) then each
+    add the pairs that prepending p to (p, r] gains, summed in vectorised
+    batches of about ``FRONT_BATCH`` steps.  That is n / B rows and fewer
+    than B front steps per query, O(n sqrt(q)) in all, for any q.
     """
-    n = a.n
+    _check_kind(f)
     q = len(queries)
     if q == 0:
         return []
-    for rng in queries:
-        rng.check(n)
-    vals = normalize(a.values)
-    domain = n
-
-    if q > n * n:
-        return _mo_precompute_all(f, vals, queries, counters)
+    n = a.n
+    l = np.fromiter((x.l for x in queries), dtype=np.int64, count=q) - 1
+    r = np.fromiter((x.r for x in queries), dtype=np.int64, count=q) - 1
+    if r.max() >= n:
+        queries[int(np.argmax(r >= n))].check(n)  # raises for the first range past n
+    vals = np.asarray(normalize(a.values), dtype=np.int64)
+    domain = int(vals.max()) + 1
+    before, gain = _pair_counts(f.kind, vals, domain)
 
     block = mo_block_size(n, q)
-    order = sorted(range(q), key=lambda i: ((queries[i].l - 1) // block, queries[i].r))
-    ext = make_extender(f, domain)
-    answers = [0] * q
-    cur_l, cur_r = 1, 0
-    steps = 0
-    for i in order:
-        l, r = queries[i].l, queries[i].r
-        while cur_r < r:
-            ext.add_right(vals[cur_r])
-            cur_r += 1
-            steps += 1
-        while cur_l > l:
-            cur_l -= 1
-            ext.add_left(vals[cur_l - 1])
-            steps += 1
-        while cur_r > r:
-            cur_r -= 1
-            ext.remove_right(vals[cur_r])
-            steps += 1
-        while cur_l < l:
-            ext.remove_left(vals[cur_l - 1])
-            cur_l += 1
-            steps += 1
-        answers[i] = ext.answer
+    start = -(-l // block) * block  # first block start >= l
+    front = np.minimum(start, r + 1) - l  # front steps of each query
+    order = np.argsort(start, kind="stable")
+    starts, first = np.unique(start[order], return_index=True)
+    answers = np.zeros(q, dtype=np.int64)
+    seen = np.zeros(domain, dtype=np.int64)  # value counts of vals[0:counted]
+    counted = steps = 0
+    for s, group in zip(starts.tolist(), np.split(order, first[1:])):
+        inside = group[r[group] >= s]
+        if len(inside):
+            seen += np.bincount(vals[counted:s], minlength=domain)
+            counted = s
+            answers[inside] = _answer_row(f.kind, vals, before, seen, s)[r[inside] - s]
+            steps += n - s
+        ends = np.cumsum(front[group])
+        cuts = np.searchsorted(ends, np.arange(FRONT_BATCH, ends[-1], FRONT_BATCH))
+        for part in np.split(group, cuts):
+            answers[part] += _front_sums(gain, l[part], r[part], front[part])
+        steps += int(ends[-1])
     if counters is not None:
         counters.extender_steps += steps
-    return answers
-
-
-def _mo_precompute_all(f, vals, queries, counters) -> list[int]:
-    n = len(vals)
-    table = [[0] * (n + 1) for _ in range(n + 2)]  # table[l][r], 1-based
-    steps = 0
-    for l in range(1, n + 1):
-        ext = make_extender(f, n)
-        for r in range(l, n + 1):
-            ext.add_right(vals[r - 1])
-            steps += 1
-            table[l][r] = ext.answer
-    if counters is not None:
-        counters.extender_steps += steps
-    return [table[q.l][q.r] for q in queries]
+    return answers.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +224,7 @@ class MoOnline:
         counters: Optional[OpCounters] = None,
         q_guess: int = 1,
     ):
-        if f.kind not in ("inv", "eqp"):
-            raise CapabilityError(f"no persistent extender for pair function {f.kind!r}")
+        _check_kind(f)
         self.kind = f.kind
         self.vals = normalize(a.values)
         self.n = a.n
@@ -332,19 +287,14 @@ class MoOnline:
         return count[nb] - count[na] if self.kind == "eqp" else less
 
     def _prepare(self) -> None:
-        """Build the answer row of every block start for the current guess.
-
-        Appending vals[j] to [s, j) gains before[j] - C_s[vals[j]] pairs,
-        where C_s counts the values in vals[0:s] that pair with it: those
-        equal (EQP) or greater (INV)."""
+        """Build the answer row of every block start for the current guess."""
         n, domain = self.n, self.domain
         self.block = block = mo_block_size(n, self.q_guess)
         vals = np.asarray(self.vals, dtype=np.int64)
         seen = np.zeros(domain, dtype=np.int64)  # value counts of vals[0:s]
         self.rows: list[np.ndarray] = []
         for s in range(0, n, block):
-            paired = seen if self.kind == "eqp" else s - np.cumsum(seen)
-            self.rows.append(np.cumsum(self._before[s:] - paired[vals[s:]]))
+            self.rows.append(_answer_row(self.kind, vals, self._before, seen, s))
             seen += np.bincount(vals[s : s + block], minlength=domain)
         if self.counters is not None:
             self.counters.extender_steps += sum(n - s for s in range(0, n, block))

@@ -3,8 +3,13 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from rangetri.core import Graph, IntArray, Range, RangePair
+
+# Every property test draws the same examples on every run and machine.
+settings.register_profile("fixed", derandomize=True, database=None, deadline=None)
+settings.load_profile("fixed")
 
 
 def rand_array(rng: random.Random, n: int, lo: int = None, hi: int = None) -> IntArray:

@@ -4,9 +4,13 @@ structure, and matrix multiplication."""
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import rand_array, rand_range
+from rangetri import rangequery
 from rangetri.core import (
     EQP,
     INV,
@@ -16,15 +20,15 @@ from rangetri.core import (
     InputError,
     IntArray,
     Range,
+    RangeError,
     normalize,
     oracle_pairs_query,
 )
 from rangetri.instrument import OpCounters
 from rangetri.rangequery import (
-    Fenwick,
     MoOnline,
     OnlineEqSolver,
-    make_extender,
+    Wavelet,
     matmul,
     mo_block_size,
     mo_offline,
@@ -32,54 +36,32 @@ from rangetri.rangequery import (
     online_eq_query,
 )
 
+ADVERSARIAL = [
+    [7],
+    [3, 3],
+    [2, -9],
+    [5] * 12,
+    list(range(1, 13)),
+    list(range(12, 0, -1)),
+    [-4, 10**9, -4, 0, -(10**9), 10**9, -3],
+]
+ADVERSARIAL_IDS = [
+    "n1", "n2-equal", "n2-decreasing", "all-equal", "increasing", "decreasing", "negative"
+]
 
-class TestFenwick:
-    def test_prefix_counts(self):
-        fw = Fenwick(8)
-        for v in [3, 1, 3, 7]:
-            fw.add(v, 1)
-        assert fw.prefix(0) == 0
-        assert fw.prefix(3) == 3
-        assert fw.prefix(7) == 4
-        assert fw.total == 4
 
-
-class TestExtender:
-    @pytest.mark.parametrize("f", [INV, EQP], ids=["inv", "eqp"])
-    def test_random_walk_soundness(self, f):
-        rng = random.Random(7)
-        n = 60
-        a = rand_array(rng, n, 0, 9)
-        vals = normalize(a.values)
-        ext = make_extender(f, max(vals) + 1)
-        l, r = 1, 0  # empty range
-        for _ in range(1000):
-            moves = []
-            if r < n:
-                moves.append("ar")
-            if l > 1:
-                moves.append("al")
-            if r >= l:
-                moves.extend(["rr", "rl"])
-            move = rng.choice(moves)
-            if move == "ar":
-                r += 1
-                ext.add_right(vals[r - 1])
-            elif move == "al":
-                l -= 1
-                ext.add_left(vals[l - 1])
-            elif move == "rr":
-                ext.remove_right(vals[r - 1])
-                r -= 1
-            else:
-                ext.remove_left(vals[l - 1])
-                l += 1
-            expected = 0 if l > r else oracle_pairs_query(f, a, Range(l, r))
-            assert ext.answer == expected
-
-    def test_unsupported_function(self):
-        with pytest.raises(CapabilityError):
-            make_extender(MUL, 4)
+class TestWavelet:
+    def test_less_matches_brute_force(self):
+        # n = 1, d = 1, d a power of two (v = d needs one more bit) and not
+        rng = random.Random(3)
+        for values in ([0], [3, 1, 3, 7], [0] * 9, list(range(16)), list(range(17))):
+            vals = np.asarray(normalize(values), dtype=np.int64)
+            n, d = len(vals), int(vals.max()) + 1
+            needles = [(x, v) for x in (0, n) for v in (0, d)]
+            needles += [(rng.randint(0, n), rng.randint(0, d)) for _ in range(200)]
+            x, v = (np.asarray(c, dtype=np.int64) for c in zip(*needles))
+            expected = [sum(1 for i in range(xi) if vals[i] < vi) for xi, vi in needles]
+            assert Wavelet(vals, d).less(x, v).tolist() == expected
 
 
 class TestMoOffline:
@@ -100,13 +82,76 @@ class TestMoOffline:
                 expected = [oracle_pairs_query(f, a, q) for q in queries]
                 assert mo_offline(f, a, queries) == expected
 
+    @pytest.mark.parametrize("f", [INV, EQP], ids=["inv", "eqp"])
+    def test_every_range_of_random_array(self, f):
+        rng = random.Random(7)
+        n = 60
+        a = rand_array(rng, n, 0, 9)
+        every = [Range(l, r) for l in range(1, n + 1) for r in range(l, n + 1)]
+        rng.shuffle(every)
+        for queries in (every, every[:n]):  # q > n and q = n: rows, then fronts
+            assert mo_offline(f, a, queries) == [oracle_pairs_query(f, a, q) for q in queries]
+
     def test_full_precompute_fallback(self):
-        # q > n^2 triggers the precomputation path
+        # q > n^2: every position is a block start, so no query has a front
         rng = random.Random(12)
         a = IntArray([2, 0, 2, 1])
         queries = [rand_range(rng, 4) for _ in range(20)]
         expected = [oracle_pairs_query(INV, a, q) for q in queries]
         assert mo_offline(INV, a, queries) == expected
+
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_front_batches_split_anywhere(self, monkeypatch, batch):
+        # batches smaller than one query's front give empty parts too
+        monkeypatch.setattr(rangequery, "FRONT_BATCH", batch)
+        rng = random.Random(15)
+        for _ in range(20):
+            n = rng.randint(1, 40)
+            a = rand_array(rng, n, 0, 4)
+            queries = [rand_range(rng, n) for _ in range(rng.randint(1, 30))]
+            for f in (EQP, INV):
+                expected = [oracle_pairs_query(f, a, q) for q in queries]
+                assert mo_offline(f, a, queries) == expected
+
+    def test_unsupported_function(self):
+        a = IntArray([1, 2, 3, 4])
+        for queries in ([], [Range(1, 4)]):
+            with pytest.raises(CapabilityError):
+                mo_offline(MUL, a, queries)
+        with pytest.raises(CapabilityError):
+            MoOnline(MUL, a)
+
+    def test_range_past_array(self):
+        queries = [Range(1, 2), Range(2, 4), Range(1, 5)]
+        with pytest.raises(RangeError, match=r"\[2, 4\]"):
+            mo_offline(EQP, IntArray([1, 2, 3]), queries)
+
+    @pytest.mark.parametrize("values", ADVERSARIAL, ids=ADVERSARIAL_IDS)
+    def test_adversarial_shapes(self, values):
+        a = IntArray(values)
+        n = a.n
+        every = [Range(l, r) for l in range(1, n + 1) for r in range(l, n + 1)]
+        for f in (EQP, INV):
+            assert mo_offline(f, a, []) == []
+            expected = [oracle_pairs_query(f, a, q) for q in every]
+            assert mo_offline(f, a, every) == expected
+            assert mo_offline(f, a, every * (n + 1)) == expected * (n + 1)  # q > n^2
+            for q in (every[0], every[-1], Range(1, n)):
+                assert mo_offline(f, a, [q]) == [oracle_pairs_query(f, a, q)]
+
+    @given(
+        st.lists(st.integers(-(10**9), 10**9) | st.integers(0, 3), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=30),
+    )
+    def test_property_matches_oracle(self, values, picks):
+        a = IntArray(values)
+        n = a.n
+        queries = []
+        for x, y in picks:
+            l = 1 + x % n
+            queries.append(Range(l, l + y % (n - l + 1)))
+        for f in (EQP, INV):
+            assert mo_offline(f, a, queries) == [oracle_pairs_query(f, a, q) for q in queries]
 
     def test_step_budget(self):
         rng = random.Random(13)
@@ -120,6 +165,23 @@ class TestMoOffline:
             block = mo_block_size(n, q)
             budget = 4 * (n + block * q + n * n / block)
             assert counters.extender_steps <= budget
+
+    def test_step_count(self):
+        # n - s per answer row built, one per front step
+        rng = random.Random(14)
+        for _ in range(30):
+            n = rng.randint(1, 80)
+            q = rng.randint(1, 60)
+            a = rand_array(rng, n, 0, 5)
+            queries = [rand_range(rng, n) for _ in range(q)]
+            block = mo_block_size(n, q)
+            starts = [-(-(x.l - 1) // block) * block + 1 for x in queries]
+            rows = {s for s, x in zip(starts, queries) if s <= x.r}
+            fronts = sum(min(s, x.r + 1) - x.l for s, x in zip(starts, queries))
+            for f in (EQP, INV):
+                counters = OpCounters()
+                mo_offline(f, a, queries, counters=counters)
+                assert counters.extender_steps == sum(n + 1 - s for s in rows) + fronts
 
 
 class TestMoOnline:
@@ -151,19 +213,7 @@ class TestMoOnline:
                 assert adaptive.query(q) == upfront.query(q)
             assert adaptive.q_guess == 64  # six rebuilds happened
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [7],
-            [3, 3],
-            [2, -9],
-            [5] * 12,
-            list(range(1, 13)),
-            list(range(12, 0, -1)),
-            [-4, 10**9, -4, 0, -(10**9), 10**9, -3],
-        ],
-        ids=["n1", "n2-equal", "n2-decreasing", "all-equal", "increasing", "decreasing", "negative"],
-    )
+    @pytest.mark.parametrize("values", ADVERSARIAL, ids=ADVERSARIAL_IDS)
     def test_adversarial_shapes(self, values):
         a = IntArray(values)
         n = a.n
