@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,54 +38,54 @@ class InputError(ValueError):
 # Arrays and ranges
 
 
-def normalize(values: Sequence[int]) -> list[int]:
+def normalize(values) -> np.ndarray:
     """Replace each value with its 0-based rank among distinct values.
 
     Order-preserving and idempotent: equal inputs map to equal outputs and
-    the relative order of distinct values is kept.  The result lies in
-    ``[0, d-1]`` where ``d`` is the number of distinct values.
+    the relative order of distinct values is kept.  The result is an int64
+    array with entries in ``[0, d-1]``, where ``d`` is the number of
+    distinct values.
     """
     if len(values) == 0:
         raise InputError("cannot normalize an empty array")
-    rank = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
+    return np.unique(values, return_inverse=True)[1].astype(np.int64)
 
 
-@dataclass(frozen=True)
 class IntArray:
     """Integer array A[1..n]; the substrate of all range problems.
 
-    Values may be any integers: every solver rank-normalises them first.
-    A caller that needs a magnitude bound passes ``cap``, and then every
-    |value| must be at most ``cap``.
+    ``values`` is one read-only int64 ndarray.  The constructor takes any
+    sequence or array of integers; a value outside int64 raises
+    ``InputError``.  Solvers rank-normalise the values first, so only
+    their order matters.
     """
 
-    values: tuple[int, ...]
-    cap: Optional[int] = None
+    __slots__ = ("values",)
 
-    def __init__(self, values: Iterable[int], cap: Optional[int] = None):
-        vals = tuple(int(v) for v in values)
-        if len(vals) < 1:
+    def __init__(self, values):
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        try:
+            vals = np.array(values, dtype=np.int64)
+        except OverflowError as exc:
+            raise InputError("array value outside int64") from exc
+        if vals.size < 1:
             raise InputError("array length must be at least 1")
-        if cap is not None:
-            for v in vals:
-                if abs(v) > cap:
-                    raise InputError(f"value {v} exceeds magnitude cap {cap}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "cap", cap)
+        vals.flags.writeable = False
+        self.values = vals
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def normalized(self) -> "IntArray":
         return IntArray(normalize(self.values))
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntArray) and np.array_equal(self.values, other.values)
 
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
+    def __repr__(self) -> str:
+        return f"IntArray({self.values.tolist()})"
 
 
 @dataclass(frozen=True, order=True)
@@ -128,6 +129,47 @@ class RangePair:
 
 def pair(a: int, b: int, c: int, d: int) -> RangePair:
     return RangePair(Range(a, b), Range(c, d))
+
+
+# the fields of a Range (width 2) / RangePair (width 4) that form a bounds row
+_BOUND_FIELDS = {2: ("l", "r"), 4: ("first.l", "first.r", "second.l", "second.r")}
+
+
+def bounds(queries, n: int, width: int) -> np.ndarray:
+    """A query batch as validated 1-based bounds: a (q, 2) int64 array of
+    (l, r) rows for single ranges (``width`` 2), or a (q, 4) array of
+    (l1, r1, l2, r2) rows for range pairs (``width`` 4).
+
+    ``queries`` is a sequence of ``Range`` / ``RangePair`` objects or an
+    integer array of that shape.  The first bad row raises the
+    ``RangeError`` that building it as objects and checking it against
+    an array of length n would raise.
+    """
+    if not isinstance(queries, np.ndarray):
+        try:
+            cols = [list(map(attrgetter(f), queries)) for f in _BOUND_FIELDS[width]]
+        except AttributeError as exc:
+            kind = "Range" if width == 2 else "RangePair"
+            raise InputError(f"expected {kind} queries") from exc
+        queries = np.array(cols, dtype=np.int64).T
+    if queries.dtype.kind not in "iu" or queries.shape[1:] != (width,):
+        raise InputError(f"query bounds must be an integer array of shape (q, {width})")
+    b = queries.astype(np.int64, copy=False)
+    l, r = b[:, 0::2], b[:, 1::2]
+    bad = ((l < 1) | (l > r) | (r > n)).any(axis=1)
+    if width == 4:
+        bad |= b[:, 1] >= b[:, 2]
+    if bad.any():
+        as_queries(b[[np.argmax(bad)]])[0].check(n)
+    return b
+
+
+def as_queries(rows: np.ndarray) -> list:
+    """The rows of a (q, 2) / (q, 4) bounds array as ``Range`` /
+    ``RangePair`` objects, for code that answers one query at a time."""
+    if rows.shape[1] == 2:
+        return [Range(l, r) for l, r in rows.tolist()]
+    return [pair(l1, r1, l2, r2) for l1, r1, l2, r2 in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +455,20 @@ def oracle_pairs_query(f: PairFunction, a: IntArray, q: Range | RangePair) -> in
     vals = a.values
     if isinstance(q, RangePair):
         q.check(a.n)
-        xs = np.asarray(vals[q.first.l - 1 : q.first.r], dtype=np.int64)
-        ys = np.asarray(vals[q.second.l - 1 : q.second.r], dtype=np.int64)
+        xs = vals[q.first.l - 1 : q.first.r]
+        ys = vals[q.second.l - 1 : q.second.r]
         if f.kind == "inv":
             return int(np.sum(xs[:, None] > ys[None, :]))
         if f.kind == "eqp":
             return int(np.sum(xs[:, None] == ys[None, :]))
-        return sum(f(x, y) for x in vals[q.first.l - 1 : q.first.r]
-                   for y in vals[q.second.l - 1 : q.second.r])
+        # other kinds in exact Python integers: products leave int64
+        return sum(f(x, y) for x in xs.tolist() for y in ys.tolist())
     q.check(a.n)
-    seg = vals[q.l - 1 : q.r]
+    xs = vals[q.l - 1 : q.r]
     if f.kind in ("inv", "eqp"):
-        xs = np.asarray(seg, dtype=np.int64)
         comp = xs[:, None] > xs[None, :] if f.kind == "inv" else xs[:, None] == xs[None, :]
         return int(np.sum(np.triu(comp, k=1)))
+    seg = xs.tolist()
     total = 0
     for i in range(len(seg)):
         for j in range(i + 1, len(seg)):

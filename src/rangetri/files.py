@@ -40,11 +40,14 @@ def read_array(path: str | Path) -> IntArray:
     values = _ints(lines[1], path, 2)
     if len(values) != n:
         raise InputError(f"{path}:2: expected {n} values, got {len(values)}")
-    return IntArray(values)
+    try:
+        return IntArray(values)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def format_array(a: IntArray) -> str:
-    return f"{a.n}\n{' '.join(map(str, a.values))}\n"
+    return f"{a.n}\n{' '.join(map(str, a.values.tolist()))}\n"
 
 
 def write_array(path: str | Path, a: IntArray) -> None:

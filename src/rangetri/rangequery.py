@@ -36,6 +36,7 @@ from .core import (
     PairFunction,
     Range,
     ShapeError,
+    bounds,
     normalize,
 )
 from .instrument import OpCounters
@@ -141,10 +142,11 @@ def mo_block_size(n: int, q: int) -> int:
 def mo_offline(
     f: PairFunction,
     a: IntArray,
-    queries: Sequence[Range],
+    queries: Sequence[Range] | np.ndarray,
     counters: Optional[OpCounters] = None,
 ) -> list[int]:
-    """Answer offline single-range queries from block rows plus front sums.
+    """Answer offline single-range queries (``Range`` objects or their
+    (q, 2) bounds array) from block rows plus front sums.
 
     With B = max(1, n / sqrt(q)), a query [l, r] is grouped by s, the first
     block start at or after l.  If s <= r its answer starts from the answer
@@ -155,15 +157,12 @@ def mo_offline(
     than B front steps per query, O(n sqrt(q)) in all, for any q.
     """
     _check_kind(f)
-    q = len(queries)
+    l, r = bounds(queries, a.n, 2).T - 1
+    q = l.size
     if q == 0:
         return []
     n = a.n
-    l = np.fromiter((x.l for x in queries), dtype=np.int64, count=q) - 1
-    r = np.fromiter((x.r for x in queries), dtype=np.int64, count=q) - 1
-    if r.max() >= n:
-        queries[int(np.argmax(r >= n))].check(n)  # raises for the first range past n
-    vals = np.asarray(normalize(a.values), dtype=np.int64)
+    vals = normalize(a.values)
     domain = int(vals.max()) + 1
     before, gain = _pair_counts(f.kind, vals, domain)
 
@@ -226,7 +225,7 @@ class MoOnline:
     ):
         _check_kind(f)
         self.kind = f.kind
-        self.vals = normalize(a.values)
+        self.vals = normalize(a.values).tolist()  # walked in Python per query
         self.n = a.n
         self.domain = max(self.vals) + 1
         self.counters = counters
@@ -409,7 +408,8 @@ def online_eq_build(
     if q_hint < 1:
         raise InputError("query hint must be at least 1")
     n = a.n
-    vals = normalize(a.values)
+    value = normalize(a.values)
+    vals = value.tolist()  # walked in Python per query
     beta, gamma = _block_parameters(n, q_hint, omega_eff)
     b_len = max(1, math.ceil(n ** (1.0 - beta)))
     b_cnt = (n + b_len - 1) // b_len
@@ -420,7 +420,6 @@ def online_eq_build(
         index_lists.setdefault(v, []).append(pos)
 
     # values are ranks 0..d-1, so a value indexes arrays over the domain
-    value = np.asarray(vals, dtype=np.int64)
     block = np.arange(n) // b_len
     is_frequent = np.bincount(value) >= tau
     freq = is_frequent[value]  # positions holding a frequent value

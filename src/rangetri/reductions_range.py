@@ -1,17 +1,22 @@
 """Reductions among the range query problems.
 
-Solvers are plain callables: a single-range solver maps
-``(IntArray, [Range]) -> [int]`` and a two-range solver maps
-``(IntArray, [RangePair]) -> [int]``.  Each reduction wraps a solver for
-one problem into a solver for another, batching all generated subqueries
-into a single offline call.
+Solvers are plain callables: a single-range solver maps an
+``IntArray`` and a batch of single ranges to a list of ints, and a
+two-range solver does the same for range pairs.  A batch is a list of
+``Range`` / ``RangePair`` objects or its (q, 2) / (q, 4) bounds array
+(see ``core.bounds``); every reduction validates its batch once, works
+on the bounds array, and hands arrays to the solver it wraps, batching
+all generated subqueries into a single offline call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .core import (
     CapabilityError,
@@ -22,12 +27,14 @@ from .core import (
     Range,
     RangePair,
     ShapeError,
-    eqp,
+    bounds,
     normalize,
 )
 
-SingleSolver = Callable[[IntArray, Sequence[Range]], list[int]]
-PairSolver = Callable[[IntArray, Sequence[RangePair]], list[int]]
+SingleSolver = Callable[[IntArray, Union[Sequence[Range], np.ndarray]], list[int]]
+PairSolver = Callable[[IntArray, Union[Sequence[RangePair], np.ndarray]], list[int]]
+# a value map of a decomposition term: int64 array in, integer array out
+ValueMap = Callable[[np.ndarray], np.ndarray]
 
 NEG_SENTINEL = -1
 
@@ -37,25 +44,22 @@ class Decomposition:
     """A binary function written as a weighted sum of equality predicates.
 
     ``terms`` is a list of (alpha, g, h) with integer coefficient alpha
-    and pure value maps g, h; the represented function is
-    f(x, y) = sum_i alpha_i * [g_i(x) == h_i(y)].
+    and pure value maps g, h that act elementwise on int64 arrays; the
+    represented function is f(x, y) = sum_i alpha_i * [g_i(x) == h_i(y)].
     """
 
-    terms: tuple[tuple[int, Callable[[int], int], Callable[[int], int]], ...]
+    terms: tuple[tuple[int, ValueMap, ValueMap], ...]
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def evaluate(self, x: int, y: int) -> int:
-        return sum(alpha * eqp(g(x), h(y)) for alpha, g, h in self.terms)
-
     def validate(self, domain: int, f: Callable[[int, int], int]) -> bool:
         """Exhaustively check the identity on [0, domain)^2."""
-        return all(
-            self.evaluate(x, y) == f(x, y)
-            for x in range(domain)
-            for y in range(domain)
-        )
+        x = np.arange(domain, dtype=np.int64)
+        got = np.zeros((domain, domain), dtype=np.int64)
+        for alpha, g, h in self.terms:
+            got += alpha * (g(x)[:, None] == h(x)[None, :])
+        return all(got[i, j] == f(i, j) for i in range(domain) for j in range(domain))
 
 
 def eqp_decomposition() -> Decomposition:
@@ -85,10 +89,10 @@ def inv_decomposition(n: int) -> Decomposition:
         shift_prefix = k - t + 1
 
         def g(x, _b=shift_bit, _p=shift_prefix):
-            return (x >> _p) if (x >> _b) & 1 else NEG_SENTINEL
+            return np.where((x >> _b) & 1, x >> _p, NEG_SENTINEL)
 
         def h(y, _b=shift_bit, _p=shift_prefix, _s=pos_sentinel):
-            return (y >> _p) if not ((y >> _b) & 1) else _s
+            return np.where((y >> _b) & 1, _s, y >> _p)
 
         terms.append((1, g, h))
     return Decomposition(tuple(terms))
@@ -104,8 +108,19 @@ def decomposition_for(f: PairFunction, n: int) -> Decomposition:
     raise CapabilityError(f"no equality decomposition available for {f.kind!r}")
 
 
+def _term_values(g: ValueMap, h: ValueMap, vals: np.ndarray) -> np.ndarray:
+    """The 2n-long term array: g over ``vals``, then h over ``vals``."""
+    out = np.concatenate((g(vals), h(vals)))
+    if out.dtype.kind not in "iub":
+        raise InputError("decomposition maps must produce integers")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Single range <-> two ranges
+
+# signs of F(a,d), F(a,c-1), F(b+1,d), F(b+1,c-1) in a pair's answer
+_SIGNS = np.array([1, -1, -1, 1], dtype=np.int64)
 
 
 def reduce_2r_to_1r(f: PairFunction, single_solver: SingleSolver) -> PairSolver:
@@ -113,41 +128,30 @@ def reduce_2r_to_1r(f: PairFunction, single_solver: SingleSolver) -> PairSolver:
 
     The cross pairs of ([a,b],[c,d]) equal the inclusion-exclusion
     F(a,d) - F(a,c-1) - F(b+1,d) + F(b+1,c-1) over within-range pair sums
-    F; degenerate ranges (left endpoint past right) contribute 0.
+    F; degenerate ranges (left endpoint past right) contribute 0 and are
+    not asked.
     """
-
-    def solver(a: IntArray, pairs: Sequence[RangePair]) -> list[int]:
-        for p in pairs:
-            p.check(a.n)
-        subqueries: list[Range] = []
-        plans: list[list[tuple[int, Optional[int]]]] = []
-        for p in pairs:
-            lo1, hi1 = p.first.l, p.first.r
-            lo2, hi2 = p.second.l, p.second.r
-            plan: list[tuple[int, Optional[int]]] = []
-            for sign, l, r in (
-                (1, lo1, hi2),
-                (-1, lo1, lo2 - 1),
-                (-1, hi1 + 1, hi2),
-                (1, hi1 + 1, lo2 - 1),
-            ):
-                if l <= r:
-                    plan.append((sign, len(subqueries)))
-                    subqueries.append(Range(l, r))
-                else:
-                    plan.append((sign, None))
-            plans.append(plan)
-        answers = single_solver(a, subqueries)
-        out = []
-        for plan in plans:
-            total = 0
-            for sign, idx in plan:
-                if idx is not None:
-                    total += sign * answers[idx]
-            out.append(total)
-        return out
+    def solver(a: IntArray, pairs) -> list[int]:
+        l1, r1, l2, r2 = bounds(pairs, a.n, 4).T
+        lo = np.stack((l1, l1, r1 + 1, r1 + 1), axis=1)
+        hi = np.stack((r2, l2 - 1, r2, l2 - 1), axis=1)
+        asked = lo <= hi
+        answers = np.zeros(lo.shape, dtype=np.int64)
+        answers[asked] = single_solver(a, np.stack((lo[asked], hi[asked]), axis=1))
+        return (answers * _SIGNS).sum(axis=1).tolist()
 
     return solver
+
+
+def _earlier_matches(term: np.ndarray) -> np.ndarray:
+    """For the 2n-long term array [g(v), h(v)], each x's count
+    #{i < x : g(v_i) == h(v_x)} as int64: one sort of the (value rank,
+    position) keys of the g half, and two searchsorted."""
+    n = term.size // 2
+    rank = np.unique(term, return_inverse=True)[1]
+    keys = np.sort(rank[:n] * n + np.arange(n))
+    first = rank[n:] * n
+    return np.searchsorted(keys, first + np.arange(n)) - np.searchsorted(keys, first)
 
 
 def reduce_1r_to_2r(
@@ -158,49 +162,30 @@ def reduce_1r_to_2r(
     """Answer single-range queries with prefix precomputation plus one
     two-range query each.
 
-    P[x] = f([1, x]) is accumulated in one pass, looking up per-term
-    multisets of already-seen mapped values.  Then
-    f([a, b]) = P[b] - P[a-1] - f([1, a-1], [a, b]).
+    P[x] = f([1, x]) sums, over the decomposition's terms, alpha times
+    the earlier positions i whose left map g(v_i) equals the right map
+    h(v_x).  Then f([a, b]) = P[b] - P[a-1] - f([1, a-1], [a, b]).
 
     Works on the rank-normalized array; for inv and eqp the answers are
     unchanged by normalization.
     """
 
-    def solver(a: IntArray, queries: Sequence[Range]) -> list[int]:
-        for q in queries:
-            q.check(a.n)
+    def solver(a: IntArray, queries) -> list[int]:
+        l, r = bounds(queries, a.n, 2).T
         vals = normalize(a.values)
-        n = len(vals)
+        n = vals.size
         d = decomposition if decomposition is not None else decomposition_for(f, n)
-        arr = IntArray(vals)
 
-        prefix = [0] * (n + 1)
-        multisets: list[dict[int, int]] = [dict() for _ in d.terms]
-        for x in range(1, n + 1):
-            v = vals[x - 1]
-            delta = 0
-            for (alpha, g, h), seen in zip(d.terms, multisets):
-                delta += alpha * seen.get(h(v), 0)
-            prefix[x] = prefix[x - 1] + delta
-            for (alpha, g, h), seen in zip(d.terms, multisets):
-                key = g(v)
-                seen[key] = seen.get(key, 0) + 1
+        gained = np.zeros(n, dtype=np.int64)
+        for alpha, g, h in d.terms:
+            gained += alpha * _earlier_matches(_term_values(g, h, vals))
+        prefix = np.concatenate(([0], np.cumsum(gained)))
 
-        cross_pairs: list[RangePair] = []
-        slots: list[Optional[int]] = []
-        for q in queries:
-            if q.l > 1:
-                slots.append(len(cross_pairs))
-                cross_pairs.append(RangePair(Range(1, q.l - 1), Range(q.l, q.r)))
-            else:
-                slots.append(None)
-        cross = pair_solver(arr, cross_pairs)
-
-        out = []
-        for q, slot in zip(queries, slots):
-            middle = cross[slot] if slot is not None else 0
-            out.append(prefix[q.r] - prefix[q.l - 1] - middle)
-        return out
+        cut = l > 1
+        middle = np.zeros(l.size, dtype=np.int64)
+        cross = np.stack((np.ones_like(l[cut]), l[cut] - 1, l[cut], r[cut]), axis=1)
+        middle[cut] = pair_solver(IntArray(vals), cross)
+        return (prefix[r] - prefix[l - 1] - middle).tolist()
 
     return solver
 
@@ -213,19 +198,16 @@ def reduce_eqp_to_inv(inv_solver: PairSolver) -> PairSolver:
     """Equal pairs from two inversion runs: on A and on the negated array.
 
     A pair is equal exactly when it is an inversion in neither A nor -A,
-    so eqp = |cross product| - inv_A - inv_{-A}.
+    so eqp = |cross product| - inv_A - inv_{-A}.  The ranks are negated,
+    not the values, which could leave int64.
     """
 
-    def solver(a: IntArray, pairs: Sequence[RangePair]) -> list[int]:
-        for p in pairs:
-            p.check(a.n)
-        negated = IntArray([-v for v in a.values], cap=a.cap)
-        inv_a = inv_solver(a, pairs)
-        inv_neg = inv_solver(negated, pairs)
-        return [
-            p.first.length * p.second.length - x - y
-            for p, x, y in zip(pairs, inv_a, inv_neg)
-        ]
+    def solver(a: IntArray, pairs) -> list[int]:
+        b = bounds(pairs, a.n, 4)
+        inv_a = inv_solver(a, b)
+        inv_neg = inv_solver(IntArray(-normalize(a.values)), b)
+        sizes = (b[:, 1] - b[:, 0] + 1) * (b[:, 3] - b[:, 2] + 1)
+        return (sizes - inv_a - inv_neg).tolist()
 
     return solver
 
@@ -239,27 +221,18 @@ def apply_decomposition(d: Decomposition, eqp_solver: PairSolver) -> PairSolver:
     ([a,b],[c,d]) becomes ([a,b],[n+c,n+d]) on each term array.
     """
 
-    def solver(a: IntArray, pairs: Sequence[RangePair]) -> list[int]:
-        for p in pairs:
-            p.check(a.n)
+    def solver(a: IntArray, pairs) -> list[int]:
+        b = bounds(pairs, a.n, 4)
         vals = normalize(a.values)
-        n = len(vals)
-        if not pairs:
+        if not len(b):
             return []
-        shifted = [
-            RangePair(p.first, Range(n + p.second.l, n + p.second.r)) for p in pairs
-        ]
-        totals = [0] * len(pairs)
+        shifted = b + np.array([0, 0, a.n, a.n])
+        totals = np.zeros(len(b), dtype=np.int64)
         for alpha, g, h in d.terms:
-            term_vals = [g(v) for v in vals] + [h(v) for v in vals]
-            for tv in term_vals:
-                if not isinstance(tv, int):
-                    raise InputError("decomposition maps must produce integers")
-            term_arr = IntArray(term_vals)
-            answers = eqp_solver(term_arr, shifted)
-            for i, ans in enumerate(answers):
-                totals[i] += alpha * ans
-        return totals
+            totals += alpha * np.asarray(
+                eqp_solver(IntArray(_term_values(g, h, vals)), shifted), dtype=np.int64
+            )
+        return totals.tolist()
 
     return solver
 
@@ -268,7 +241,7 @@ def reduce_inv_to_eqp(eqp_solver: PairSolver) -> PairSolver:
     """Inversions from ceil(log2 n) equal-pairs instances via the
     most-significant-differing-bit split."""
 
-    def solver(a: IntArray, pairs: Sequence[RangePair]) -> list[int]:
+    def solver(a: IntArray, pairs) -> list[int]:
         d = inv_decomposition(a.n)
         return apply_decomposition(d, eqp_solver)(a, pairs)
 
@@ -278,29 +251,29 @@ def reduce_inv_to_eqp(eqp_solver: PairSolver) -> PairSolver:
 def inv_bit_arrays(a: IntArray) -> list[IntArray]:
     """The 2n-length term arrays of the inversion bit split (test hook)."""
     vals = normalize(a.values)
-    n = len(vals)
-    arrays = []
-    for alpha, g, h in inv_decomposition(n).terms:
-        arrays.append(IntArray([g(v) for v in vals] + [h(v) for v in vals]))
-    return arrays
+    return [IntArray(_term_values(g, h, vals)) for _, g, h in inv_decomposition(a.n).terms]
 
 
 # ---------------------------------------------------------------------------
 # The easy cases
 
 
-def mul_pairs_fast(a: IntArray, pairs: Sequence[RangePair]) -> list[int]:
-    """Two-range product sums in linear time via prefix sums."""
-    for p in pairs:
-        p.check(a.n)
-    prefix = [0]
-    for v in a.values:
-        prefix.append(prefix[-1] + v)
+def mul_pairs_fast(a: IntArray, pairs) -> list[int]:
+    """Two-range product sums in linear time via prefix sums, in exact
+    Python integers: a product of two int64 range sums leaves int64."""
+    prefix = [0, *accumulate(a.values.tolist())]
     return [
-        (prefix[p.first.r] - prefix[p.first.l - 1])
-        * (prefix[p.second.r] - prefix[p.second.l - 1])
-        for p in pairs
+        (prefix[r1] - prefix[l1 - 1]) * (prefix[r2] - prefix[l2 - 1])
+        for l1, r1, l2, r2 in bounds(pairs, a.n, 4).tolist()
     ]
+
+
+def _segments(ones: np.ndarray, d: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (start, end) of d consecutive segments whose lengths count
+    the entries of the sorted ``ones`` equal to 0..d-1, after ``offset``."""
+    count = np.bincount(ones, minlength=d)
+    end = offset + np.cumsum(count)
+    return end - count + 1, end
 
 
 def bmm_via_2req(x: DenseMatrix, y: DenseMatrix, eqp_solver: PairSolver) -> DenseMatrix:
@@ -314,42 +287,18 @@ def bmm_via_2req(x: DenseMatrix, y: DenseMatrix, eqp_solver: PairSolver) -> Dens
         raise ShapeError("expected square boolean matrices of equal dimension")
     d = x.rows
     for mat in (x, y):
-        if any(e not in (0, 1) for e in mat.entries):
+        if ((mat.array != 0) & (mat.array != 1)).any():
             raise InputError("matrix entries must be 0/1")
 
-    values: list[int] = []
-    row_seg: list[Optional[Range]] = []
-    for i in range(d):
-        ones = [k for k in range(d) if x[i, k]]
-        if ones:
-            row_seg.append(Range(len(values) + 1, len(values) + len(ones)))
-            values.extend(ones)
-        else:
-            row_seg.append(None)
-    col_seg: list[Optional[Range]] = []
-    for j in range(d):
-        ones = [k for k in range(d) if y[k, j]]
-        if ones:
-            col_seg.append(Range(len(values) + 1, len(values) + len(ones)))
-            values.extend(ones)
-        else:
-            col_seg.append(None)
-
-    out = [[0] * d for _ in range(d)]
-    if not values:
-        return DenseMatrix.from_rows(out)
-    arr = IntArray(values)
-    queries: list[RangePair] = []
-    cells: list[tuple[int, int]] = []
-    for i in range(d):
-        if row_seg[i] is None:
-            continue
-        for j in range(d):
-            if col_seg[j] is None:
-                continue
-            queries.append(RangePair(row_seg[i], col_seg[j]))
-            cells.append((i, j))
-    answers = eqp_solver(arr, queries)
-    for (i, j), ans in zip(cells, answers):
-        out[i][j] = 1 if ans > 0 else 0
-    return DenseMatrix.from_rows(out)
+    row, row_k = np.nonzero(x.array)  # row-major: row i's 1-columns in order
+    col, col_k = np.nonzero(y.array.T)
+    out = np.zeros((d, d), dtype=np.int64)
+    if not row.size + col.size:
+        return DenseMatrix(d, d, out)
+    row_start, row_end = _segments(row, d, 0)
+    col_start, col_end = _segments(col, d, row.size)
+    i, j = np.nonzero(np.outer(row_end >= row_start, col_end >= col_start))
+    probes = np.stack((row_start[i], row_end[i], col_start[j], col_end[j]), axis=1)
+    answers = eqp_solver(IntArray(np.concatenate((row_k, col_k))), probes)
+    out[i, j] = np.asarray(answers, dtype=np.int64) > 0
+    return DenseMatrix(d, d, out)

@@ -11,7 +11,7 @@ piece is a simple graph handed to an edge-triangle solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -19,15 +19,15 @@ from .core import (
     Edge,
     Graph,
     IntArray,
-    Range,
     RangePair,
     TripartiteMultigraph,
+    bounds,
     compact,
     normalize,
 )
 from .reductions_range import PairSolver
 
-DisjointSolver = Callable[[IntArray, Sequence[RangePair]], list[bool]]
+DisjointSolver = Callable[[IntArray, Union[Sequence[RangePair], np.ndarray]], list[bool]]
 # per-edge answers as an int64 / bool array aligned with g.sorted_edges()
 CountingSolver = Callable[[Graph], np.ndarray]
 DetectionSolver = Callable[[Graph], np.ndarray]
@@ -37,40 +37,40 @@ DetectionSolver = Callable[[Graph], np.ndarray]
 # Graph -> array
 
 
-def neighbor_list_array(g: Graph) -> tuple[IntArray, dict[int, Range]]:
+def neighbor_list_array(g: Graph) -> tuple[IntArray, np.ndarray]:
     """Concatenate sorted neighbor lists of vertices 1..n.
 
-    The result has length 2m; segment(v) holds the neighbors of v, and
-    the triangle count through edge (u, v) is the number of equal pairs
+    The result has length 2m and comes with ``g.indptr``: the neighbors
+    of v fill the 1-based segment [indptr[v] + 1, indptr[v + 1]], and the
+    triangle count through edge (u, v) is the number of equal pairs
     between segment(u) and segment(v).
     """
-    ptr = g.indptr.tolist()
-    segments = {v: Range(ptr[v] + 1, ptr[v + 1]) for v in range(1, g.n + 1)}
-    return IntArray(g.indices.tolist()), segments
+    return IntArray(g.indices), g.indptr
 
 
-def _edge_queries(g: Graph) -> tuple[IntArray, list[Edge], list[RangePair]]:
-    """The neighbor-list array of ``g``, its edges in sorted order, and
-    for each edge (u, v) the query pair (segment(u), segment(v))."""
-    arr, segments = neighbor_list_array(g)
-    edges = g.sorted_edges()
-    return arr, edges, [RangePair(segments[u], segments[v]) for u, v in edges]
+def _edge_queries(g: Graph) -> tuple[IntArray, np.ndarray]:
+    """The neighbor-list array of ``g`` and, for each edge (u, v) in
+    sorted order, the (segment(u), segment(v)) bounds row."""
+    arr, ptr = neighbor_list_array(g)
+    ends = ptr[np.stack((g.eu, g.eu + 1, g.ev, g.ev + 1), axis=1)]
+    return arr, ends + np.array([1, 0, 1, 0])
 
 
 def reduce_etc_to_2req(g: Graph, pair_solver: PairSolver) -> dict[Edge, int]:
     """Per-edge triangle counts via one equal-pairs query per edge."""
     if not g.m:
         return {}
-    arr, edges, queries = _edge_queries(g)
-    return dict(zip(edges, pair_solver(arr, queries)))
+    arr, queries = _edge_queries(g)
+    return dict(zip(g.sorted_edges(), pair_solver(arr, queries)))
 
 
 def reduce_etd_to_2rdq(g: Graph, disjoint_solver: DisjointSolver) -> dict[Edge, bool]:
     """Per-edge triangle detection via one disjointness query per edge."""
     if not g.m:
         return {}
-    arr, edges, queries = _edge_queries(g)
-    return {e: not disjoint for e, disjoint in zip(edges, disjoint_solver(arr, queries))}
+    arr, queries = _edge_queries(g)
+    answers = disjoint_solver(arr, queries)
+    return {e: not disjoint for e, disjoint in zip(g.sorted_edges(), answers)}
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class MultigraphBuild:
 
 
 def build_query_multigraph(
-    a: IntArray, queries: Sequence[RangePair], collapse: bool = False
+    a: IntArray, queries: Sequence[RangePair] | np.ndarray, collapse: bool = False
 ) -> MultigraphBuild:
     """Compile a two-range query batch into a tripartite multigraph.
 
@@ -160,16 +160,11 @@ def build_query_multigraph(
     but not counts).  Only intervals actually used by some query get a
     vertex.
     """
-    vals = np.array(normalize(a.values), dtype=np.int64)
+    b = bounds(queries, a.n, 4)
+    vals = normalize(a.values)
     n_pad = padded_length(a.n)
-    bounds = np.array(
-        [(q.first.l, q.first.r, q.second.l, q.second.r) for q in queries], dtype=np.int64
-    ).reshape(-1, 4)
-    outside = np.flatnonzero(bounds.max(axis=1) > a.n)
-    if outside.size:
-        queries[outside[0]].check(a.n)
-    vq, v_node = base_decompose(bounds[:, 0] - 1, bounds[:, 1] - 1, n_pad)
-    wq, w_node = base_decompose(bounds[:, 2] - 1, bounds[:, 3] - 1, n_pad)
+    vq, v_node = base_decompose(b[:, 0] - 1, b[:, 1] - 1, n_pad)
+    wq, w_node = base_decompose(b[:, 2] - 1, b[:, 3] - 1, n_pad)
 
     # vertex ids V, then W, then U; v_of / w_of map a node to its id, or 0
     v_of = np.zeros(2 * n_pad, dtype=np.int64)
@@ -202,8 +197,8 @@ def build_query_multigraph(
 
     # query k pairs each of its nv[k] V intervals with each of its nw[k]
     # W intervals; the pairs of one query are contiguous
-    nv = np.bincount(vq, minlength=len(queries))
-    nw = np.bincount(wq, minlength=len(queries))
+    nv = np.bincount(vq, minlength=len(b))
+    nw = np.bincount(wq, minlength=len(b))
     w_start = np.cumsum(nw) - nw
     reps = nw[vq]
     i = np.repeat(np.arange(vq.size), reps)
@@ -272,10 +267,10 @@ def multigraph_edge_detect(mg: TripartiteMultigraph, solver: DetectionSolver) ->
 
 
 def reduce_2req_to_etc(
-    a: IntArray, queries: Sequence[RangePair], solver: CountingSolver
+    a: IntArray, queries: Sequence[RangePair] | np.ndarray, solver: CountingSolver
 ) -> list[int]:
     """Answer two-range equal-pairs queries with an edge-triangle counter."""
-    if not queries:
+    if len(queries) == 0:
         return []
     build = build_query_multigraph(a, queries)
     counts = multigraph_edge_counts(build.mg, solver)
@@ -283,12 +278,12 @@ def reduce_2req_to_etc(
 
 
 def reduce_2rdq_to_etd(
-    a: IntArray, queries: Sequence[RangePair], solver: DetectionSolver
+    a: IntArray, queries: Sequence[RangePair] | np.ndarray, solver: DetectionSolver
 ) -> list[bool]:
     """Answer two-range disjointness queries with an edge-triangle
     detector; ranges are disjoint in values exactly when no VW edge of
     the query carries a triangle."""
-    if not queries:
+    if len(queries) == 0:
         return []
     build = build_query_multigraph(a, queries, collapse=True)
     detected = multigraph_edge_detect(build.mg, solver)

@@ -3,7 +3,9 @@ algorithms and reductions, and the per-edge triangle solvers they use.
 
 ``range_solver(problem, algo)`` returns a batch solver callable as
 ``solver(array, queries)``; problems riq/req take single ranges, the
-2-prefixed problems take range pairs, and 2rdq returns booleans.
+2-prefixed problems take range pairs, and 2rdq returns booleans.  A
+batch is a list of ``Range`` / ``RangePair`` objects or its (q, 2) /
+(q, 4) bounds array (``core.bounds``).
 ``EDGE_COUNTERS`` and ``EDGE_DETECTORS`` map a name to a per-edge
 triangle counter or detector, ``solver(graph)``, whose answers form an
 int64 (counts) or bool (detection) array aligned with
@@ -12,6 +14,7 @@ int64 (counts) or bool (detection) array aligned with
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +25,8 @@ from .core import (
     CapabilityError,
     IntArray,
     PairFunction,
+    as_queries,
+    bounds,
     oracle_disjoint_query,
     oracle_edge_triangle_counts,
     oracle_edge_triangle_detect,
@@ -47,11 +52,13 @@ def problem_is_pair(problem: str) -> bool:
     return problem in ("2riq", "2req", "2rdq")
 
 
-def _oracle_single(f: PairFunction):
-    def solver(a: IntArray, queries) -> list[int]:
-        return [oracle_pairs_query(f, a, q) for q in queries]
-
-    return solver
+def _oracle(problem: str):
+    width = 4 if problem_is_pair(problem) else 2
+    if problem == "2rdq":
+        answer = oracle_disjoint_query
+    else:
+        answer = partial(oracle_pairs_query, _PROBLEM_FN[problem])
+    return lambda a, qs: [answer(a, q) for q in as_queries(bounds(qs, a.n, width))]
 
 
 def _mo_single(f: PairFunction, counters: Optional[OpCounters]):
@@ -65,6 +72,7 @@ def _mo_online_single(f: PairFunction, counters: Optional[OpCounters]):
     def solver(a: IntArray, queries) -> list[int]:
         # batch interface: the query count is known, so start with the
         # exact hint instead of paying the adaptive doubling rebuilds
+        queries = as_queries(bounds(queries, a.n, 2))
         structure = MoOnline(f, a, counters=counters, q_guess=max(1, len(queries)))
         return [structure.query(q) for q in queries]
 
@@ -75,6 +83,7 @@ def _online_eq_single(counters: Optional[OpCounters]):
     def solver(a: IntArray, queries) -> list[int]:
         # batch interface: the query count is known, so build once with
         # the exact hint instead of paying the adaptive doubling rebuilds
+        queries = as_queries(bounds(queries, a.n, 2))
         structure = online_eq_build(a, max(1, len(queries)), counters=counters)
         return [online_eq_query(structure, q) for q in queries]
 
@@ -122,10 +131,7 @@ def range_solver(
         raise CapabilityError(f"unknown inner triangle solver {inner!r}")
 
     if algo == "oracle":
-        if problem == "2rdq":
-            return lambda a, qs: [oracle_disjoint_query(a, q) for q in qs]
-        f = _PROBLEM_FN[problem]
-        return _oracle_single(f)
+        return _oracle(problem)
 
     if algo in ("mo", "mo-online"):
         make = _mo_single if algo == "mo" else _mo_online_single

@@ -2,14 +2,39 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from rangetri.core import Graph, IntArray, Range, RangePair
+from rangetri.core import Graph, IntArray, Range, RangePair, as_queries
 
 # Every property test draws the same examples on every run and machine.
 settings.register_profile("fixed", derandomize=True, database=None, deadline=None)
 settings.load_profile("fixed")
+
+
+# Arrays every range solver and reduction must handle: n = 1-2, all-equal
+# and monotone arrays, large negative values, and the int64 extremes.
+ADVERSARIAL = [
+    [7],
+    [3, 3],
+    [2, -9],
+    [5] * 12,
+    list(range(1, 13)),
+    list(range(12, 0, -1)),
+    [-4, 10**9, -4, 0, -(10**9), 10**9, -3],
+    [2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63), -1, 2**63 - 1],
+]
+ADVERSARIAL_IDS = [
+    "n1", "n2-equal", "n2-decreasing", "all-equal", "increasing", "decreasing", "negative",
+    "int64-extremes",
+]
+
+
+def query_objects(queries) -> list:
+    """A query batch as ``Range``/``RangePair`` objects, whether it came
+    as objects or as a bounds array; for oracles used as inner solvers."""
+    return as_queries(queries) if isinstance(queries, np.ndarray) else list(queries)
 
 
 def rand_array(rng: random.Random, n: int, lo: int = None, hi: int = None) -> IntArray:

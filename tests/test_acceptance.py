@@ -12,7 +12,15 @@ import time
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, rand_array, rand_graph, rand_pair, rand_range
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    query_objects,
+    rand_array,
+    rand_graph,
+    rand_pair,
+    rand_range,
+)
 from rangetri.core import (
     EQP,
     INV,
@@ -64,7 +72,7 @@ def report(capsys, number: int, title: str, ok: bool) -> None:
 
 
 def oracle_batch(f):
-    return lambda a, qs: [oracle_pairs_query(f, a, q) for q in qs]
+    return lambda a, qs: [oracle_pairs_query(f, a, q) for q in query_objects(qs)]
 
 
 def log_uniform(rng: random.Random, lo: int, hi: int) -> int:
@@ -289,7 +297,7 @@ def test_criterion_8_minmax_product(capsys):
         return reduce_2rdq_to_etd(arr, qs, EDGE_DETECTORS["oracle"])
 
     def direct(arr, qs):
-        return [oracle_disjoint_query(arr, q) for q in qs]
+        return [oracle_disjoint_query(arr, q) for q in query_objects(qs)]
 
     for trial in range(50):
         n = rng.randint(1, 24)
@@ -354,7 +362,7 @@ def test_criterion_10_step_budget_and_scaling(capsys):
     xs, ys = [], []
     for k in range(8, 15):
         n = 2**k
-        a = IntArray([rng.randint(0, n - 1) for _ in range(n)], cap=n**3)
+        a = IntArray([rng.randint(0, n - 1) for _ in range(n)])
         queries = [rand_range(rng, n) for _ in range(n)]
         counters = OpCounters()
         mo_offline(EQP, a, queries, counters=counters)

@@ -18,7 +18,9 @@ from rangetri.core import (
     oracle_minmax,
     oracle_pairs_query,
     oracle_triangle_list,
+    pair,
 )
+from rangetri.solvers import ALGOS, PROBLEMS, problem_is_pair
 from rangetri.triangle import list_via_detection
 
 
@@ -438,6 +440,17 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_array_value_outside_int64_is_usage_error(self, capsys, tmp_path, command):
+        (tmp_path / "a.txt").write_text(f"3\n{2**63} 1 {2**63}\n")
+        (tmp_path / "q.txt").write_text("1 3\n")
+        code = main([
+            command, "--problem", "req", "--algo", "mo",
+            "--array", str(tmp_path / "a.txt"), "--queries", str(tmp_path / "q.txt"),
+        ])
+        assert code == 2
+        assert "int64" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -478,3 +491,40 @@ class TestExitCodes:
         _, out1 = run(capsys, "list", "--graph", str(path), "--algo", "main", "--seed", "4")
         _, out2 = run(capsys, "list", "--graph", str(path), "--algo", "main", "--seed", "4")
         assert out1 == out2
+
+
+class TestInt64Extremes:
+    """Arrays holding -2**63 and 2**63 - 1 solve through every algo and
+    through the reduction that negates the array."""
+
+    VALUES = [2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63), -1, 2**63 - 1]
+
+    @pytest.fixture
+    def extremes(self, tmp_path):
+        n = len(self.VALUES)
+        files.write_array(tmp_path / "a.txt", IntArray(self.VALUES))
+        files.write_queries(tmp_path / "singles.txt", [Range(l, n) for l in range(1, n + 1)])
+        files.write_queries(
+            tmp_path / "pairs.txt", [pair(1, k, k + 1, n) for k in range(1, n)] + [pair(1, 2, 5, 6)]
+        )
+        return tmp_path
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_verify_every_algo(self, capsys, extremes, problem, algo):
+        queries = "pairs.txt" if problem_is_pair(problem) else "singles.txt"
+        code, out = run(
+            capsys, "verify", "--problem", problem, "--algo", algo,
+            "--array", str(extremes / "a.txt"), "--queries", str(extremes / queries),
+        )
+        assert code == 0 and out.strip() == "PASS"
+
+    def test_reduce_eqp_to_inv(self, capsys, extremes):
+        code, out = run(
+            capsys, "reduce", "--from", "2req", "--to", "2riq", "--verify",
+            "--array", str(extremes / "a.txt"), "--queries", str(extremes / "pairs.txt"),
+        )
+        a = IntArray(self.VALUES)
+        expected = [oracle_pairs_query(EQP, a, q) for q in files.read_queries(extremes / "pairs.txt")]
+        assert code == 0
+        assert out.split() == [*map(str, expected), "PASS"]

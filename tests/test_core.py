@@ -21,6 +21,8 @@ from rangetri.core import (
     RangeError,
     RangePair,
     ShapeError,
+    as_queries,
+    bounds,
     compact,
     normalize,
     oracle_disjoint_query,
@@ -37,14 +39,14 @@ short_int_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1,
 
 class TestNormalize:
     def test_examples(self):
-        assert normalize([30, -5, 30, 7]) == [2, 0, 2, 1]
-        assert normalize([4]) == [0]
-        assert normalize([1, 2, 3]) == [0, 1, 2]
+        assert normalize([30, -5, 30, 7]).tolist() == [2, 0, 2, 1]
+        assert normalize([4]).tolist() == [0]
+        assert normalize([1, 2, 3]).tolist() == [0, 1, 2]
 
     @given(short_int_lists)
     def test_idempotent(self, values):
         once = normalize(values)
-        assert normalize(once) == once
+        assert normalize(once).tolist() == once.tolist()
 
     @given(short_int_lists)
     def test_order_preserving(self, values):
@@ -62,13 +64,10 @@ class TestTypes:
     def test_array_validation(self):
         with pytest.raises(InputError):
             IntArray([])
-        with pytest.raises(InputError):
-            IntArray([10**9], cap=100)
         a = IntArray([3, 1, 2])
-        assert a.n == 3 and a.cap is None
-        assert IntArray([10**9]).values == (10**9,)  # no default cap
-        assert IntArray([-100], cap=100).cap == 100
-        assert a.normalized().values == (2, 0, 1)
+        assert a.n == 3
+        assert IntArray([10**9]).values.tolist() == [10**9]
+        assert a.normalized().values.tolist() == [2, 0, 1]
 
     def test_range_validation(self):
         with pytest.raises(RangeError):
@@ -78,6 +77,15 @@ class TestTypes:
         with pytest.raises(RangeError):
             Range(1, 5).check(4)
         assert Range(2, 4).length == 3
+
+    def test_array_is_read_only_int64(self):
+        a = IntArray(v for v in (2**63 - 1, -(2**63)))
+        assert a.values.dtype == np.int64 and a.values.tolist() == [2**63 - 1, -(2**63)]
+        with pytest.raises(ValueError):
+            a.values[0] = 1
+        for big in (2**63, -(2**63) - 1):
+            with pytest.raises(InputError, match=r"^array value outside int64$"):
+                IntArray([1, big])
 
     def test_pair_nonoverlap(self):
         with pytest.raises(RangeError):
@@ -161,6 +169,53 @@ class TestTypes:
             DenseMatrix(1, 2, [0, 2**63])
         with pytest.raises(InputError, match="int64"):
             DenseMatrix.from_rows([[-(2**63) - 1]])
+
+
+class TestBounds:
+    # rows that Range, RangePair or .check(8) reject, one per rule
+    BAD = [
+        (0, 3), (4, 3), (2, 9),
+        (0, 1, 3, 4), (3, 2, 4, 5), (1, 2, 5, 4), (1, 3, 3, 5), (4, 5, 1, 2), (1, 2, 4, 9), (1, 9, 10, 11),
+    ]
+
+    @pytest.mark.parametrize("row", BAD, ids=lambda row: "-".join(map(str, row)))
+    def test_array_error_matches_object_error(self, row):
+        n, width = 8, len(row)
+        with pytest.raises(RangeError) as want:
+            (Range(*row) if width == 2 else pair(*row)).check(n)
+        good = (1, 8) if width == 2 else (1, 2, 3, 8)
+        later = (5, 9) if width == 2 else (1, 1, 2, 12)  # a different, later error
+        batch = np.array([good, good, row, good, later], dtype=np.int64)
+        with pytest.raises(RangeError) as got:
+            bounds(batch, n, width)
+        assert str(got.value) == str(want.value)
+
+    def test_object_batch_past_array(self):
+        with pytest.raises(RangeError, match=r"^range \[2, 9\] outside array of length 8$"):
+            bounds([Range(1, 8), Range(2, 9), Range(1, 10)], 8, 2)
+        with pytest.raises(RangeError, match=r"^range \[4, 9\] outside array of length 8$"):
+            bounds([pair(1, 2, 3, 4), pair(1, 2, 4, 9)], 8, 4)
+
+    def test_malformed_batches(self):
+        with pytest.raises(InputError, match=r"shape \(q, 4\)"):
+            bounds(np.ones((3, 2), dtype=np.int64), 8, 4)
+        with pytest.raises(InputError, match=r"shape \(q, 2\)"):
+            bounds(np.ones(2, dtype=np.int64), 8, 2)
+        with pytest.raises(InputError, match=r"shape \(q, 2\)"):
+            bounds(np.array([[1.0, 2.0]]), 8, 2)
+        with pytest.raises(InputError, match="RangePair"):
+            bounds([Range(1, 2)], 8, 4)
+
+    def test_round_trip(self):
+        rng = random.Random(2)
+        singles = [rand_range(rng, 30) for _ in range(20)]
+        pairs = [rand_pair(rng, 30) for _ in range(20)]
+        for queries, width in ((singles, 2), (pairs, 4)):
+            b = bounds(queries, 30, width)
+            assert b.dtype == np.int64 and b.shape == (20, width)
+            assert as_queries(b) == queries
+            assert np.array_equal(bounds(b.astype(np.int32), 30, width), b)
+            assert bounds([], 30, width).shape == (0, width)
 
 
 class TestPairsOracle:

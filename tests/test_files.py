@@ -10,7 +10,7 @@ def test_array_roundtrip(tmp_path):
     path = tmp_path / "a.txt"
     a = IntArray([3, -1, 2])
     files.write_array(path, a)
-    assert files.read_array(path).values == a.values
+    assert files.read_array(path).values.tolist() == a.values.tolist()
 
 
 def test_array_errors(tmp_path):
@@ -21,6 +21,15 @@ def test_array_errors(tmp_path):
     path.write_text("2\n1 x\n")
     with pytest.raises(InputError, match="2"):
         files.read_array(path)
+
+
+def test_array_value_outside_int64(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(f"3\n{2**63} 1 {2**63}\n")
+    with pytest.raises(InputError, match="int64"):
+        files.read_array(path)
+    path.write_text(f"2\n{2**63 - 1} {-(2**63)}\n")
+    assert files.read_array(path).values.tolist() == [2**63 - 1, -(2**63)]
 
 
 def test_queries_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import query_objects
 from rangetri.core import (
     DenseMatrix,
     IntArray,
@@ -12,13 +13,13 @@ from rangetri.core import (
     oracle_disjoint_query,
     oracle_minmax,
 )
-from rangetri.minmax import MinMaxStats, _rank_entries, build_table, minmax_product
+from rangetri.minmax import MinMaxStats, minmax_product
 from rangetri.reductions_triangle import reduce_2rdq_to_etd
 from rangetri.solvers import EDGE_DETECTORS
 
 
 def disjoint_oracle(a, queries):
-    return [oracle_disjoint_query(a, q) for q in queries]
+    return [oracle_disjoint_query(a, q) for q in query_objects(queries)]
 
 
 def disjoint_via_triangle_detection(a, queries):
@@ -29,27 +30,55 @@ def rand_matrix(rng, n, lo=-50, hi=50):
     return DenseMatrix(n, n, [rng.randint(lo, hi) for _ in range(n * n)])
 
 
+def rank_entries(a, b):
+    """Distinct ranks in [1, 2n^2] of all entries, ties broken by (source
+    matrix, position), and the values in rank order."""
+    n = a.rows
+    keyed = []
+    for i in range(n):
+        for j in range(n):
+            keyed.append((a[i, j], 0, i, j))
+            keyed.append((b[i, j], 1, i, j))
+    keyed.sort()
+    rank_of = {key: pos + 1 for pos, key in enumerate(keyed)}
+    ra = [[rank_of[(a[i, j], 0, i, j)] for j in range(n)] for i in range(n)]
+    rb = [[rank_of[(b[i, j], 1, i, j)] for j in range(n)] for i in range(n)]
+    return ra, rb, [key[0] for key in keyed]
+
+
+def solver_arrays(a, b):
+    """The arrays minmax_product hands its disjointness solver."""
+    seen = []
+
+    def recording(arr, queries):
+        seen.append(arr)
+        return disjoint_oracle(arr, queries)
+
+    minmax_product(a, b, recording)
+    return seen
+
+
 class TestRanking:
     def test_ranks_are_a_permutation(self):
+        # every n-long segment of the solver's array is a permutation of 1..n
         rng = random.Random(0)
         a, b = rand_matrix(rng, 4), rand_matrix(rng, 4)
-        ra, rb, rank_to_value = _rank_entries(a, b)
-        flat = sorted(x for row in ra for x in row) + sorted(x for row in rb for x in row)
-        assert sorted(flat) == list(range(1, 33))
-        assert rank_to_value == sorted(rank_to_value)
+        arrays = solver_arrays(a, b)
+        assert arrays and all(arr == arrays[0] for arr in arrays)
+        segments = arrays[0].values.reshape(8, 4).tolist()
+        assert all(sorted(seg) == [1, 2, 3, 4] for seg in segments)
 
     def test_table_segments_hold_sorted_prefixes(self):
         rng = random.Random(1)
         a, b = rand_matrix(rng, 3), rand_matrix(rng, 3)
-        ra, rb, _ = _rank_entries(a, b)
-        table = build_table(ra, rb)
-        assert table.array.n == 2 * 9
+        ra, rb, _ = rank_entries(a, b)
+        (table, *_) = solver_arrays(a, b)
+        assert table.n == 2 * 9
+        segments = table.values.reshape(6, 3).tolist()
         for i in range(3):
-            assert table.row_ranks[i] == sorted(table.row_ranks[i])
-            seg = table.row_segment(i, 3)
-            assert list(table.array.values[seg.l - 1 : seg.r]) == table.row_perms[i]
+            assert segments[i] == sorted(range(1, 4), key=lambda k: ra[i][k - 1])
         for j in range(3):
-            assert table.col_ranks[j] == sorted(table.col_ranks[j])
+            assert segments[3 + j] == sorted(range(1, 4), key=lambda k: rb[k - 1][j])
 
 
 class TestProduct:
@@ -106,11 +135,13 @@ class TestInstrumentation:
         a, b = rand_matrix(rng, 4), rand_matrix(rng, 4)
         stats = MinMaxStats()
         out = minmax_product(a, b, disjoint_oracle, stats=stats)
-        ra, rb, rank_to_value = _rank_entries(a, b)
-        for (i, j), probes in stats.trace.items():
-            answer_rank = min(
-                max(ra[i][k], rb[k][j]) for k in range(4)
-            )
-            for x, leq in probes:
-                assert leq == (answer_rank <= x)
-            assert out[i, j] == rank_to_value[answer_rank - 1]
+        ra, rb, rank_to_value = rank_entries(a, b)
+        assert len(stats.trace) == stats.batches
+        for i in range(4):
+            for j in range(4):
+                answer_rank = min(
+                    max(ra[i][k], rb[k][j]) for k in range(4)
+                )
+                for mids, leq in stats.trace:
+                    assert leq[i, j] == (answer_rank <= mids[i, j])
+                assert out[i, j] == rank_to_value[answer_rank - 1]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_array, rand_range
+from conftest import ADVERSARIAL, ADVERSARIAL_IDS, rand_array, rand_range
 from rangetri import rangequery
 from rangetri.core import (
     EQP,
@@ -35,19 +35,6 @@ from rangetri.rangequery import (
     online_eq_build,
     online_eq_query,
 )
-
-ADVERSARIAL = [
-    [7],
-    [3, 3],
-    [2, -9],
-    [5] * 12,
-    list(range(1, 13)),
-    list(range(12, 0, -1)),
-    [-4, 10**9, -4, 0, -(10**9), 10**9, -3],
-]
-ADVERSARIAL_IDS = [
-    "n1", "n2-equal", "n2-decreasing", "all-equal", "increasing", "decreasing", "negative"
-]
 
 
 class TestWavelet:

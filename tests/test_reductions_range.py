@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_array, rand_pair, rand_range
+from conftest import ADVERSARIAL, ADVERSARIAL_IDS, query_objects, rand_array, rand_pair, rand_range
 from rangetri.core import (
     EQP,
     INV,
@@ -16,7 +16,10 @@ from rangetri.core import (
     DenseMatrix,
     InputError,
     IntArray,
+    PairFunction,
+    Range,
     ShapeError,
+    bounds,
     oracle_pairs_query,
     pair,
 )
@@ -36,11 +39,11 @@ from rangetri.reductions_range import (
 
 
 def oracle_single(f):
-    return lambda a, qs: [oracle_pairs_query(f, a, q) for q in qs]
+    return lambda a, qs: [oracle_pairs_query(f, a, q) for q in query_objects(qs)]
 
 
 def oracle_pairs(f):
-    return lambda a, qs: [oracle_pairs_query(f, a, q) for q in qs]
+    return lambda a, qs: [oracle_pairs_query(f, a, q) for q in query_objects(qs)]
 
 
 class TestDecomposition:
@@ -211,3 +214,68 @@ class TestBooleanMatrixProduct:
             bmm_via_2req(
                 DenseMatrix.from_rows([[2, 0], [0, 1]]), DenseMatrix.identity(2), solver
             )
+
+
+PARITY = Decomposition(((1, lambda x: x % 2, lambda y: y % 2),))
+
+
+def every_range(n):
+    return [Range(l, r) for l in range(1, n + 1) for r in range(l, n + 1)]
+
+
+def every_pair(n):
+    return [
+        pair(l1, r1, l2, r2)
+        for l1 in range(1, n + 1)
+        for r1 in range(l1, n + 1)
+        for l2 in range(r1 + 1, n + 1)
+        for r2 in range(l2, n + 1)
+    ]
+
+
+# name -> (solver, pair function answered, single ranges?, oracle on ranks?)
+REDUCTIONS = {
+    "2r_to_1r-inv": (reduce_2r_to_1r(INV, oracle_single(INV)), INV, False, False),
+    "2r_to_1r-eqp": (reduce_2r_to_1r(EQP, oracle_single(EQP)), EQP, False, False),
+    "1r_to_2r-inv": (reduce_1r_to_2r(INV, oracle_pairs(INV)), INV, True, False),
+    "1r_to_2r-eqp": (reduce_1r_to_2r(EQP, oracle_pairs(EQP)), EQP, True, False),
+    "eqp_to_inv": (reduce_eqp_to_inv(oracle_pairs(INV)), EQP, False, False),
+    "inv_to_eqp": (reduce_inv_to_eqp(oracle_pairs(EQP)), INV, False, False),
+    "parity": (
+        apply_decomposition(PARITY, oracle_pairs(EQP)),
+        PairFunction.custom(lambda x, y: int(x % 2 == y % 2)),
+        False,
+        True,
+    ),
+    "mul": (mul_pairs_fast, MUL, False, False),
+}
+
+
+class TestAdversarialShapes:
+    """Every range reduction on the shared adversarial arrays, over every
+    range or pair and q = 0, given as objects and as a bounds array."""
+
+    @pytest.mark.parametrize("values", ADVERSARIAL, ids=ADVERSARIAL_IDS)
+    @pytest.mark.parametrize("name", list(REDUCTIONS))
+    def test_both_forms_match_oracle(self, name, values):
+        solver, f, single, on_ranks = REDUCTIONS[name]
+        a = IntArray(values)
+        queries = every_range(a.n) if single else every_pair(a.n)
+        b = bounds(queries, a.n, 2 if single else 4)
+        reference = a.normalized() if on_ranks else a
+        want = [oracle_pairs_query(f, reference, q) for q in queries]
+        for batch in (queries, b, [], b[:0]):
+            got = solver(a, batch)
+            assert got == (want if len(batch) else [])
+            assert all(type(x) is int for x in got)
+
+    def test_mul_beyond_int64(self):
+        # range sums of values near 2**62 leave int64, and so do products
+        rng = random.Random(10)
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            a = IntArray([rng.choice([1, -1]) * rng.randint(2**62 - 99, 2**62) for _ in range(n)])
+            pairs = every_pair(n)
+            want = [oracle_pairs_query(MUL, a, p) for p in pairs]
+            assert mul_pairs_fast(a, pairs) == want
+            assert mul_pairs_fast(a, bounds(pairs, n, 4)) == want

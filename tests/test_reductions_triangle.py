@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import complete_graph, cycle_graph, rand_array, rand_graph, rand_pair
+from conftest import complete_graph, cycle_graph, query_objects, rand_array, rand_graph, rand_pair
 from rangetri.core import (
     EQP,
     INV,
@@ -45,19 +45,20 @@ from rangetri.solvers import (
 
 
 def pair_oracle(a, queries):
-    return [oracle_pairs_query(EQP, a, q) for q in queries]
+    return [oracle_pairs_query(EQP, a, q) for q in query_objects(queries)]
 
 
 def disjoint_oracle(a, queries):
-    return [oracle_disjoint_query(a, q) for q in queries]
+    return [oracle_disjoint_query(a, q) for q in query_objects(queries)]
 
 
 class TestGraphToArray:
     def test_neighbor_array_shape(self):
         g = Graph(3, [(1, 2), (2, 3), (1, 3)])
-        arr, seg = neighbor_list_array(g)
+        arr, ptr = neighbor_list_array(g)
         assert arr.n == 2 * g.m
-        assert arr.values == (2, 3, 1, 3, 1, 2)
+        assert arr.values.tolist() == [2, 3, 1, 3, 1, 2]
+        seg = {v: Range(ptr[v] + 1, ptr[v + 1]) for v in range(1, 4)}
         assert seg[1] == Range(1, 2) and seg[2] == Range(3, 4) and seg[3] == Range(5, 6)
 
     def test_counts_match_oracle(self):
