@@ -257,7 +257,7 @@ def _instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", required=True, choices=PROBLEMS)
     parser.add_argument("--array", required=True)
     parser.add_argument("--queries", required=True)
-    parser.add_argument("--inner", choices=tuple(EDGE_COUNTERS), default="oracle")
+    parser.add_argument("--inner", choices=tuple(EDGE_COUNTERS), default="ayz")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ triple loops) so that trusting them requires reading only a few lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -51,6 +52,20 @@ def normalize(values) -> np.ndarray:
     return np.unique(values, return_inverse=True)[1].astype(np.int64)
 
 
+def _as_int64(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array (no copy if it is one already); a
+    value outside int64 raises ``InputError(f"{what} outside int64")``,
+    also an unsigned array entry of 2**63 or more, which numpy's cast
+    would wrap to a negative number."""
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise InputError(f"{what} outside int64") from exc
+    if isinstance(values, np.ndarray) and values.dtype.kind == "u" and (arr < 0).any():
+        raise InputError(f"{what} outside int64")
+    return arr
+
+
 class IntArray:
     """Integer array A[1..n]; the substrate of all range problems.
 
@@ -65,10 +80,9 @@ class IntArray:
     def __init__(self, values):
         if not isinstance(values, np.ndarray):
             values = list(values)
-        try:
-            vals = np.array(values, dtype=np.int64)
-        except OverflowError as exc:
-            raise InputError("array value outside int64") from exc
+        vals = _as_int64(values, "array value")
+        if vals is values:
+            vals = vals.copy()
         if vals.size < 1:
             raise InputError("array length must be at least 1")
         vals.flags.writeable = False
@@ -154,14 +168,14 @@ def bounds(queries, n: int, width: int) -> np.ndarray:
         queries = np.array(cols, dtype=np.int64).T
     if queries.dtype.kind not in "iu" or queries.shape[1:] != (width,):
         raise InputError(f"query bounds must be an integer array of shape (q, {width})")
-    b = queries.astype(np.int64, copy=False)
-    l, r = b[:, 0::2], b[:, 1::2]
+    # checked before the cast, which would wrap unsigned bounds >= 2**63
+    l, r = queries[:, 0::2], queries[:, 1::2]
     bad = ((l < 1) | (l > r) | (r > n)).any(axis=1)
     if width == 4:
-        bad |= b[:, 1] >= b[:, 2]
+        bad |= queries[:, 1] >= queries[:, 2]
     if bad.any():
-        as_queries(b[[np.argmax(bad)]])[0].check(n)
-    return b
+        as_queries(queries[[np.argmax(bad)]])[0].check(n)
+    return queries.astype(np.int64, copy=False)
 
 
 def as_queries(rows: np.ndarray) -> list:
@@ -242,6 +256,10 @@ def _edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     return arr
 
 
+# the most cells a Graph's adjacency bitmap may have (4 MB of bool)
+_BITMAP_CELLS = 1 << 22
+
+
 class Graph:
     """Undirected simple graph on vertices 1..n with no isolated vertices.
 
@@ -302,15 +320,39 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return list(zip(self.eu.tolist(), self.ev.tolist()))
 
+    @cached_property
+    def adjacency(self) -> tuple[int, np.ndarray]:
+        """(band, adjacent): a bool membership bitmap over the band of
+        the adjacency matrix that holds the edges, band = max(ev - eu) + 1,
+        with ``adjacent[eu * band + (ev - eu)]`` set for every edge.  It
+        has (n + 1) * band cells; a graph wider than ``_BITMAP_CELLS``
+        gets band 1 and one set cell, which marks every pair."""
+        gap = self.ev - self.eu
+        band = int(gap.max()) + 1 if self.m else 1
+        if (self.n + 1) * band > _BITMAP_CELLS:
+            return 1, np.ones(1, dtype=bool)
+        adjacent = np.zeros((self.n + 1) * band, dtype=bool)
+        adjacent[self.eu * band + gap] = True
+        return band, adjacent
+
     def edge_index(self, u, v) -> np.ndarray:
         """Position in ``eu``/``ev`` of each edge {u, v}, or -1 where u
         and v (vertex ids in 1..n, in either order) are not adjacent.
-        Vectorised: u and v are ints or int arrays of one shape."""
+        Vectorised: u and v are ints or int arrays of one shape.
+
+        Only the pairs that ``adjacency`` marks are looked up in ``keys``.
+        A pair further apart than the band may land on another row's
+        cell, but the lookup rejects it.  Ids outside 1..n clip to the
+        first or last cell, rows 0 and n, which no edge sets."""
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-        key = np.minimum(u, v) * (self.n + 1) + np.maximum(u, v)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        band, adjacent = self.adjacency
+        marked = adjacent.take(lo * (band - 1) + hi, mode="clip")  # cell lo * band + (hi - lo)
+        key = (lo * (self.n + 1) + hi)[marked]
         at = np.searchsorted(self.keys, key)
-        found = self.keys[np.minimum(at, self.m - 1)] == key if self.m else False
-        return np.where(found, at, -1)
+        out = np.full(lo.shape, -1, dtype=np.int64)
+        out[marked] = np.where(self.keys.take(at, mode="clip") == key, at, -1)
+        return out
 
 
 def compact(edges) -> tuple[Graph, np.ndarray]:
@@ -386,10 +428,7 @@ class DenseMatrix:
     def __init__(self, rows: int, cols: int, entries):
         if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
-        try:
-            flat = np.asarray(entries, dtype=np.int64)
-        except OverflowError as exc:
-            raise InputError("matrix entry outside int64") from exc
+        flat = _as_int64(entries, "matrix entry")
         if flat.size != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries, got {flat.size}")
         self.array = flat.reshape(rows, cols)
@@ -495,8 +534,10 @@ _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int6
 
 def oracle_edge_triangle_counts(g: Graph) -> dict[Edge, int]:
     """Per-edge triangle count: |N(u) ∩ N(v)| for every edge (u, v)."""
-    if g.n * g.m >= 50_000:
-        # packed-bitset path: popcount of the AND of adjacency rows
+    if g.n * g.m >= 50_000 and (g.n + 1) ** 2 <= 64 * g.m:
+        # packed-bitset path for dense graphs only, so that its (n + 1)^2
+        # bool matrix stays within 64m bytes: popcount of the AND of
+        # adjacency rows
         edges = g.sorted_edges()
         earr = np.array(edges, dtype=np.int64)
         bits = np.zeros((g.n + 1, g.n + 1), dtype=bool)

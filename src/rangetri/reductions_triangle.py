@@ -4,8 +4,8 @@ One direction turns a graph into an array of concatenated neighbor
 lists, so that the triangle count through an edge becomes a two-range
 equal-pairs query.  The other direction decomposes query ranges into
 segment-tree base intervals, builds a tripartite multigraph linking
-values to intervals, and splits multiplicities in binary so that each
-piece is a simple graph handed to an edge-triangle solver.
+values to intervals, and splits multiplicities in binary into simple
+piece graphs, which go side by side to one edge-triangle solver call.
 """
 
 from __future__ import annotations
@@ -217,16 +217,6 @@ def build_query_multigraph(
 # Binary multiplicity splitting
 
 
-def _simple_graph_counts(
-    edges: np.ndarray, vw: np.ndarray, solver: CountingSolver | DetectionSolver
-) -> np.ndarray:
-    """Relabel the (k, 2) edge array compactly, run the solver, and
-    return its answers at the original VW edges ``vw``, in row order."""
-    g, back = compact(edges)
-    a, b = (np.searchsorted(back, vw) + 1).T
-    return solver(g)[g.edge_index(a, b)]
-
-
 def _bit_split(pairs: np.ndarray, mult: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """(i, rows) for every bit i set in some multiplicity, where rows are
     the (k, 2) edges of ``pairs`` whose multiplicity has bit i set."""
@@ -238,28 +228,49 @@ def _bit_split(pairs: np.ndarray, mult: np.ndarray) -> list[tuple[int, np.ndarra
     return out
 
 
+def _piece_answers(
+    mg: TripartiteMultigraph,
+    pieces: Sequence[tuple[np.ndarray, np.ndarray]],
+    solver: CountingSolver | DetectionSolver,
+) -> np.ndarray:
+    """The solver's answers at the VW edges of each simple piece graph.
+
+    Piece c has the UV edges ``pieces[c][0]``, the UW edges
+    ``pieces[c][1]`` and every VW edge.  The pieces are laid side by side
+    in one graph, piece c's ids shifted by c times one more than the
+    largest id, which is one ``compact`` and one solver call; no
+    triangle crosses pieces.  Returns a (len(pieces), len(mg.vw))
+    array, row c aligned with ``mg.vw``.
+    """
+    width = max(mg.part_u.stop, mg.part_v.stop, mg.part_w.stop)
+    shift = width * np.arange(len(pieces))
+    edges = [np.concatenate((uv, uw, mg.vw)) + s for (uv, uw), s in zip(pieces, shift)]
+    g, back = compact(np.concatenate(edges))
+    a, b = np.moveaxis(np.searchsorted(back, mg.vw + shift[:, None, None]) + 1, -1, 0)
+    return solver(g)[g.edge_index(a, b)]
+
+
 def multigraph_edge_counts(mg: TripartiteMultigraph, solver: CountingSolver) -> np.ndarray:
     """Triangle counts through each VW edge, aligned with ``mg.vw`` and
     honoring multiplicities.
 
     UV and UW multiplicities are split into bits; the (i, j) bit-pair
-    graph is simple, and its per-edge counts scaled by 2^(i+j) sum to the
-    multiplicity-weighted answer.
+    piece is a simple graph, and its per-edge counts scaled by 2^(i+j)
+    sum to the multiplicity-weighted answer.  All pieces go to the
+    solver as one graph (``_piece_answers``).
     """
-    totals = np.zeros(len(mg.vw), dtype=np.int64)
     uw_bits = _bit_split(mg.uw, mg.uw_mult)
-    for i, uv in _bit_split(mg.uv, mg.uv_mult):
-        for j, uw in uw_bits:
-            piece = _simple_graph_counts(np.concatenate((uv, uw, mg.vw)), mg.vw, solver)
-            totals += piece << (i + j)
-    return totals
+    split = [(i + j, (uv, uw)) for i, uv in _bit_split(mg.uv, mg.uv_mult) for j, uw in uw_bits]
+    if not split:
+        return np.zeros(len(mg.vw), dtype=np.int64)
+    scale, pieces = zip(*split)
+    return (_piece_answers(mg, pieces, solver) << np.array(scale)[:, None]).sum(axis=0)
 
 
 def multigraph_edge_detect(mg: TripartiteMultigraph, solver: DetectionSolver) -> np.ndarray:
     """Triangle detection through each VW edge, aligned with ``mg.vw``;
-    multiplicities collapse to one, so a single simple graph suffices."""
-    edges = np.concatenate((mg.uv, mg.uw, mg.vw))
-    return _simple_graph_counts(edges, mg.vw, solver)
+    multiplicities collapse to one, so a single simple piece suffices."""
+    return _piece_answers(mg, [(mg.uv, mg.uw)], solver)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,12 @@ EDGE_DETECTORS = {
 def range_solver(
     problem: str,
     algo: str,
-    inner: str = "oracle",
+    inner: str = "ayz",
     counters: Optional[OpCounters] = None,
 ) -> Callable[[IntArray, Sequence], list]:
     """Batch solver for a range problem, built from the chosen algorithm
     plus whatever reductions are needed to reach it; via-triangle hands
-    its graphs to the ``inner`` edge-triangle solver."""
+    its graphs to the ``inner`` edge-triangle solver, AYZ by default."""
     if problem not in PROBLEMS:
         raise CapabilityError(f"unknown problem {problem!r}")
     if algo not in ALGOS:

@@ -130,8 +130,9 @@ def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
     deg = np.diff(g.indptr)
     owner = _owner(g)
     # a light centre's closed wedges each close a triangle at one edge
-    edge = _closed_wedges(g, np.flatnonzero(deg[owner] <= theta), owner)[2]
-    counts = np.bincount(edge, minlength=m)
+    light = np.flatnonzero(deg[owner] <= theta)
+    edge = [owner[:0]] + [e for _, _, e in _wedge_chunks(g, light, owner)]
+    counts = np.bincount(np.concatenate(edge), minlength=m)
 
     # block[v, h]: v is adjacent to the h-th heavy vertex; an edge's
     # heavy third vertices are where its endpoints' rows are both set

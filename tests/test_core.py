@@ -1,6 +1,7 @@
 """Core types, normalization, and the brute-force oracles."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestTypes:
             with pytest.raises(InputError, match=r"^array value outside int64$"):
                 IntArray([1, big])
 
+    def test_unsigned_arrays_must_fit_int64(self):
+        big = np.array([2**63, 1], dtype=np.uint64)
+        with pytest.raises(InputError, match=r"^array value outside int64$"):
+            IntArray(big)
+        with pytest.raises(InputError, match=r"^matrix entry outside int64$"):
+            DenseMatrix(1, 2, big)
+        with pytest.raises(InputError, match=r"^matrix entry outside int64$"):
+            DenseMatrix.from_rows(big.reshape(1, 2))
+        fits = np.array([2**63 - 1, 0], dtype=np.uint64)
+        assert IntArray(fits).values.tolist() == [2**63 - 1, 0]
+        assert DenseMatrix(2, 1, fits).entries == [2**63 - 1, 0]
+        # an int64 array is copied before it is made read-only
+        own = np.array([3, 1])
+        assert IntArray(own).values.tolist() == [3, 1] and own.flags.writeable
+
     def test_pair_nonoverlap(self):
         with pytest.raises(RangeError):
             pair(1, 3, 3, 5)
@@ -138,6 +154,28 @@ class TestTypes:
         pairs = g.sorted_edges()
         assert g.edge_index(g.ev, g.eu).tolist() == list(range(len(pairs)))
         assert Graph(0, []).edge_index([1, 2], [2, 1]).tolist() == [-1, -1]
+
+    def test_edge_index_without_bitmap(self):
+        n = 3000
+        path = [(v, v + 1) for v in range(1, n)]
+        narrow, wide = Graph(n, path), Graph(n, path + [(1, n)])
+        # the path's edges span 2 ids, so its bitmap has 2(n + 1) cells;
+        # the edge (1, n) spans n, too wide for a bitmap
+        assert narrow.adjacency[0] == 2 and narrow.adjacency[1].size == 2 * (n + 1)
+        assert wide.adjacency[0] == 1 and wide.adjacency[1].tolist() == [True]
+        rng = random.Random(5)
+        # (1, n), u == v, edges in both orders, pairs further apart than
+        # the band, and random pairs, mostly non-edges
+        u = [1, n, 7, 8, 5, n - 1, n, 1, 2] + [rng.randint(1, n) for _ in range(300)]
+        v = [n, 1, 7, 7, 8, n, n - 1, 3, 1] + [rng.randint(1, n) for _ in range(300)]
+        for g in (narrow, wide):
+            position = {e: k for k, e in enumerate(g.sorted_edges())}
+            want = [position.get((min(a, b), max(a, b)), -1) for a, b in zip(u, v)]
+            assert g.edge_index(u, v).tolist() == want
+            assert g.edge_index(v, u).tolist() == want
+        # both answer every path edge, at positions one apart past (1, 2)
+        a, b = narrow.eu, narrow.ev
+        assert np.array_equal(wide.edge_index(a, b) - (a > 1), narrow.edge_index(b, a))
 
     def test_compact(self):
         old_edges = [(30, 7), (7, 12), (30, 12), (40, 30)]
@@ -206,6 +244,14 @@ class TestBounds:
         with pytest.raises(InputError, match="RangePair"):
             bounds([Range(1, 2)], 8, 4)
 
+    def test_unsigned_rows_are_checked_before_the_cast(self):
+        with pytest.raises(RangeError, match=r"^range \[1, 9223372036854775808\] outside array of length 8$"):
+            bounds(np.array([[1, 2], [1, 2**63]], dtype=np.uint64), 8, 2)
+        with pytest.raises(RangeError, match=r"^range \[3, 18446744073709551615\] outside array of length 8$"):
+            bounds(np.array([[1, 2, 3, 2**64 - 1]], dtype=np.uint64), 8, 4)
+        b = bounds(np.array([[1, 2, 3, 8]], dtype=np.uint64), 8, 4)
+        assert b.dtype == np.int64 and b.tolist() == [[1, 2, 3, 8]]
+
     def test_round_trip(self):
         rng = random.Random(2)
         singles = [rand_range(rng, 30) for _ in range(20)]
@@ -268,6 +314,19 @@ class TestTriangleOracles:
         assert set(oracle_edge_triangle_counts(complete_graph(4)).values()) == {2}
         assert set(oracle_edge_triangle_counts(cycle_graph(3)).values()) == {1}
         assert set(oracle_edge_triangle_counts(path_graph(3)).values()) == {0}
+
+    def test_counts_memory_stays_linear_on_sparse_graphs(self):
+        # n * m >= 50 000 on both; the (n + 1)^2 bitset would take 9 MB
+        # for the path and 3.7 kB for K60
+        path, clique = path_graph(3000), complete_graph(60)
+        tracemalloc.start()
+        try:
+            counts = oracle_edge_triangle_counts(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000 and set(counts.values()) == {0}
+        assert set(oracle_edge_triangle_counts(clique).values()) == {58}
 
     def test_detect(self):
         g = Graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)])

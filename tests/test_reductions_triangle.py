@@ -194,10 +194,39 @@ class TestQueryMultigraph:
             a = rand_array(rng, n, 0, 3)  # few distinct values -> big multiplicities
             queries = [rand_pair(rng, n) for _ in range(4)]
             build = build_query_multigraph(a, queries)
-            counts = multigraph_edge_counts(build.mg, EDGE_COUNTERS["oracle"])
-            assert counts.shape == (len(build.mg.vw),)
-            for (v, w), c in zip(build.mg.vw.tolist(), counts.tolist()):
-                assert c == build.mg.triangle_count_through(v, w)
+            want = [build.mg.triangle_count_through(v, w) for v, w in build.mg.vw.tolist()]
+            for inner in ("oracle", "ayz"):
+                counts = multigraph_edge_counts(build.mg, EDGE_COUNTERS[inner])
+                assert counts.shape == (len(build.mg.vw),)
+                assert counts.tolist() == want
+
+    @pytest.mark.parametrize("inner", ["oracle", "ayz"])
+    def test_pieces_go_to_one_solver_call(self, inner):
+        # V = {1, 2}, W = {3, 4}, U = {5, 6, 7}; multiplicities 1, 2 and 7
+        # set bits 0-2 on both sides, so there are 9 pieces, i + j = 0..4
+        uv = np.array([[5, 1], [5, 2], [6, 1], [7, 2]])
+        uw = np.array([[5, 3], [6, 3], [6, 4], [7, 4]])
+        vw = np.array([[1, 3], [1, 4], [2, 3], [2, 4]])
+        mg = TripartiteMultigraph(
+            range(5, 8), range(1, 3), range(3, 5),
+            uv, np.array([1, 7, 2, 7]), uw, np.array([7, 2, 1, 7]), vw,
+        )
+        mg.validate()
+        graphs = []
+
+        def solver(g):
+            graphs.append(g)
+            return EDGE_COUNTERS[inner](g)
+
+        counts = multigraph_edge_counts(mg, solver)
+        want = [mg.triangle_count_through(v, w) for v, w in vw.tolist()]
+        assert counts.tolist() == want == [1 * 7 + 2 * 2, 2 * 1, 7 * 7, 7 * 7]
+        # each piece holds its bit's UV and UW edges and all four VW edges
+        bits = lambda mult: sum(bin(k).count("1") for k in mult)
+        assert len(graphs) == 1
+        assert graphs[0].m == bits([1, 7, 2, 7]) * 3 + bits([7, 2, 1, 7]) * 3 + 9 * len(vw)
+        detected = multigraph_edge_detect(mg, EDGE_DETECTORS[inner])
+        assert detected.tolist() == [c > 0 for c in want]
 
     def test_collapse_preserves_emptiness(self):
         rng = random.Random(5)
