@@ -7,8 +7,9 @@ Three families live here:
   answers each group from one int64 answer row plus vectorised front sums;
 * its online variant (``MoOnline``), which precomputes an int64 row of
   answers for every block start and answers an arbitrary query by
-  extending a row entry at the front, counting each front step in one
-  prefix-persistent count tree built once per array;
+  adding its front to a row entry in O(1) Python: a prefix count table
+  of (ceil(n / B) + 1) x (n + 1) int64 entries for block size B, plus
+  a sort and a binary search over fewer than B values;
 * the online block/matrix equal-pairs structure (``online_eq_build`` /
   ``online_eq_query``), which splits the array into blocks, counts equal
   pairs between blocks with a matrix product for frequent values and
@@ -75,11 +76,13 @@ class Wavelet:
 
 
 def _pair_counts(kind: str, vals: np.ndarray, domain: int):
-    """``(before, gain)`` for the pair function ``kind`` on ``vals``.
+    """``(before, own, gain)`` for the pair function ``kind`` on ``vals``.
 
     before[j] = #{i < j : pair(vals[i], vals[j])}, and gain(p, r) is the
     number of pairs gained by prepending position p to (p, r]: the values
-    in vals[p+1 : r+1] equal to (EQP) or less than (INV) vals[p]."""
+    in vals[p+1 : r+1] equal to (EQP) or less than (INV) vals[p].
+    own[p] counts those values in vals[0 : p+1], so that gain(p, r) is
+    the same count over vals[0 : r+1] minus own[p]."""
     n = len(vals)
     pos = np.arange(n, dtype=np.int64)
     if kind == "eqp":
@@ -89,18 +92,20 @@ def _pair_counts(kind: str, vals: np.ndarray, domain: int):
         rank[order] = pos
         before = rank - np.searchsorted(keys, vals * (n + 1))
 
+        own = before + 1
+
         def gain(p: np.ndarray, r: np.ndarray) -> np.ndarray:
             return np.searchsorted(keys, vals[p] * (n + 1) + r, side="right") - rank[p] - 1
 
     else:
         wavelet = Wavelet(vals, domain)
         before = pos - wavelet.less(pos, vals + 1)
-        below = wavelet.less(pos, vals)  # #{i < p : vals[i] < vals[p]}
+        own = wavelet.less(pos, vals)  # #{i < p : vals[i] < vals[p]}
 
         def gain(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-            return wavelet.less(r + 1, vals[p]) - below[p]
+            return wavelet.less(r + 1, vals[p]) - own[p]
 
-    return before, gain
+    return before, own, gain
 
 
 def _answer_row(kind: str, vals: np.ndarray, before: np.ndarray, seen: np.ndarray, s: int):
@@ -164,7 +169,7 @@ def mo_offline(
     n = a.n
     vals = normalize(a.values)
     domain = int(vals.max()) + 1
-    before, gain = _pair_counts(f.kind, vals, domain)
+    before, _, gain = _pair_counts(f.kind, vals, domain)
 
     block = mo_block_size(n, q)
     start = -(-l // block) * block  # first block start >= l
@@ -196,24 +201,29 @@ def mo_offline(
 
 
 class MoOnline:
-    """Online variant of the block walk: answer rows plus one persistent tree.
+    """Online variant of the block walk: answer rows plus count tables.
 
-    For every block start s, ``rows`` holds the int64 answers for the
-    ranges [s, k], k = s..n.  An arriving query [l, r] reads the row of the
-    first block start inside the range and extends it at the front; each
-    front step counts, in the range already covered, the values equal to
-    (EQP) or less than (INV) the prepended one.
+    With 0-based positions, block size B and C_x(v) the number of i < x
+    whose value pairs with v (equals v for EQP, is less than v for INV),
+    a query [l, r] whose first block start at or after l is s reads
 
-    Those counts come from one prefix-persistent ("chairman") count tree
-    over the value domain (Driscoll, Sarnak, Sleator and Tarjan, 1989),
-    built once per array: version i holds vals[0:i], so a count over
-    positions [a, b) is version b minus version a, read in one O(log d)
-    walk.  The tree is flat node lists (``_left``, ``_right``, ``_count``);
-    node 0 is the empty tree and is its own child.
+        answer(l, r) = row_s[r] + sum over p in [l, s) of
+                       C_{r+1}(vals[p]) - C_{p+1}(vals[p]),
 
-    The number-of-queries guess doubles whenever exceeded and only the
-    rows are rebuilt, in O(n * n / B) numpy work; rebuilds never change
-    any answer.
+    with the row term 0 and s = r + 1 when no block start lies inside.
+    ``rows[j]`` holds the int64 answers of [jB, k] for every k.  The
+    prefix sums of C_{p+1}(vals[p]), one number per position, give the
+    second sum.  For the first, C_{r+1}(v) is T_k(v), the count over
+    vals[0:kB] with k = (r + 1) // B, plus the pairs in [kB, r]; the
+    table ``cross[k, x]``, the sum of T_k(vals[i]) over i < x, has
+    ceil(n / B) + 1 rows of n + 1 int64 entries.  The front and [kB, r]
+    both hold fewer than B values; their pairs are counted by sorting
+    [kB, r] and searching it for every front value.  A query thus costs
+    O(1) Python and O(B log B) numpy work in O(B) memory.
+
+    The number-of-queries guess doubles whenever exceeded and the rows
+    and ``cross`` are rebuilt, in O(n * n / B) numpy work and no more
+    memory than the tables plus O(n); rebuilds never change any answer.
     """
 
     def __init__(
@@ -225,78 +235,32 @@ class MoOnline:
     ):
         _check_kind(f)
         self.kind = f.kind
-        self.vals = normalize(a.values).tolist()  # walked in Python per query
+        self.vals = normalize(a.values)
         self.n = a.n
-        self.domain = max(self.vals) + 1
+        self.domain = int(self.vals.max()) + 1
         self.counters = counters
         self.q_guess = max(1, q_guess)
         self.q_seen = 0
-        self._build_tree()
+        self._before, own, _ = _pair_counts(self.kind, self.vals, self.domain)
+        self._own = np.concatenate(([0], np.cumsum(own)))  # prefix sums of C_{p+1}(vals[p])
         self._prepare()
 
-    def _build_tree(self) -> None:
-        """Insert vals[0], vals[1], ... by path copying, one version each.
-
-        On the way down each insertion also reads, from the version it
-        copies, how many earlier values pair with the inserted one:
-        ``_before[j]`` = #{i < j : pair(vals[i], vals[j])}."""
-        left, right, count = [0], [0], [0]
-        roots = [0]
-        before = []
-        top = self.domain - 1
-        for x in self.vals:
-            old = roots[-1]
-            roots.append(len(count))
-            lo, hi = 0, top
-            greater = 0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                count.append(count[old] + 1)
-                if x <= mid:
-                    greater += count[right[old]]
-                    left.append(len(count))
-                    right.append(right[old])
-                    old, hi = left[old], mid
-                else:
-                    left.append(left[old])
-                    right.append(len(count))
-                    old, lo = right[old], mid + 1
-            before.append(count[old] if self.kind == "eqp" else greater)
-            count.append(count[old] + 1)
-            left.append(0)
-            right.append(0)
-        self._left, self._right, self._count = left, right, count
-        self._roots = roots
-        self._before = np.asarray(before, dtype=np.int64)
-
-    def _front_count(self, a: int, b: int, x: int) -> int:
-        """Pairs gained by prepending x to vals[a:b]: the values there equal
-        to x (EQP) or less than x (INV)."""
-        left, right, count = self._left, self._right, self._count
-        na, nb = self._roots[a], self._roots[b]
-        lo, hi = 0, self.domain - 1
-        less = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if x <= mid:
-                na, nb, hi = left[na], left[nb], mid
-            else:
-                less += count[left[nb]] - count[left[na]]
-                na, nb, lo = right[na], right[nb], mid + 1
-        return count[nb] - count[na] if self.kind == "eqp" else less
-
     def _prepare(self) -> None:
-        """Build the answer row of every block start for the current guess."""
-        n, domain = self.n, self.domain
+        """Build the answer rows and ``cross`` for the current guess."""
+        n, domain, vals = self.n, self.domain, self.vals
         self.block = block = mo_block_size(n, self.q_guess)
-        vals = np.asarray(self.vals, dtype=np.int64)
+        self.rows, self.cross = [], None  # free the old tables before building new ones
+        starts = range(0, n, block)
+        self.cross = np.zeros((len(starts) + 1, n + 1), dtype=np.int64)
         seen = np.zeros(domain, dtype=np.int64)  # value counts of vals[0:s]
-        self.rows: list[np.ndarray] = []
-        for s in range(0, n, block):
-            self.rows.append(_answer_row(self.kind, vals, self._before, seen, s))
+        for j, s in enumerate([*starts, n]):  # cross has one more row, for kB >= n
+            if s < n:
+                self.rows.append(_answer_row(self.kind, vals, self._before, seen, s))
+            paired = seen if self.kind == "eqp" else np.cumsum(seen) - seen
+            np.cumsum(paired[vals], out=self.cross[j, 1:])
             seen += np.bincount(vals[s : s + block], minlength=domain)
         if self.counters is not None:
-            self.counters.extender_steps += sum(n - s for s in range(0, n, block))
+            self.counters.extender_steps += sum(n - s for s in starts)
 
     def query(self, rng: Range) -> int:
         rng.check(self.n)
@@ -305,18 +269,27 @@ class MoOnline:
             while self.q_seen > self.q_guess:
                 self.q_guess *= 2
             self._prepare()
-        l, r = rng.l, rng.r
-        j = (l - 1 + self.block - 1) // self.block  # first block start >= l
-        start = j * self.block + 1
-        if start > r:  # no block start inside: extend over the whole range
-            start, ans = r + 1, 0
+        block = self.block
+        l, r = rng.l - 1, rng.r - 1
+        j = -(-l // block)  # first block start >= l is jB
+        s = j * block
+        if s > r:  # no block start inside: the front is the whole range
+            s, ans = r + 1, 0
         else:
-            ans = int(self.rows[j][r - start])
-        for p in range(start - 1, l - 1, -1):
-            ans += self._front_count(p, r, self.vals[p - 1])
+            ans = self.rows[j].item(r - s)
         if self.counters is not None:
-            self.counters.extender_steps += start - l
-        return ans
+            self.counters.extender_steps += s - l
+        if s == l:
+            return ans
+        k = (r + 1) // block
+        front, tail = self.vals[l:s], self.vals[k * block : r + 1].copy()
+        tail.sort()  # O(B log B), with no front x tail comparison
+        pairs = tail.searchsorted(front)  # tail values less than each front value
+        if self.kind == "eqp":
+            pairs = tail.searchsorted(front, "right") - pairs
+        cross, own = self.cross, self._own
+        ans += cross.item(k, s) - cross.item(k, l) - own.item(s) + own.item(l)
+        return ans + int(pairs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +495,7 @@ class OnlineEqSolver:
         self.structure = online_eq_build(a, self.q_guess, counters=counters)
 
     def query(self, rng: Range) -> int:
+        rng.check(self.array.n)
         self.q_seen += 1
         if self.q_seen > self.q_guess:
             while self.q_seen > self.q_guess:

@@ -3,10 +3,11 @@ structure, and matrix multiplication."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL, ADVERSARIAL_IDS, rand_array, rand_range
@@ -230,6 +231,89 @@ class TestMoOnline:
                 assert online.block == block
                 assert counters.extender_steps <= n * n / block + n + q * block
 
+    def test_step_count(self):
+        # n - s per answer row built, over every rebuild, plus s - l per query
+        rng = random.Random(24)
+        for _ in range(30):
+            n = rng.randint(1, 80)
+            a = rand_array(rng, n, 0, 5)
+            queries = [rand_range(rng, n) for _ in range(rng.randint(1, 60))]
+            first_guess = rng.choice([1, len(queries), n * n])
+
+            def rows(guess):
+                return sum(n - s for s in range(0, n, mo_block_size(n, guess)))
+
+            guess = first_guess
+            expected = rows(guess)
+            for seen, x in enumerate(queries, start=1):
+                if seen > guess:
+                    while seen > guess:
+                        guess *= 2
+                    expected += rows(guess)
+                block = mo_block_size(n, guess)
+                expected += min(-(-(x.l - 1) // block) * block, x.r) - (x.l - 1)
+            for f in (EQP, INV):
+                counters = OpCounters()
+                online = MoOnline(f, a, counters=counters, q_guess=first_guess)
+                for x in queries:
+                    online.query(x)
+                assert online.q_guess == guess
+                assert counters.extender_steps == expected
+
+    def test_memory_stays_near_the_tables(self):
+        # q_guess = 1 makes B = n: a front and its partial block of ~n
+        # values each must not meet in an n x n comparison (25 MB here)
+        rng = random.Random(25)
+        n = 5000
+        a, b = rand_array(rng, n, 0, n), rand_array(rng, 3000, 0, 3000)
+        for f in (EQP, INV):
+            online = MoOnline(f, a)
+            tracemalloc.start()
+            try:
+                answer = online.query(Range(2, n - 1))
+                query_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                built = MoOnline(f, b, q_guess=b.n)
+                build_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert query_peak < 1_000_000
+            assert answer == mo_offline(f, a, [Range(2, n - 1)])[0]
+            # a build holds its rows and cross table plus O(n) scratch
+            tables = built.cross.nbytes + sum(row.nbytes for row in built.rows)
+            assert build_peak < 1.5 * tables
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=40)
+        | st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=12),
+    )
+    def test_property_matches_offline_and_oracle(self, values, picks):
+        # three ranges per pick: any range, one inside a block of the upfront
+        # guess's size, and one ending at that block's last position
+        a = IntArray(values)
+        n = a.n
+        block = mo_block_size(n, 3 * len(picks))
+        queries = []
+        for x, y in picks:
+            first = x % n // block * block + 1
+            last = min(first + block - 1, n)
+            l = first + y % (last - first + 1)
+            queries += [
+                Range(1 + y % n, 1 + y % n + x % (n - y % n)),
+                Range(l, l + x % (last - l + 1)),
+                Range(1 + y % last, last),
+            ]
+        for f in (EQP, INV):
+            expected = [oracle_pairs_query(f, a, q) for q in queries]
+            assert mo_offline(f, a, queries) == expected
+            for q_guess in (1, len(queries), n * n):  # n * n: B = 1
+                online = MoOnline(f, a, q_guess=q_guess)
+                answers = [online.query(q) for q in queries]
+                assert answers == expected
+                assert {type(x) for x in answers} == {int}
+
 
 class TestOnlineEq:
     def test_all_equal_block(self):
@@ -286,6 +370,16 @@ class TestOnlineEq:
         for omega in (2.0, 2.807, 3.0):
             s = online_eq_build(a, q_hint=30, omega_eff=omega)
             assert [online_eq_query(s, q) for q in queries] == expected
+
+    @pytest.mark.parametrize(
+        "make", [lambda a: MoOnline(EQP, a), OnlineEqSolver], ids=["mo-online", "online-eq"]
+    )
+    def test_rejected_query_is_not_counted(self, make):
+        solver = make(IntArray([1, 2, 1]))
+        for _ in range(3):
+            with pytest.raises(RangeError, match=r"\[2, 9\]"):
+                solver.query(Range(2, 9))
+        assert (solver.q_seen, solver.q_guess) == (0, 1)
 
 
 class TestMatmul:
