@@ -13,10 +13,15 @@ Three families live here:
 * the online block/matrix equal-pairs structure (``online_eq_build`` /
   ``online_eq_query``), which splits the array into blocks, counts equal
   pairs between blocks with a matrix product for frequent values and
-  direct enumeration for rare ones, and answers queries from a 2-D prefix
-  table plus per-value index lists for the range tails.
+  direct enumeration for rare ones, both written into the interior of one
+  (b_cnt + 1) x (b_cnt + 1) int64 prefix table that two in-place
+  cumulative sums finish, and answers queries from that table plus
+  per-value index lists for the range tails.  ``OnlineEqSolver``
+  computes the ranks and index lists once and shares them with every
+  doubling rebuild.
 
-``matmul``, the exact int64 matrix product, is also defined here since
+``matmul``, the exact integer matrix product (float64 BLAS while every
+partial sum stays below 2**53, int64 beyond), is also defined here since
 the block structure is its one consumer.
 """
 
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -305,32 +310,60 @@ def matmul(
     b: DenseMatrix,
     counters: Optional[OpCounters] = None,
 ) -> DenseMatrix:
-    """Exact integer matrix product in int64.
+    """Exact integer matrix product.
 
-    Operands whose product could leave int64 (max|a| * max|b| * inner
-    dimension >= 2**63) are refused, so the result never wraps.
+    With bound = max|a| * max|b| * inner dimension, operands with
+    bound >= 2**63 are refused, so the result never wraps.  Below 2**53
+    the product runs in float64 (BLAS): every partial sum is then an
+    integer of magnitude below 2**53, exactly representable, so the
+    result is exact in any summation order.  Otherwise it runs in int64.
     """
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    if _peak(a) * _peak(b) * a.cols >= 2**63:
+    bound = _peak(a) * _peak(b) * a.cols
+    if bound >= 2**63:
         raise InputError("matrix product may overflow int64")
     if counters is not None:
         counters.matmul_calls += 1
-    return DenseMatrix(a.rows, b.cols, a.array @ b.array)
+    if bound < 2**53:
+        product = (a.array.astype(np.float64) @ b.array.astype(np.float64)).astype(np.int64)
+    else:
+        product = a.array @ b.array
+    return DenseMatrix(a.rows, b.cols, product)
 
 
 # ---------------------------------------------------------------------------
 # Online equal-pairs block/matrix structure
 
 
+class EqValues(NamedTuple):
+    """What every build over one array shares, whatever its query hint:
+    the rank-normalised values as an int64 array (``ranks``) and as a
+    list (``values``), and each value's sorted 1-based positions."""
+
+    ranks: np.ndarray
+    values: list[int]
+    index_lists: dict[int, list[int]]
+
+
+def eq_values(a: IntArray) -> EqValues:
+    ranks = normalize(a.values)
+    values = ranks.tolist()  # walked in Python per query
+    index_lists: dict[int, list[int]] = {}
+    for pos, v in enumerate(values, start=1):
+        index_lists.setdefault(v, []).append(pos)
+    return EqValues(ranks, values, index_lists)
+
+
 @dataclass
 class OnlineEqStructure:
     """Preprocessed block structure for online equal-pairs queries.
 
-    ``mat_b[i][j]`` counts ordered position pairs (p, p') with p in block
-    i, p' in block j and equal values; the diagonal includes the trivial
-    p = p' pairs, which query time corrects for.  ``prefix`` is the 2-D
-    prefix-sum table over ``mat_b``.
+    ``prefix`` is one (b_cnt + 1) x (b_cnt + 1) int64 table: entry
+    [i, j] counts the ordered position pairs (p, p') with p in blocks
+    0..i-1, p' in blocks 0..j-1 and equal values, the trivial p = p'
+    pairs included, which query time corrects for.  So the four-term
+    difference at (i, j) counts the pairs between blocks i and j.
     """
 
     n: int
@@ -341,10 +374,7 @@ class OnlineEqStructure:
     b_len: int
     b_cnt: int
     tau: float
-    mat_bf: DenseMatrix
-    mat_br: DenseMatrix
-    mat_b: DenseMatrix
-    prefix: DenseMatrix
+    prefix: np.ndarray
     index_lists: dict[int, list[int]]
 
 
@@ -366,13 +396,16 @@ def online_eq_build(
     q_hint: int,
     omega_eff: float = 3.0,
     counters: Optional[OpCounters] = None,
+    shared: Optional[EqValues] = None,
 ) -> OnlineEqStructure:
     """Build the block/matrix structure for equal-pairs range queries.
 
     Frequent values (appearing at least tau = n**(1-gamma) times) are
     counted per block into a matrix M and contribute M @ M.T; rare values
-    are enumerated directly.  The prefix table over the summed block
-    matrix answers any block-aligned query with four lookups.
+    are enumerated directly.  Both land in the interior of one prefix
+    table, which two in-place cumulative sums finish; it answers any
+    block-aligned query with four lookups.  ``shared`` is ``eq_values(a)``,
+    passed by callers that build over one array more than once.
     """
     if a.n < 1:
         raise InputError("empty array")
@@ -381,16 +414,11 @@ def online_eq_build(
     if q_hint < 1:
         raise InputError("query hint must be at least 1")
     n = a.n
-    value = normalize(a.values)
-    vals = value.tolist()  # walked in Python per query
+    value, vals, index_lists = shared if shared is not None else eq_values(a)
     beta, gamma = _block_parameters(n, q_hint, omega_eff)
     b_len = max(1, math.ceil(n ** (1.0 - beta)))
     b_cnt = (n + b_len - 1) // b_len
     tau = n ** (1.0 - gamma)
-
-    index_lists: dict[int, list[int]] = {}
-    for pos, v in enumerate(vals, start=1):
-        index_lists.setdefault(v, []).append(pos)
 
     # values are ranks 0..d-1, so a value indexes arrays over the domain
     block = np.arange(n) // b_len
@@ -403,11 +431,14 @@ def online_eq_build(
         m = np.bincount(
             block[freq] * n_freq + column[value[freq]], minlength=b_cnt * n_freq
         ).reshape(b_cnt, n_freq)
-        mat_bf = matmul(
+        product = matmul(
             DenseMatrix(b_cnt, n_freq, m), DenseMatrix(n_freq, b_cnt, m.T), counters=counters
-        )
+        ).array
+        # allocated after the product, so the float64 intermediate is gone
+        prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)
+        prefix[1:, 1:] = product
     else:
-        mat_bf = DenseMatrix.zeros(b_cnt, b_cnt)
+        prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)
 
     # rare values: one (value, block, count) entry per block a value
     # occurs in, paired with every entry of the same value
@@ -418,16 +449,13 @@ def online_eq_build(
     size = np.searchsorted(rare_value, rare_value, side="right") - first
     left = np.repeat(np.arange(len(keys)), size)
     right = first[left] + np.arange(len(left)) - (np.cumsum(size) - size)[left]
-    mat_br = np.zeros((b_cnt, b_cnt), dtype=np.int64)
     np.add.at(
-        mat_br,
+        prefix[1:, 1:],
         (rare_block[left], rare_block[right]),
         per_block[left] * per_block[right],
     )
-
-    mat_b = mat_bf.array + mat_br
-    prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)
-    prefix[1:, 1:] = mat_b.cumsum(axis=0).cumsum(axis=1)
+    np.cumsum(prefix, axis=1, out=prefix)
+    np.cumsum(prefix, axis=0, out=prefix)
 
     return OnlineEqStructure(
         n=n,
@@ -438,10 +466,7 @@ def online_eq_build(
         b_len=b_len,
         b_cnt=b_cnt,
         tau=tau,
-        mat_bf=mat_bf,
-        mat_br=DenseMatrix(b_cnt, b_cnt, mat_br),
-        mat_b=DenseMatrix(b_cnt, b_cnt, mat_b),
-        prefix=DenseMatrix(b_cnt + 1, b_cnt + 1, prefix),
+        prefix=prefix,
         index_lists=index_lists,
     )
 
@@ -452,10 +477,8 @@ def _count_in(lst: list[int], lo: int, hi: int) -> int:
     return bisect_right(lst, hi) - bisect_left(lst, lo)
 
 
-def online_eq_query(s: OnlineEqStructure, rng: Range) -> int:
-    """Answer one equal-pairs range query from the built structure."""
-    rng.check(s.n)
-    l, r = rng.l, rng.r
+def _eq_answer(s: OnlineEqStructure, l: int, r: int) -> int:
+    """Equal pairs in [l, r] (1-based, already checked against s.n)."""
     b_len = s.b_len
     bs = (l - 1 + b_len - 1) // b_len  # first block starting at or after l
     if r == s.n:
@@ -470,11 +493,12 @@ def online_eq_query(s: OnlineEqStructure, rng: Range) -> int:
         return ans
     big_l = bs * b_len + 1
     big_r = min((be + 1) * b_len, s.n)
+    prefix = s.prefix
     ordered = (
-        s.prefix[be + 1, be + 1]
-        - s.prefix[bs, be + 1]
-        - s.prefix[be + 1, bs]
-        + s.prefix[bs, bs]
+        prefix.item(be + 1, be + 1)
+        - prefix.item(bs, be + 1)
+        - prefix.item(be + 1, bs)
+        + prefix.item(bs, bs)
     )
     ans = (ordered - (big_r - big_l + 1)) // 2
     for p in range(l, big_l):
@@ -484,15 +508,25 @@ def online_eq_query(s: OnlineEqStructure, rng: Range) -> int:
     return ans
 
 
+def online_eq_query(s: OnlineEqStructure, rng: Range) -> int:
+    """Answer one equal-pairs range query from the built structure."""
+    rng.check(s.n)
+    return _eq_answer(s, rng.l, rng.r)
+
+
 class OnlineEqSolver:
-    """Adaptive wrapper: doubles the query-count guess and rebuilds."""
+    """Adaptive wrapper: doubles the query-count guess and rebuilds.
+
+    The ranks, value list and index lists do not depend on the guess;
+    they are computed once and shared by every rebuild."""
 
     def __init__(self, a: IntArray, counters: Optional[OpCounters] = None):
         self.array = a
         self.counters = counters
         self.q_guess = 1
         self.q_seen = 0
-        self.structure = online_eq_build(a, self.q_guess, counters=counters)
+        self.shared = eq_values(a)
+        self.structure = online_eq_build(a, self.q_guess, counters=counters, shared=self.shared)
 
     def query(self, rng: Range) -> int:
         rng.check(self.array.n)
@@ -500,5 +534,8 @@ class OnlineEqSolver:
         if self.q_seen > self.q_guess:
             while self.q_seen > self.q_guess:
                 self.q_guess *= 2
-            self.structure = online_eq_build(self.array, self.q_guess, counters=self.counters)
-        return online_eq_query(self.structure, rng)
+            self.structure = None  # free the old table before building the next
+            self.structure = online_eq_build(
+                self.array, self.q_guess, counters=self.counters, shared=self.shared
+            )
+        return _eq_answer(self.structure, rng.l, rng.r)

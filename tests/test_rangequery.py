@@ -327,22 +327,29 @@ class TestOnlineEq:
                 assert online_eq_query(s, Range(l, r)) == 0
 
     def test_structure_invariants(self):
+        # prefix's four-term difference at blocks (i, j) is the number of
+        # ordered equal-value pairs (p, p') with p in block i and p' in
+        # block j, the diagonal's p = p' pairs included
         rng = random.Random(31)
         for _ in range(20):
             n = rng.randint(1, 60)
-            a = rand_array(rng, n, 0, 7)
-            s = online_eq_build(a, q_hint=rng.randint(1, 100))
-            bc = s.b_cnt
-            for i in range(bc):
-                for j in range(bc):
-                    assert s.mat_b[i, j] == s.mat_bf[i, j] + s.mat_br[i, j]
-                    assert (
-                        s.prefix[i + 1, j + 1]
-                        == s.prefix[i + 1, j]
-                        + s.prefix[i, j + 1]
-                        - s.prefix[i, j]
-                        + s.mat_b[i, j]
-                    )
+            a = rand_array(rng, n, 0, rng.choice([3, 7, n]))
+            vals = a.values.tolist()
+            for q_hint in (1, n, 4 * n, n * n):
+                s = online_eq_build(a, q_hint=q_hint)
+                bc, prefix = s.b_cnt, s.prefix
+                assert prefix.shape == (bc + 1, bc + 1) and prefix.dtype == np.int64
+                brute = [[0] * bc for _ in range(bc)]
+                for p in range(n):
+                    for p2 in range(n):
+                        if vals[p] == vals[p2]:
+                            brute[p // s.b_len][p2 // s.b_len] += 1
+                for i in range(bc):
+                    for j in range(bc):
+                        assert (
+                            prefix[i + 1, j + 1] - prefix[i, j + 1] - prefix[i + 1, j] + prefix[i, j]
+                            == brute[i][j]
+                        )
 
     def test_matches_oracle(self):
         rng = random.Random(32)
@@ -370,6 +377,74 @@ class TestOnlineEq:
         for omega in (2.0, 2.807, 3.0):
             s = online_eq_build(a, q_hint=30, omega_eff=omega)
             assert [online_eq_query(s, q) for q in queries] == expected
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=40)
+        | st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=8),
+    )
+    def test_property_matches_oracle(self, values, picks):
+        # per hint, four ranges per pick: any range, one inside a block of
+        # that build, one ending at that block's last position, one with r = n
+        a = IntArray(values)
+        n = a.n
+        q = 4 * len(picks)
+        streamed = []
+        for q_hint in (1, q, n, 4 * n, n * n):
+            s = online_eq_build(a, q_hint=q_hint)
+            queries = []
+            for x, y in picks:
+                first = x % n // s.b_len * s.b_len + 1
+                last = min(first + s.b_len - 1, n)
+                l = first + y % (last - first + 1)
+                queries += [
+                    Range(1 + y % n, 1 + y % n + x % (n - y % n)),
+                    Range(l, l + x % (last - l + 1)),
+                    Range(1 + y % last, last),
+                    Range(1 + x % n, n),
+                ]
+            answers = [online_eq_query(s, x) for x in queries]
+            assert answers == [oracle_pairs_query(EQP, a, x) for x in queries]
+            assert {type(x) for x in answers} == {int}
+            streamed += queries
+        solver = OnlineEqSolver(a)
+        lists = solver.structure.index_lists
+        answers = []
+        for x in streamed:
+            answers.append(solver.query(x))
+            assert solver.structure.index_lists is lists  # rebuilds share one copy
+        assert solver.q_guess >= len(streamed) > 1  # the stream forced rebuilds
+        assert answers == [oracle_pairs_query(EQP, a, x) for x in streamed]
+        assert {type(x) for x in answers} == {int}
+
+    def test_build_memory_stays_near_the_table(self):
+        # n = 1024 and q_hint = 4096 give 512 blocks; a build holds one
+        # (b_cnt + 1)^2 int64 table, plus scratch while it fills it
+        rng = random.Random(35)
+        for hi in (15, 1023):  # all values frequent; mostly rare values
+            a = rand_array(rng, 1024, 0, hi)
+            online_eq_build(a, q_hint=4096)  # warm-up
+            tracemalloc.start()
+            try:
+                s = online_eq_build(a, q_hint=4096)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert s.b_cnt == 512
+            table = s.prefix.nbytes
+            assert peak < 3.5 * table
+            assert kept < 1.25 * table
+
+    def test_one_range_check_per_query(self, monkeypatch):
+        checked = []
+        check = Range.check
+        monkeypatch.setattr(Range, "check", lambda rng, n: checked.append(rng) or check(rng, n))
+        solver = OnlineEqSolver(IntArray([1, 2, 1]))
+        assert solver.query(Range(1, 3)) == 1
+        assert len(checked) == 1
+        assert online_eq_query(solver.structure, Range(1, 3)) == 1
+        assert len(checked) == 2
 
     @pytest.mark.parametrize(
         "make", [lambda a: MoOnline(EQP, a), OnlineEqSolver], ids=["mo-online", "online-eq"]
@@ -417,6 +492,28 @@ class TestMatmul:
         assert fits.to_rows() == [[2**63 - 2**32]]
         with pytest.raises(InputError, match="int64"):
             matmul(DenseMatrix.from_rows([[-(2**63)]]), DenseMatrix.from_rows([[-1]]))
+
+    def test_float_path_is_exact(self):
+        # max|a| * max|b| * k just under 2**53: the float64 product, whose
+        # partial sums are integers below 2**53, matches Python ints exactly
+        rng = random.Random(42)
+        for r, k, c in ((1, 1, 1), (3, 5, 4), (16, 16, 16)):
+            peak = math.isqrt((2**53 - 1) // k)
+            rows = [[rng.randint(-peak, peak) for _ in range(k)] for _ in range(r)]
+            cols = [[rng.randint(-peak, peak) for _ in range(c)] for _ in range(k)]
+            rows[0][0], cols[0][0] = peak, -peak
+            x, y = DenseMatrix.from_rows(rows), DenseMatrix.from_rows(cols)
+            assert 2**52 <= rangequery._peak(x) * rangequery._peak(y) * k < 2**53
+            expected = [
+                [sum(rows[i][t] * cols[t][j] for t in range(k)) for j in range(c)]
+                for i in range(r)
+            ]
+            assert matmul(x, y).to_rows() == expected
+
+    def test_int_path_past_float_precision(self):
+        # float64 would round 2**53 + 1 to 2**53
+        product = matmul(DenseMatrix.from_rows([[2**53 + 1]]), DenseMatrix.from_rows([[1]]))
+        assert product.to_rows() == [[2**53 + 1]]
 
     def test_counts_calls(self):
         counters = OpCounters()
