@@ -5,7 +5,9 @@ lists, so that the triangle count through an edge becomes a two-range
 equal-pairs query.  The other direction decomposes query ranges into
 segment-tree base intervals, builds a tripartite multigraph linking
 values to intervals, and splits multiplicities in binary into simple
-piece graphs, which go side by side to one edge-triangle solver call.
+piece graphs.  Each piece is pruned to the edges that can lie on a
+triangle through a VW edge, and the pruned pieces go side by side to
+one edge-triangle solver call.
 """
 
 from __future__ import annotations
@@ -239,15 +241,39 @@ def _piece_answers(
     ``pieces[c][1]`` and every VW edge.  The pieces are laid side by side
     in one graph, piece c's ids shifted by c times one more than the
     largest id, which is one ``compact`` and one solver call; no
-    triangle crosses pieces.  Returns a (len(pieces), len(mg.vw))
-    array, row c aligned with ``mg.vw``.
+    triangle crosses pieces.
+
+    Before that call each piece is pruned to the edges that can lie on
+    a triangle through one of its VW edges: the UV and UW edges at U
+    vertices with both a V and a W neighbor in the piece, and the VW
+    edges whose V end keeps a UV edge and whose W end keeps a UW edge.
+    The third vertex of such a triangle is a U vertex adjacent to both
+    ends, and no triangle holds two VW edges, so every kept VW edge
+    keeps its answer; a pruned one answers 0 (``False``).
+    Returns a (len(pieces), len(mg.vw)) array, row c aligned with
+    ``mg.vw``.
     """
     width = max(mg.part_u.stop, mg.part_v.stop, mg.part_w.stop)
     shift = width * np.arange(len(pieces))
-    edges = [np.concatenate((uv, uw, mg.vw)) + s for (uv, uw), s in zip(pieces, shift)]
-    g, back = compact(np.concatenate(edges))
-    a, b = np.moveaxis(np.searchsorted(back, mg.vw + shift[:, None, None]) + 1, -1, 0)
-    return solver(g)[g.edge_index(a, b)]
+    uv = np.concatenate([e + s for (e, _), s in zip(pieces, shift)])
+    uw = np.concatenate([e + s for (_, e), s in zip(pieces, shift)])
+
+    def marks(ids: np.ndarray) -> np.ndarray:
+        out = np.zeros(width * len(pieces), dtype=bool)
+        out[ids] = True
+        return out
+
+    both = marks(uv[:, 0]) & marks(uw[:, 0])
+    uv, uw = uv[both[uv[:, 0]]], uw[both[uw[:, 0]]]
+    vw = mg.vw + shift[:, None, None]
+    kept = marks(uv[:, 1])[vw[..., 0]] & marks(uw[:, 1])[vw[..., 1]]
+    vw = vw[kept]
+    g, back = compact(np.concatenate((uv, uw, vw)))
+    a, b = np.searchsorted(back, vw.T) + 1
+    answers = solver(g)
+    out = np.zeros(kept.shape, dtype=answers.dtype)
+    out[kept] = answers[g.edge_index(a, b)]
+    return out
 
 
 def multigraph_edge_counts(mg: TripartiteMultigraph, solver: CountingSolver) -> np.ndarray:
@@ -256,8 +282,10 @@ def multigraph_edge_counts(mg: TripartiteMultigraph, solver: CountingSolver) -> 
 
     UV and UW multiplicities are split into bits; the (i, j) bit-pair
     piece is a simple graph, and its per-edge counts scaled by 2^(i+j)
-    sum to the multiplicity-weighted answer.  All pieces go to the
-    solver as one graph (``_piece_answers``).
+    sum to the multiplicity-weighted answer.  All pieces, each pruned
+    to the edges that can lie on a triangle through a VW edge, go to
+    the solver as one graph (``_piece_answers``); a VW edge pruned from
+    a piece adds 0 for it.
     """
     uw_bits = _bit_split(mg.uw, mg.uw_mult)
     split = [(i + j, (uv, uw)) for i, uv in _bit_split(mg.uv, mg.uv_mult) for j, uw in uw_bits]

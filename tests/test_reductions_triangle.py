@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, query_objects, rand_array, rand_graph, rand_pair
 from rangetri.core import (
@@ -17,12 +19,14 @@ from rangetri.core import (
     RangeError,
     RangePair,
     TripartiteMultigraph,
+    compact,
     oracle_disjoint_query,
     oracle_edge_triangle_counts,
     oracle_edge_triangle_detect,
     oracle_pairs_query,
     pair,
 )
+from rangetri import reductions_triangle
 from rangetri.reductions_triangle import (
     base_decompose,
     build_query_multigraph,
@@ -152,6 +156,55 @@ def per_query_vw(build) -> list[list[tuple[int, int]]]:
     return [[tuple(e) for e in rows[ptr[k] : ptr[k + 1]]] for k in range(len(ptr) - 1)]
 
 
+@st.composite
+def multigraphs(draw) -> TripartiteMultigraph:
+    """A random tripartite multigraph with multiplicities up to 2^5.  Its
+    last V and last W vertex have no U neighbor, and its last two U
+    vertices have only V or only W neighbors."""
+    nu, nv, nw = (draw(st.integers(1, 3)) for _ in range(3))
+    part_v = range(1, nv + 2)
+    part_w = range(part_v.stop, part_v.stop + nw + 1)
+    part_u = range(part_w.stop, part_w.stop + nu + 2)
+
+    def u_edges(part: range, only: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = [(u, x, draw(st.integers(0, 32))) for u in part_u[:-2] for x in part[:-1]]
+        rows += [(only, x, draw(st.integers(1, 32))) for x in part[:-1]]
+        rows = np.array([r for r in rows if r[2]], dtype=np.int64).reshape(-1, 3)
+        return rows[:, :2], rows[:, 2]
+
+    uv, uv_mult = u_edges(part_v, part_u[-2])
+    uw, uw_mult = u_edges(part_w, part_u[-1])
+    vw = [
+        (v, w) for v in part_v for w in part_w
+        if v == part_v[-1] or w == part_w[-1] or draw(st.booleans())
+    ]
+    mg = TripartiteMultigraph(part_u, part_v, part_w, uv, uv_mult, uw, uw_mult, np.array(vw))
+    mg.validate()
+    return mg
+
+
+def pruned_size(mg: TripartiteMultigraph) -> int:
+    """Edges over all (i, j) bit-pair pieces of ``mg`` that can lie on a
+    triangle through a VW edge, counted with sets."""
+    def bits(rows, mult) -> list[set]:
+        pieces = [
+            {(x, y) for (x, y), k in zip(rows.tolist(), mult.tolist()) if k >> i & 1}
+            for i in range(max(mult.tolist(), default=0).bit_length())
+        ]
+        return [p for p in pieces if p]
+
+    vw = set(map(tuple, mg.vw.tolist()))
+    total = 0
+    for uv in bits(mg.uv, mg.uv_mult):
+        for uw in bits(mg.uw, mg.uw_mult):
+            both = {u for u, _ in uv} & {u for u, _ in uw}
+            uv_kept = {(u, v) for u, v in uv if u in both}
+            uw_kept = {(u, w) for u, w in uw if u in both}
+            vs, ws = {v for _, v in uv_kept}, {w for _, w in uw_kept}
+            total += len(uv_kept) + len(uw_kept) + len({(v, w) for v, w in vw if v in vs and w in ws})
+    return total
+
+
 class TestQueryMultigraph:
     def test_invariants_and_size_bounds(self):
         rng = random.Random(2)
@@ -221,10 +274,16 @@ class TestQueryMultigraph:
         counts = multigraph_edge_counts(mg, solver)
         want = [mg.triangle_count_through(v, w) for v, w in vw.tolist()]
         assert counts.tolist() == want == [1 * 7 + 2 * 2, 2 * 1, 7 * 7, 7 * 7]
-        # each piece holds its bit's UV and UW edges and all four VW edges
-        bits = lambda mult: sum(bin(k).count("1") for k in mult)
+        # piece (i, j) keeps its bit's UV and UW edges at the U vertices
+        # that have both, then the VW edges whose ends kept one:
+        #   UV bit 0: 5-1 5-2 7-2   bit 1: 5-2 6-1 7-2   bit 2: 5-2 7-2
+        #   UW bit 0: 5-3 6-4 7-4   bit 1: 5-3 6-3 7-4   bit 2: 5-3 7-4
+        # i = 0, j = 0..2: U {5, 7}, 3 UV + 2 UW + 4 VW = 9 edges each
+        # i = 1, j = 0..1: U {5, 6, 7}, 3 UV + 3 UW + 4 VW = 10 each
+        # i = 1, j = 2 and i = 2, j = 0..2: U {5, 7}, 2 UV + 2 UW, V {2},
+        #   so only 2-3 and 2-4 of the VW edges: 6 each
         assert len(graphs) == 1
-        assert graphs[0].m == bits([1, 7, 2, 7]) * 3 + bits([7, 2, 1, 7]) * 3 + 9 * len(vw)
+        assert graphs[0].m == 3 * 9 + 2 * 10 + 4 * 6
         detected = multigraph_edge_detect(mg, EDGE_DETECTORS[inner])
         assert detected.tolist() == [c > 0 for c in want]
 
@@ -241,6 +300,68 @@ class TestQueryMultigraph:
             assert detected.shape == (len(build.mg.vw),)
             for (v, w), d in zip(build.mg.vw.tolist(), detected.tolist()):
                 assert d == (build.mg.triangle_count_through(v, w) > 0)
+
+    @settings(max_examples=25)
+    @given(multigraphs())
+    def test_property_pruned_pieces_match_multigraph(self, mg):
+        want = [mg.triangle_count_through(v, w) for v, w in mg.vw.tolist()]
+        for inner in ("oracle", "ayz"):
+            assert multigraph_edge_counts(mg, EDGE_COUNTERS[inner]).tolist() == want
+            detected = multigraph_edge_detect(mg, EDGE_DETECTORS[inner])
+            assert detected.tolist() == [c > 0 for c in want]
+
+    @pytest.mark.parametrize("inner", ["oracle", "ayz"])
+    def test_every_vw_copy_pruned(self, inner):
+        # U 5 has only V neighbors and U 6 only W neighbors, so no piece
+        # keeps an edge; multiplicities 5 and 3 still make 2 x 2 pieces
+        mg = TripartiteMultigraph(
+            range(5, 7), range(1, 3), range(3, 5),
+            np.array([[5, 1], [5, 2]]), np.array([5, 5]),
+            np.array([[6, 3], [6, 4]]), np.array([3, 3]),
+            np.array([[1, 3], [1, 4], [2, 3], [2, 4]]),
+        )
+        mg.validate()
+        for run, table, zero in (
+            (multigraph_edge_counts, EDGE_COUNTERS, 0),
+            (multigraph_edge_detect, EDGE_DETECTORS, False),
+        ):
+            graphs = []
+            assert run(mg, lambda g: graphs.append(g) or table[inner](g)).tolist() == [zero] * 4
+            assert [g.m for g in graphs] == [0]
+
+    def test_solver_sees_only_edges_on_vw_triangles(self, monkeypatch):
+        # record ``back`` to name each solver vertex's piece and part
+        backs = []
+
+        def recording_compact(edges):
+            g, back = compact(edges)
+            backs.append(back)
+            return g, back
+
+        monkeypatch.setattr(reductions_triangle, "compact", recording_compact)
+        rng = random.Random(6)
+        for k in range(12):
+            n = rng.randint(2, 32)
+            a = rand_array(rng, n, 0, 3)
+            queries = [rand_pair(rng, n) for _ in range(4)]
+            mg = build_query_multigraph(a, queries, collapse=k % 2 == 1).mg
+            graphs = []
+            multigraph_edge_counts(mg, lambda g: graphs.append(g) or EDGE_COUNTERS["ayz"](g))
+            (g,) = graphs
+            width = max(mg.part_u.stop, mg.part_v.stop, mg.part_w.stop)
+            piece, local = np.divmod(backs[-1], width)
+            part = np.select(
+                [np.isin(local, mg.part_u), np.isin(local, mg.part_v)], ["U", "V"], "W"
+            )
+            nbr_parts = [{part[y - 1] for y in g.neighbors(x)} for x in range(1, g.n + 1)]
+            assert np.all(piece[g.eu - 1] == piece[g.ev - 1])
+            for x in range(1, g.n + 1):
+                if part[x - 1] == "U":
+                    assert nbr_parts[x - 1] == {"V", "W"}
+            for u, v in g.sorted_edges():
+                if {part[u - 1], part[v - 1]} == {"V", "W"}:
+                    assert "U" in nbr_parts[u - 1] and "U" in nbr_parts[v - 1]
+            assert g.m == pruned_size(mg)
 
     def test_validate_rejects_bad_multigraph(self):
         def mg(**change):
