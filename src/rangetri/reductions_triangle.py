@@ -98,7 +98,8 @@ def base_decompose(lo, hi, n_pad: int) -> tuple[np.ndarray, np.ndarray]:
     d = floor(log2 h) covers positions (h - 2^d) << (L - d) up to
     ((h - 2^d + 1) << (L - d)) - 1, where L = log2(n_pad).  Returns
     (query, node) int64 arrays with one entry per interval, sorted by
-    query.
+    query, and by level (leaves first) within a query.  Every level of
+    every range is computed at once, in closed form.
     """
     lo = np.asarray(lo, dtype=np.int64).reshape(-1)
     hi = np.asarray(hi, dtype=np.int64).reshape(-1)
@@ -108,20 +109,17 @@ def base_decompose(lo, hi, n_pad: int) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         k = bad[0]
         raise ValueError(f"interval [{lo[k]}, {hi[k]}] outside [0, {n_pad - 1}]")
-    # bottom-up cover of the half-open leaf span [l, r), one level per
-    # step; row k of ``cover`` holds query k's nodes, 0 in unused slots
-    levels = n_pad.bit_length()
-    cover = np.zeros((lo.size, 2 * levels), dtype=np.int64)
-    l, r = lo + n_pad, hi + n_pad + 1
-    for k in range(levels):
-        live = l < r
-        left = live & ((l & 1) == 1)
-        right = live & ((r & 1) == 1)
-        r = r - right
-        cover[:, 2 * k] = l * left
-        cover[:, 2 * k + 1] = r * right
-        l = (l + left) >> 1
-        r >>= 1
+    # bottom-up cover of the half-open leaf span [l, r): level k's span
+    # is [ceil(l / 2^k), floor(r / 2^k)); while it is nonempty it takes
+    # its left end if odd and the node before its right end if odd.
+    # Row q of ``cover`` holds query q's nodes by level, left then
+    # right, and 0 in unused slots.
+    shift = np.arange(n_pad.bit_length())
+    l = -((-(lo + n_pad))[:, None] >> shift)
+    r = (hi + n_pad + 1)[:, None] >> shift
+    live = l < r
+    cover = np.stack((l * (l & 1) * live, (r - 1) * (r & 1) * live), axis=2)
+    cover = cover.reshape(lo.size, 2 * shift.size)
     query, slot = np.nonzero(cover)
     return query, cover[query, slot]
 

@@ -71,8 +71,8 @@ class ListingResult:
 # Heavy/light per-edge counting
 
 
-# light wedges, or heavy-block cells, handled per numpy batch; bounds
-# the scratch arrays' size
+# light-centre wedges, or heavy-product cells, handled per numpy batch;
+# bounds the scratch arrays' size
 _WEDGE_CHUNK = 1 << 12
 
 
@@ -113,40 +113,80 @@ def _owner(g: Graph) -> np.ndarray:
     return np.repeat(np.arange(g.n + 1), np.diff(g.indptr))
 
 
+def _slot_edges(g: Graph, forward: np.ndarray) -> np.ndarray:
+    """The edge at each CSR slot: slot s of row c holding v is edge
+    {c, v}.  The forward slots (c < v, marked in ``forward``) are the
+    edges in order; the backward ones are the edges ordered by
+    (ev, eu)."""
+    edge = np.empty(g.indices.size, dtype=np.int64)
+    edge[forward] = np.arange(g.m)
+    edge[~forward] = np.argsort(g.ev * (g.n + 1) + g.eu)  # distinct keys
+    return edge
+
+
+def default_theta(m: int) -> int:
+    """AYZ's default degree threshold on m edges: the exact ceiling of
+    m^(1/3), and at least 1."""
+    k = round(m ** (1 / 3))
+    while k**3 < m:
+        k += 1
+    while k > 1 and (k - 1) ** 3 >= m:
+        k -= 1
+    return max(1, k)
+
+
 def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
     """Per-edge triangle counts as an int64 array aligned with
-    ``g.eu``/``g.ev``, split by the degree of the third vertex.
+    ``g.eu``/``g.ev`` (Alon-Yuster-Zwick).  A vertex is heavy when its
+    degree exceeds theta, by default ``default_theta(m)``.
 
-    Third vertices of degree <= theta are counted by wedge enumeration
-    centered at them; the rest by intersecting the two endpoints' rows
-    of the vertex-by-heavy adjacency block, at the m edges only.
+    Every triangle with a light vertex is found once per light vertex,
+    as the closed wedge (c; v, w), v < w, centred at it.  That wedge
+    credits edge (v, w); it also credits edge (c, v) when w is heavy and
+    (v is heavy or c < v), and edge (c, w) when v is heavy and (w is
+    heavy or c < w), so each triangle's edge with a heavy third vertex
+    is counted once.  An edge with both ends heavy adds its entry of
+    the H x H 0/1 product A_H @ A_H over the heavy vertices, which
+    counts its heavy third vertices; the product is computed in row
+    chunks, in float32 while that is exact.  That is m * theta wedges
+    plus one product on H <= 2m / theta vertices.
     """
     m = g.m
     if theta is None:
-        theta = max(1, math.isqrt(m) + (0 if math.isqrt(m) ** 2 == m else 1))
+        theta = default_theta(m)
     if theta < 1:
         raise InputError("degree threshold must be >= 1")
 
-    deg = np.diff(g.indptr)
+    heavy = np.diff(g.indptr) > theta
     owner = _owner(g)
-    # a light centre's closed wedges each close a triangle at one edge
-    light = np.flatnonzero(deg[owner] <= theta)
-    edge = [owner[:0]] + [e for _, _, e in _wedge_chunks(g, light, owner)]
-    counts = np.bincount(np.concatenate(edge), minlength=m)
+    # per slot: its neighbour lies after its row's vertex, or is heavy
+    forward = g.indices > owner
+    heavy_nb = heavy[g.indices]
+    slot_edge = _slot_edges(g, forward)
+    light = np.flatnonzero(~heavy[owner])
+    credited = [owner[:0]]
+    for first, second, edge in _wedge_chunks(g, light, owner):
+        hv, hw = heavy_nb[first], heavy_nb[second]
+        cv = slot_edge[first[hw & (hv | forward[first])]]
+        cw = slot_edge[second[hv & (hw | forward[second])]]
+        credited += [edge, cv, cw]
+    counts = np.bincount(np.concatenate(credited), minlength=m)
 
-    # block[v, h]: v is adjacent to the h-th heavy vertex; an edge's
-    # heavy third vertices are where its endpoints' rows are both set
-    heavy = np.flatnonzero(deg > theta)
-    if heavy.size:
-        column = np.zeros(g.n + 1, dtype=np.int64)
-        column[heavy] = np.arange(heavy.size)
-        hslots = np.flatnonzero(deg[owner] > theta)
-        block = np.zeros((g.n + 1, heavy.size), dtype=bool)
-        block[g.indices[hslots], column[owner[hslots]]] = True
-        step = max(1, _WEDGE_CHUNK // heavy.size)  # edges per batch
-        for lo in range(0, m, step):
-            both = block[g.eu[lo : lo + step]] & block[g.ev[lo : lo + step]]
-            counts[lo : lo + step] += np.count_nonzero(both, axis=1)
+    both = np.flatnonzero(heavy[g.eu] & heavy[g.ev])
+    if both.size:
+        rank = np.cumsum(heavy) - 1  # a heavy vertex's row in A_H
+        size = int(rank[-1]) + 1
+        u, v = rank[g.eu[both]], rank[g.ev[both]]  # u < v, u ascending
+        # 0/1 entries sum exactly in float32 while every sum is < 2^24
+        a = np.zeros((size, size), dtype=np.float32 if size < 1 << 24 else np.float64)
+        a[u, v] = a[v, u] = 1
+        rows = max(1, _WEDGE_CHUNK // size)
+        cuts = np.searchsorted(u, np.arange(0, size + rows, rows))
+        for lo, i, j in zip(range(0, size, rows), cuts[:-1], cuts[1:]):
+            if i < j:
+                # columns from lo on: every edge here has v > u >= lo
+                block = a[lo : lo + rows] @ a[:, lo:]
+                counts[both[i:j]] += block[u[i:j] - lo, v[i:j] - lo].astype(np.int64)
     return counts
 
 

@@ -109,6 +109,22 @@ class TestBaseDecompose:
         assert sorted(node[2:].tolist()) == [5, 6, 8 + 1, 8 + 6]
         assert base_decompose([0], [0], 1)[1].tolist() == [1]
 
+    def test_empty_batch(self):
+        query, node = base_decompose([], [], 8)
+        assert query.dtype == node.dtype == np.int64
+        assert query.shape == node.shape == (0,)
+
+    def test_wide_tree(self):
+        n_pad = 1 << 20
+        lo, hi = 3, n_pad - 2
+        query, node = base_decompose([lo], [hi], n_pad)
+        assert query.tolist() == [0] * node.size
+        assert node.size <= 2 * 20
+        spans = sorted((p.start, p.stop) for p in (node_positions(h, n_pad) for h in node.tolist()))
+        # consecutive, disjoint, and exactly [lo, hi]
+        assert spans[0][0] == lo and spans[-1][1] == hi + 1
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             base_decompose([0], [8], 8)

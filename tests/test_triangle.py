@@ -24,6 +24,7 @@ from rangetri.triangle import (
     ayz_counts,
     ayz_edge_counts,
     baseline_list,
+    default_theta,
     detect_via_listing,
     inner_listing,
     list_via_detection,
@@ -77,12 +78,60 @@ class TestHeavyLightCounts:
                 assert counts.dtype == np.int64 and counts.shape == (g.m,)
                 assert counts.tolist() == expected
 
-    def test_heavy_part_spans_several_chunks(self):
+    def test_heavy_product_spans_several_chunks(self):
         g = gen.gen_graph("gnp", 120, 0.3, seed=2)
-        heavy = sum(1 for v in range(1, g.n + 1) if g.degree(v) > 1)
-        # one chunk holds at most _WEDGE_CHUNK cells of the m x heavy rows
-        assert g.m > triangle._WEDGE_CHUNK // heavy
-        assert ayz_edge_counts(g, theta=1) == oracle_edge_triangle_counts(g)
+        deg = np.diff(g.indptr)
+        heavy = int(np.count_nonzero(deg > default_theta(g.m)))
+        # one chunk holds at most _WEDGE_CHUNK cells of the H x H product
+        assert heavy > triangle._WEDGE_CHUNK // heavy
+        expected = oracle_edge_triangle_counts(g)
+        for theta in (1, None):
+            assert ayz_edge_counts(g, theta=theta) == expected
+
+    def test_default_theta_is_exact_ceiling_cube_root(self):
+        assert [default_theta(m) for m in (0, 1, 8, 27, 64, 10**6)] == [1, 1, 2, 3, 4, 100]
+        for k in (1, 2, 3, 10, 1000, 10**6):
+            assert default_theta(k**3 + 1) == k + 1
+            assert default_theta(k**3) == k
+
+
+def with_leaves(edges, hubs, leaves):
+    """The graph of ``edges`` plus ``leaves`` pendant vertices at each
+    hub, numbered after every vertex of ``edges``."""
+    edges = list(edges)
+    n = max(max(e) for e in edges)
+    for h in hubs:
+        edges += [(h, n + i) for i in range(1, leaves + 1)]
+        n += leaves
+    return Graph(n, edges)
+
+
+# one graph per AYZ crediting rule; at the default theta the named
+# vertices are heavy and the rest light
+CREDIT_CASES = {
+    # edge (2, 3): both ends light, third vertex 1 heavy, below them
+    "light_light_heavy_below": (with_leaves([(1, 2), (1, 3), (2, 3)], [1], 6), {1}),
+    # edge (1, 2): both ends light, third vertex 3 heavy, above them
+    "light_light_heavy_above": (with_leaves([(1, 2), (1, 3), (2, 3)], [3], 6), {3}),
+    # edges (1, 3) and (2, 3): light-heavy, with heavy third vertex
+    "light_heavy": (with_leaves([(1, 2), (1, 3), (2, 3)], [1, 2], 6), {1, 2}),
+    # edge (1, 2) closes at heavy 3 and light 4: product plus a wedge
+    "heavy_heavy": (
+        with_leaves([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)], [1, 2, 3], 4),
+        {1, 2, 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CREDIT_CASES))
+def test_ayz_crediting_rules(case):
+    g, heavy = CREDIT_CASES[case]
+    deg = np.diff(g.indptr)
+    assert set(np.flatnonzero(deg > default_theta(g.m)).tolist()) == heavy
+    expected = oracle_edge_triangle_counts(g)
+    for theta in (1, 2, None, int(deg.max())):
+        assert ayz_edge_counts(g, theta=theta) == expected
+
 
 class TestBaselineList:
     def test_examples(self):
