@@ -15,10 +15,11 @@ Three families live here:
   pairs between blocks with a matrix product for frequent values and
   direct enumeration for rare ones, both written into the interior of one
   (b_cnt + 1) x (b_cnt + 1) int64 prefix table that two in-place
-  cumulative sums finish, and answers queries from that table plus
-  per-value index lists for the range tails.  ``OnlineEqSolver``
-  computes the ranks and index lists once and shares them with every
-  doubling rebuild.
+  cumulative sums finish, and answers queries from that table plus the
+  range tails.  A tail position costs one list read, and one binary
+  search of its value's index list only when that value recurs in the
+  range.  ``OnlineEqSolver`` computes the ranks, index lists and
+  position links once and shares them with every doubling rebuild.
 
 ``matmul``, the exact integer matrix product (float64 BLAS while every
 partial sum stays below 2**53, int64 beyond), is also defined here since
@@ -28,7 +29,7 @@ the block structure is its one consumer.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -339,20 +340,40 @@ def matmul(
 class EqValues(NamedTuple):
     """What every build over one array shares, whatever its query hint:
     the rank-normalised values as an int64 array (``ranks``) and as a
-    list (``values``), and each value's sorted 1-based positions."""
+    list (``values``), each value's sorted 1-based positions, and three
+    int lists of length n + 2 that link each 1-based position p to the
+    others holding its value: ``occ[p]``, p's 1-based rank in its
+    value's index list; ``nxt[p]``, the next position with that value
+    (n + 1 if none); ``prv[p]``, the previous one (0 if none)."""
 
     ranks: np.ndarray
     values: list[int]
     index_lists: dict[int, list[int]]
+    occ: list[int]
+    nxt: list[int]
+    prv: list[int]
 
 
 def eq_values(a: IntArray) -> EqValues:
     ranks = normalize(a.values)
     values = ranks.tolist()  # walked in Python per query
     index_lists: dict[int, list[int]] = {}
-    for pos, v in enumerate(values, start=1):
-        index_lists.setdefault(v, []).append(pos)
-    return EqValues(ranks, values, index_lists)
+    for p, v in enumerate(values, start=1):
+        index_lists.setdefault(v, []).append(p)
+    n = len(values)
+    order = np.argsort(ranks, kind="stable")  # positions by (value, position)
+    pos = order + 1
+    same = ranks[order[1:]] == ranks[order[:-1]]  # sorted i and i + 1 share a value
+    first = np.zeros(n, dtype=np.int64)  # sorted index where i's value starts
+    first[1:][~same] = np.flatnonzero(~same) + 1
+    np.maximum.accumulate(first, out=first)
+    occ = np.zeros(n + 2, dtype=np.int64)
+    nxt = np.full(n + 2, n + 1, dtype=np.int64)
+    prv = np.zeros(n + 2, dtype=np.int64)
+    occ[pos] = np.arange(1, n + 1) - first
+    nxt[pos[:-1]] = np.where(same, pos[1:], n + 1)
+    prv[pos[1:]] = np.where(same, pos[:-1], 0)
+    return EqValues(ranks, values, index_lists, occ.tolist(), nxt.tolist(), prv.tolist())
 
 
 @dataclass
@@ -364,6 +385,8 @@ class OnlineEqStructure:
     0..i-1, p' in blocks 0..j-1 and equal values, the trivial p = p'
     pairs included, which query time corrects for.  So the four-term
     difference at (i, j) counts the pairs between blocks i and j.
+    ``values``, ``index_lists`` and the position links ``occ``/``nxt``/
+    ``prv`` are ``EqValues``' lists, read by the range tails.
     """
 
     n: int
@@ -376,6 +399,9 @@ class OnlineEqStructure:
     tau: float
     prefix: np.ndarray
     index_lists: dict[int, list[int]]
+    occ: list[int]
+    nxt: list[int]
+    prv: list[int]
 
 
 def _block_parameters(n: int, q_hint: int, omega_eff: float) -> tuple[float, float]:
@@ -414,7 +440,8 @@ def online_eq_build(
     if q_hint < 1:
         raise InputError("query hint must be at least 1")
     n = a.n
-    value, vals, index_lists = shared if shared is not None else eq_values(a)
+    shared = shared if shared is not None else eq_values(a)
+    value = shared.ranks
     beta, gamma = _block_parameters(n, q_hint, omega_eff)
     b_len = max(1, math.ceil(n ** (1.0 - beta)))
     b_cnt = (n + b_len - 1) // b_len
@@ -459,7 +486,7 @@ def online_eq_build(
 
     return OnlineEqStructure(
         n=n,
-        values=vals,
+        values=shared.values,
         beta=beta,
         gamma=gamma,
         omega_eff=omega_eff,
@@ -467,44 +494,49 @@ def online_eq_build(
         b_cnt=b_cnt,
         tau=tau,
         prefix=prefix,
-        index_lists=index_lists,
+        index_lists=shared.index_lists,
+        occ=shared.occ,
+        nxt=shared.nxt,
+        prv=shared.prv,
     )
 
 
-def _count_in(lst: list[int], lo: int, hi: int) -> int:
-    if lo > hi:
-        return 0
-    return bisect_right(lst, hi) - bisect_left(lst, lo)
-
-
 def _eq_answer(s: OnlineEqStructure, l: int, r: int) -> int:
-    """Equal pairs in [l, r] (1-based, already checked against s.n)."""
+    """Equal pairs in [l, r] (1-based, already checked against s.n).
+
+    The whole blocks [big_l, big_r] inside the range are four table
+    entries.  A front position p < big_l pairs with the later positions
+    of its value up to r; a back-tail position p > big_r with the earlier
+    ones from big_l.  ``nxt``/``prv`` skip a position whose value does
+    not recur there with one list read; otherwise one ``bisect_right``
+    on its value's index list, offset by its rank ``occ[p]``, counts it.
+    """
     b_len = s.b_len
     bs = (l - 1 + b_len - 1) // b_len  # first block starting at or after l
     if r == s.n:
         be = s.b_cnt - 1
     else:
         be = r // b_len - 1
-    vals = s.values
-    if bs > be:
-        ans = 0
-        for p in range(l, r + 1):
-            ans += _count_in(s.index_lists[vals[p - 1]], p + 1, r)
-        return ans
-    big_l = bs * b_len + 1
-    big_r = min((be + 1) * b_len, s.n)
-    prefix = s.prefix
-    ordered = (
-        prefix.item(be + 1, be + 1)
-        - prefix.item(bs, be + 1)
-        - prefix.item(be + 1, bs)
-        + prefix.item(bs, bs)
-    )
-    ans = (ordered - (big_r - big_l + 1)) // 2
+    if bs > be:  # no whole block: the front is the whole range
+        ans, big_l, big_r = 0, r + 1, r
+    else:
+        big_l = bs * b_len + 1
+        big_r = min((be + 1) * b_len, s.n)
+        prefix = s.prefix
+        ordered = (
+            prefix.item(be + 1, be + 1)
+            - prefix.item(bs, be + 1)
+            - prefix.item(be + 1, bs)
+            + prefix.item(bs, bs)
+        )
+        ans = (ordered - (big_r - big_l + 1)) // 2
+    vals, lists, occ, nxt, prv = s.values, s.index_lists, s.occ, s.nxt, s.prv
     for p in range(l, big_l):
-        ans += _count_in(s.index_lists[vals[p - 1]], p + 1, r)
+        if nxt[p] <= r:
+            ans += bisect_right(lists[vals[p - 1]], r) - occ[p]
     for p in range(big_r + 1, r + 1):
-        ans += _count_in(s.index_lists[vals[p - 1]], big_l, p - 1)
+        if prv[p] >= big_l:
+            ans += occ[p] - 1 - bisect_right(lists[vals[p - 1]], big_l - 1)
     return ans
 
 
@@ -517,8 +549,8 @@ def online_eq_query(s: OnlineEqStructure, rng: Range) -> int:
 class OnlineEqSolver:
     """Adaptive wrapper: doubles the query-count guess and rebuilds.
 
-    The ranks, value list and index lists do not depend on the guess;
-    they are computed once and shared by every rebuild."""
+    The ranks, value list, index lists and position links do not depend
+    on the guess; they are computed once and shared by every rebuild."""
 
     def __init__(self, a: IntArray, counters: Optional[OpCounters] = None):
         self.array = a

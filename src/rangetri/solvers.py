@@ -33,7 +33,7 @@ from .core import (
     oracle_pairs_query,
 )
 from .instrument import OpCounters
-from .rangequery import MoOnline, mo_offline, online_eq_build, online_eq_query
+from .rangequery import MoOnline, _eq_answer, mo_offline, online_eq_build
 from .reductions_range import (
     reduce_1r_to_2r,
     reduce_2r_to_1r,
@@ -83,9 +83,9 @@ def _online_eq_single(counters: Optional[OpCounters]):
     def solver(a: IntArray, queries) -> list[int]:
         # batch interface: the query count is known, so build once with
         # the exact hint instead of paying the adaptive doubling rebuilds
-        queries = as_queries(bounds(queries, a.n, 2))
-        structure = online_eq_build(a, max(1, len(queries)), counters=counters)
-        return [online_eq_query(structure, q) for q in queries]
+        rows = bounds(queries, a.n, 2).tolist()
+        structure = online_eq_build(a, max(1, len(rows)), counters=counters)
+        return [_eq_answer(structure, l, r) for l, r in rows]
 
     return solver
 

@@ -34,8 +34,10 @@ from rangetri.rangequery import (
     mo_block_size,
     mo_offline,
     online_eq_build,
+    eq_values,
     online_eq_query,
 )
+from rangetri.solvers import range_solver
 
 
 class TestWavelet:
@@ -409,14 +411,75 @@ class TestOnlineEq:
             assert {type(x) for x in answers} == {int}
             streamed += queries
         solver = OnlineEqSolver(a)
-        lists = solver.structure.index_lists
+        shared = solver.shared
         answers = []
         for x in streamed:
             answers.append(solver.query(x))
-            assert solver.structure.index_lists is lists  # rebuilds share one copy
+            s = solver.structure  # rebuilds share one copy of each list
+            assert s.index_lists is shared.index_lists and s.occ is shared.occ
+            assert s.nxt is shared.nxt and s.prv is shared.prv
         assert solver.q_guess >= len(streamed) > 1  # the stream forced rebuilds
         assert answers == [oracle_pairs_query(EQP, a, x) for x in streamed]
         assert {type(x) for x in answers} == {int}
+
+    def test_links_match_index_lists(self):
+        rng = random.Random(36)
+        arrays = [[5], [5, 5], [7, 3], [2] * 9, rng.sample(range(100), 30)]
+        arrays += [[rng.randint(0, 3) for _ in range(rng.randint(1, 40))] for _ in range(10)]
+        for values in arrays:
+            n = len(values)
+            shared = eq_values(IntArray(values))
+            occ, nxt, prv = shared.occ, shared.nxt, shared.prv
+            assert len(occ) == len(nxt) == len(prv) == n + 2
+            assert {type(x) for x in occ + nxt + prv} == {int}
+            seen = []
+            for lst in shared.index_lists.values():
+                seen += lst
+                for k, p in enumerate(lst):
+                    assert occ[p] == k + 1
+                    assert nxt[p] == (lst[k + 1] if k + 1 < len(lst) else n + 1)
+                    assert prv[p] == (lst[k - 1] if k > 0 else 0)
+            assert sorted(seen) == list(range(1, n + 1))
+
+    def test_bisects_only_where_the_value_recurs(self, monkeypatch):
+        calls = []
+        bisect = rangequery.bisect_right
+        monkeypatch.setattr(
+            rangequery, "bisect_right", lambda *args: calls.append(args) or bisect(*args)
+        )
+        n = 40
+        for distinct, values in ((True, list(range(n))), (False, [7] * n)):
+            for q_hint in (1, n, n * n):
+                s = online_eq_build(IntArray(values), q_hint=q_hint)
+                for l in range(1, n + 1):
+                    for r in range(l, n + 1):
+                        calls.clear()
+                        answer = online_eq_query(s, Range(l, r))
+                        if distinct:
+                            assert (answer, calls) == (0, [])
+                            continue
+                        assert answer == (r - l + 1) * (r - l) // 2
+                        # tail positions: outside the whole blocks [big_l, big_r]
+                        big_l = -(-(l - 1) // s.b_len) * s.b_len + 1
+                        big_r = n if r == n else r // s.b_len * s.b_len
+                        tail = r - l + 1 if big_l > big_r else big_l - l + r - big_r
+                        assert len(calls) <= tail
+
+    def test_batch_checks_bounds_once(self, monkeypatch):
+        checked = []
+        check = Range.check
+        monkeypatch.setattr(Range, "check", lambda rng, n: checked.append(rng) or check(rng, n))
+        a = IntArray([1, 2, 1, 1, 2])
+        solve = range_solver("req", "online-eq")
+        queries = [Range(l, r) for l in range(1, 6) for r in range(l, 6)]
+        expected = [oracle_pairs_query(EQP, a, q) for q in queries]
+        checked.clear()
+        assert solve(a, queries) == expected
+        rows = np.array([(q.l, q.r) for q in queries], dtype=np.int64)
+        assert solve(a, rows) == expected
+        assert checked == []  # core.bounds checks the batch in numpy
+        with pytest.raises(RangeError, match=r"\[2, 9\]"):
+            solve(a, np.array([[1, 5], [2, 9]], dtype=np.int64))
 
     def test_build_memory_stays_near_the_table(self):
         # n = 1024 and q_hint = 4096 give 512 blocks; a build holds one
