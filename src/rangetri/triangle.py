@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -339,7 +340,7 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
 
         graph, _, a, b = _blowup(g, comp12, first, second, comp3, third)
         detected = detector(graph)
-        keep = np.array([detected.get(e, False) for e in zip(a.tolist(), b.tolist())], dtype=bool)
+        keep = np.fromiter(map(detected.get, zip(a.tolist(), b.tolist()), repeat(False)), bool, a.size)
         comp12, first, second = comp12[keep], first[keep], second[keep]
         if comp12.size > 6 * m:
             # drop the lexicographically last edges, by component then edge
@@ -451,11 +452,21 @@ def _is_triangle(g: Graph, tris: np.ndarray) -> np.ndarray:
 def _induced(g: Graph, keep: np.ndarray):
     """Subgraph induced by the vertices v with keep[v] (a boolean mask
     over ids 0..n), with isolated vertices dropped; returns (graph or
-    None, ``compact``'s array of old ids)."""
+    None, ``compact``'s array of old ids).  When it holds every edge,
+    that is g itself with the identity array, since g has no isolated
+    vertex."""
     inside = keep[g.eu] & keep[g.ev]
     if not inside.any():
         return None, None
+    if inside.all():
+        return g, np.arange(1, g.n + 1)
     return compact(np.stack((g.eu[inside], g.ev[inside]), axis=1))
+
+
+def _lists_exactly(g: Graph, t: int, zeta: int) -> bool:
+    """Whether inner_listing answers capacity t on g with the exact
+    baseline lister rather than by random coloring."""
+    return t <= zeta * g.m
 
 
 def inner_listing(
@@ -483,7 +494,7 @@ def inner_listing(
     m = g.m
     if not m:
         return ListingResult(set(), COMPLETE)
-    if t <= zeta * m:
+    if _lists_exactly(g, t, zeta):
         return baseline_list(g, t)
 
     r = t // m
@@ -535,22 +546,15 @@ def inner_listing(
     return ListingResult(triangles, status)
 
 
-def main_listing(
-    g: Graph,
-    t: int,
-    rng: Optional[RandomSource] = None,
-    zeta: int = 128,
-) -> ListingResult:
-    """List at least t triangles (or all, if fewer exist) by running the
-    colored lister on vertex samples of geometrically increasing rate.
-
-    Monte Carlo: a single run succeeds with probability at least 1/2;
-    use main_listing_retry to amplify.
-    """
+def _main_listing(g: Graph, t: int, rng: RandomSource, zeta: int):
+    """main_listing's result, and whether it holds every triangle of g
+    for certain: its phase on a sample with every edge of g was listed
+    COMPLETE by the exact baseline lister.  Such a phase ends the run,
+    since no later one can add a triangle."""
     if t <= 0:
         raise InputError("capacity must be positive")
-    if rng is None:
-        rng = RandomSource(0)
+    if zeta < 1:
+        raise InputError("zeta must be >= 1")
     m = g.m
     collected: set[TriangleT] = set()
     for s in range(int(math.log2(m)) + 1 if m > 1 else 1):
@@ -561,11 +565,31 @@ def main_listing(
         if sub is None:
             continue
         result = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s))
+        if sub is g and result.status == COMPLETE and _lists_exactly(g, 32 * t, zeta):
+            found = result.triangles
+            return ListingResult(found, COMPLETE if len(found) < t else TRUNCATED), True
         tris = back[np.array(list(result.triangles), dtype=np.int64).reshape(-1, 3) - 1]
         collected |= _triangle_set(tris[_is_triangle(g, tris)])
         if len(collected) >= t:
-            return ListingResult(collected, TRUNCATED)
-    return ListingResult(collected, COMPLETE if len(collected) < t else TRUNCATED)
+            return ListingResult(collected, TRUNCATED), False
+    return ListingResult(collected, COMPLETE if len(collected) < t else TRUNCATED), False
+
+
+def main_listing(
+    g: Graph,
+    t: int,
+    rng: Optional[RandomSource] = None,
+    zeta: int = 128,
+) -> ListingResult:
+    """List at least t triangles (or all, if fewer exist) by running the
+    colored lister on vertex samples of geometrically increasing rate.
+
+    Monte Carlo: a single run succeeds with probability at least 1/2;
+    use main_listing_retry to amplify.  A run ends at once when a sample
+    holds every edge and 32t <= zeta * m, so the baseline lister lists
+    it exactly, and that listing is complete.
+    """
+    return _main_listing(g, t, RandomSource(0) if rng is None else rng, zeta)[0]
 
 
 def main_listing_retry(
@@ -575,8 +599,9 @@ def main_listing_retry(
     zeta: int = 128,
     retries: int = 10,
 ) -> ListingResult:
-    """Union of repeated main_listing runs until t triangles are found
-    or the retry budget is spent."""
+    """Union of repeated main_listing runs until t triangles are found,
+    a run has listed every triangle for certain, or the retry budget is
+    spent."""
     if retries < 1:
         raise InputError("retries must be >= 1")
     if rng is None:
@@ -584,9 +609,11 @@ def main_listing_retry(
     collected: set[TriangleT] = set()
     status = COMPLETE
     for attempt in range(retries):
-        result = main_listing(g, t, rng.split("retry", attempt), zeta=zeta)
+        result, exact = _main_listing(g, t, rng.split("retry", attempt), zeta)
         collected |= result.triangles
         status = result.status
         if len(collected) >= t:
             return ListingResult(collected, TRUNCATED)
+        if exact:
+            break
     return ListingResult(collected, status)

@@ -431,6 +431,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "zeta must be >= 1" in err
 
+    def test_zeta_below_one_is_usage_error_on_empty_graph(self, capsys, tmp_path):
+        # rejected before any phase runs, so also where nothing is listed
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        code = main(["list", "--graph", str(path), "--algo", "main", "--zeta", "0"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "zeta must be >= 1" in err
+
     def test_directory_input_is_usage_error(self, capsys, instance):
         tmp, _, _, _ = instance
         code = main([

@@ -11,6 +11,7 @@ from conftest import complete_graph, cycle_graph, path_graph, rand_graph
 from rangetri.core import (
     Graph,
     InputError,
+    compact,
     oracle_edge_triangle_counts,
     oracle_edge_triangle_detect,
     oracle_triangle_list,
@@ -434,6 +435,105 @@ class TestMainListing:
     def test_rejects_nonpositive_retries(self):
         with pytest.raises(InputError):
             main_listing_retry(complete_graph(4), 4, retries=0)
+
+    @pytest.mark.parametrize("g", [Graph(0, []), cycle_graph(3)], ids=["empty", "triangle"])
+    def test_rejects_zeta_below_one(self, g):
+        # checked before the first phase, so also where no phase lists
+        for lister in (main_listing, main_listing_retry):
+            with pytest.raises(InputError, match="zeta"):
+                lister(g, 1, zeta=0)
+
+    def test_matches_loops(self):
+        rng = random.Random(9)
+        statuses = set()
+        for seed in range(16):
+            g = rand_graph(rng, rng.randint(4, 13), rng.choice([0.25, 0.45, 0.7]))
+            for t in (1, 5, g.m, 2 * g.m, 4 * g.m, 5 * g.m, 40 * g.m):
+                for zeta in (4, 128):
+                    res = main_listing(g, t, RandomSource(seed), zeta=zeta)
+                    ref = loop_main_listing(g, t, zeta, RandomSource(seed))
+                    assert (res.triangles, res.status) == ref
+                    res = main_listing_retry(g, t, RandomSource(seed), zeta=zeta)
+                    ref = loop_main_listing_retry(g, t, zeta, RandomSource(seed))
+                    assert (res.triangles, res.status) == ref
+                    statuses.add(res.status)
+        assert statuses == {COMPLETE, TRUNCATED}
+
+    def test_exact_complete_listing_ends_the_retries(self, monkeypatch):
+        # t <= zeta * m / 32 and fewer than t triangles: the rate-1 phase
+        # lists every triangle with the baseline lister, and nothing
+        # runs after it
+        calls = []
+
+        def counting(g, cap):
+            calls.append(g.m)
+            return baseline_list(g, cap)
+
+        monkeypatch.setattr(triangle, "baseline_list", counting)
+        rng = random.Random(10)
+        for seed in range(10):
+            g = rand_graph(rng, rng.randint(5, 14), 0.4)
+            truth = oracle_triangle_list(g)
+            t = len(truth) + 1
+            assert 32 * t <= 128 * g.m
+            calls.clear()
+            res = main_listing_retry(g, t, RandomSource(seed))
+            assert (res.triangles, res.status) == (truth, COMPLETE)
+            assert calls == [g.m]
+
+    def test_colored_path_never_exits_early(self, monkeypatch):
+        # at t > zeta * m / 32 even a complete rate-1 listing is Monte
+        # Carlo, so every retry runs
+        runs = []
+
+        def recording(*args):
+            result, exact = main_listing_inner(*args)
+            runs.append((result.status, exact))
+            return result, exact
+
+        main_listing_inner = triangle._main_listing
+        monkeypatch.setattr(triangle, "_main_listing", recording)
+        rng = random.Random(11)
+        for seed in range(6):
+            g = rand_graph(rng, rng.randint(6, 14), 0.4)
+            t = max(len(oracle_triangle_list(g)) + 1, g.m)
+            runs.clear()
+            res = main_listing_retry(g, t, RandomSource(seed), zeta=4, retries=3)
+            assert res.status == COMPLETE
+            assert len(runs) == 3 and not any(exact for _, exact in runs)
+            assert (COMPLETE, False) in runs
+
+
+def loop_main_listing(g: Graph, t: int, zeta: int, rng: RandomSource):
+    """Reference for main_listing without its early exit: every phase
+    runs on its compacted vertex sample, until t triangles are found."""
+    truth = oracle_triangle_list(g)
+    collected = set()
+    for s in range(int(math.log2(g.m)) + 1 if g.m > 1 else 1):
+        stream = rng.stream("main", s)
+        keep = [False] + [stream.random() < 2.0 ** (-s) for _ in range(g.n)]
+        edges = [(u, v) for u, v in g.sorted_edges() if keep[u] and keep[v]]
+        if not edges:
+            continue
+        sub, back = compact(edges)
+        back = [0] + back.tolist()
+        result = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s))
+        collected |= {tuple(sorted(back[x] for x in tri)) for tri in result.triangles} & truth
+        if len(collected) >= t:
+            return collected, TRUNCATED
+    return collected, COMPLETE if len(collected) < t else TRUNCATED
+
+
+def loop_main_listing_retry(g: Graph, t: int, zeta: int, rng: RandomSource, retries: int = 10):
+    """Reference for main_listing_retry: the union of every retry of
+    loop_main_listing, until t triangles are found."""
+    collected, status = set(), COMPLETE
+    for attempt in range(retries):
+        found, status = loop_main_listing(g, t, zeta, rng.split("retry", attempt))
+        collected |= found
+        if len(collected) >= t:
+            return collected, TRUNCATED
+    return collected, status
 
 
 class TestDeterminism:
