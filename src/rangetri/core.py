@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -242,18 +242,31 @@ MUL = PairFunction.builtin("mul")
 
 def _edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     """``edges`` (an iterable of pairs or an (m, 2) int array) as an
-    (m, 2) int64 array."""
-    if not isinstance(edges, np.ndarray):
+    (m, 2) int64 array.  Pairs are read in one ``np.fromiter`` pass once
+    every item is known to have length 2 and not to be a string, so
+    ragged input is rejected, never re-paired."""
+    if isinstance(edges, np.ndarray):
+        arr = _as_int64(edges, "vertex id")
+        if arr.size == 0:
+            return arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise InputError("edges must be vertex pairs")
+        return arr
+    if not isinstance(edges, (list, tuple)):
         edges = list(edges)
     try:
-        arr = np.asarray(edges, dtype=np.int64)
+        pairs = set(map(len, edges)) <= {2} and not set(map(type, edges)) & {str, bytes}
+    except TypeError:  # an item without a length
+        pairs = False
+    if not pairs:
+        raise InputError("edges must be vertex pairs")
+    try:
+        flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
     except OverflowError as exc:
         raise InputError("vertex id outside int64") from exc
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InputError("edges must be vertex pairs")
-    return arr
+    except (TypeError, ValueError) as exc:
+        raise InputError("vertex ids must be integers") from exc
+    return flat.reshape(-1, 2)
 
 
 # the most cells a Graph's adjacency bitmap may have (4 MB of bool)

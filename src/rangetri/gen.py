@@ -7,7 +7,7 @@ writes the results through the file formats in ``files``.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from itertools import accumulate
 
 from .core import DenseMatrix, Graph, InputError, IntArray, Range, RangePair
 
@@ -77,8 +77,22 @@ def _repair_isolated(n: int, edges: set[tuple[int, int]], rng: random.Random) ->
 
 
 def gen_graph(kind: str, n: int, p: float = 0.2, seed: int = 0) -> Graph:
+    """A graph of the given kind on vertices 1..n, a pure function of
+    (kind, n, p, seed): the same arguments give the same graph bit for bit.
+
+    ``gnp`` keeps each pair with probability p, and ``bipartite`` each
+    pair across the halves 1..n//2 and the rest.  ``powerlaw`` draws both
+    endpoints of an edge with weight 1/v^0.8 until it holds max(n,
+    p·n(n-1)/2) edges or has made 20 attempts per edge; each draw is one
+    bisect into cumulative weights built once, O(log n).  These three
+    kinds then attach each isolated vertex to a random other vertex, and
+    need p to be a finite number in [0, 1].  ``complete`` and ``cycle``
+    ignore p and the seed.
+    """
     if n < 2:
         raise InputError("graphs need n >= 2")
+    if kind in ("gnp", "bipartite", "powerlaw") and not 0 <= p <= 1:
+        raise InputError(f"edge probability {p} is not in [0, 1]")
     rng = random.Random(seed)
     edges: set[tuple[int, int]] = set()
     if kind == "complete":
@@ -105,14 +119,16 @@ def gen_graph(kind: str, n: int, p: float = 0.2, seed: int = 0) -> Graph:
         }
         _repair_isolated(n, edges, rng)
     elif kind == "powerlaw":
-        # endpoint weights ~ 1/rank: a few hubs, many low-degree vertices
-        weights = [1.0 / (v**0.8) for v in range(1, n + 1)]
+        # endpoint weights ~ 1/rank: a few hubs, many low-degree vertices.
+        # cum is the list choices(weights=...) would rebuild on every call;
+        # one k=2 draw takes u, then v, from the same random() stream
+        vertices = range(1, n + 1)
+        cum = list(accumulate(1.0 / (v**0.8) for v in vertices))
         target = max(n, int(p * n * (n - 1) / 2))
         attempts = 0
         while len(edges) < target and attempts < 20 * target:
             attempts += 1
-            u = rng.choices(range(1, n + 1), weights=weights)[0]
-            v = rng.choices(range(1, n + 1), weights=weights)[0]
+            u, v = rng.choices(vertices, cum_weights=cum, k=2)
             if u != v:
                 edges.add((min(u, v), max(u, v)))
         _repair_isolated(n, edges, rng)

@@ -57,6 +57,14 @@ class TestGen:
         g = files.read_graph(path)
         assert g.n == 4 and g.m == 6
 
+    @pytest.mark.parametrize("kind", ["gnp", "bipartite", "powerlaw"])
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf", "1e300", "-0.1", "1.5"])
+    def test_edge_probability_outside_unit_interval_is_usage_error(self, capsys, kind, p):
+        code = main(["gen", "graph", "--kind", kind, "--n", "10", f"--p={p}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "edge probability" in captured.err and "not in [0, 1]" in captured.err
+
     def test_zero_queries(self, capsys):
         code, out = run(capsys, "gen", "queries", "--n", "8", "--q", "0")
         assert code == 0 and out == ""

@@ -145,6 +145,57 @@ class TestTypes:
         values = [g.n, g.m, g.degree(2), *g.neighbors(2), *(x for e in g.sorted_edges() for x in e)]
         assert all(type(x) is int for x in values)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1, 2), (2, 3)],
+            [[1, 2], [2, 3]],
+            ((1, 2), (2, 3)),
+            iter([(1, 2), (2, 3)]),
+            [(np.int64(1), np.int32(2)), (np.uint8(2), 3)],
+            [np.array([1, 2]), np.array([2, 3])],
+            np.array([[1, 2], [2, 3]], dtype=np.int64),
+            np.array([[1, 2], [2, 3]], dtype=np.uint16),
+        ],
+        ids=["tuples", "lists", "tuple", "iterator", "numpy-scalars", "array-rows", "int64", "uint16"],
+    )
+    def test_graph_accepts_every_pair_form(self, edges):
+        g = Graph(3, edges)
+        assert g.sorted_edges() == [(1, 2), (2, 3)]
+        assert all(type(x) is int for e in g.sorted_edges() for x in e)
+
+    @pytest.mark.parametrize("edges", [[], (), iter([]), np.zeros((0, 2), dtype=np.int64), np.zeros(0)])
+    def test_graph_accepts_empty_input(self, edges):
+        g = Graph(0, edges)
+        assert (g.n, g.m, g.sorted_edges()) == (0, 0, [])
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(1, 2, 3), (4,)], "edges must be vertex pairs"),
+            ([(1, 2), (2, 3, 1)], "edges must be vertex pairs"),
+            ([(1, 2, 3), (1, 2, 3)], "edges must be vertex pairs"),
+            ([(1, 2), ()], "edges must be vertex pairs"),
+            ([1, 2], "edges must be vertex pairs"),
+            (["12", "23"], "edges must be vertex pairs"),
+            ([b"12"], "edges must be vertex pairs"),
+            (np.array([1, 2]), "edges must be vertex pairs"),
+            (np.array([[1, 2, 3]]), "edges must be vertex pairs"),
+            ([(1, None)], "vertex ids must be integers"),
+            ([((1, 2), (2, 3))], "vertex ids must be integers"),
+            ([(2**63, 1)], "vertex id outside int64"),
+            ([(1, -(2**63) - 1)], "vertex id outside int64"),
+            (np.array([[2**63, 1]], dtype=np.uint64), "vertex id outside int64"),
+        ],
+        ids=[
+            "ragged", "one-triple", "triples", "empty-item", "flat", "strings", "bytes",
+            "flat-array", "wide-array", "none", "nested", "big", "small", "big-unsigned",
+        ],
+    )
+    def test_graph_rejects_malformed_edges(self, edges, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            Graph(3, edges)
+
     def test_edge_index(self):
         g = Graph(5, [(4, 2), (1, 2), (3, 1), (2, 3), (5, 4)])
         u = np.array([[1, 2, 4], [3, 5, 1]])
