@@ -7,7 +7,7 @@ Matrix file: line 1 = "rows cols", then one line per row.
 
 All indices are 1-based, matching the query notation used everywhere in
 the CLI output.  Each ``format_*`` returns the text its ``read_*``
-parses back, and ``write_*`` writes that text to a file.
+parses back.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ def format_array(a: IntArray) -> str:
     return f"{a.n}\n{' '.join(map(str, a.values.tolist()))}\n"
 
 
-def write_array(path: str | Path, a: IntArray) -> None:
-    Path(path).write_text(format_array(a))
-
 
 def read_queries(path: str | Path) -> list[Query]:
     queries: list[Query] = []
@@ -84,9 +81,6 @@ def format_queries(queries: Sequence[Query]) -> str:
     return "".join(lines)
 
 
-def write_queries(path: str | Path, queries: Sequence[Query]) -> None:
-    Path(path).write_text(format_queries(queries))
-
 
 def read_graph(path: str | Path) -> Graph:
     lines = [ln for ln in _lines(path) if ln]
@@ -112,9 +106,6 @@ def format_graph(g: Graph) -> str:
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
 
-
-def write_graph(path: str | Path, g: Graph) -> None:
-    Path(path).write_text(format_graph(g))
 
 
 def read_matrix(path: str | Path) -> DenseMatrix:
@@ -143,7 +134,3 @@ def format_matrix(m: DenseMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
     lines.extend(" ".join(map(str, m.row(i))) for i in range(m.rows))
     return "\n".join(lines) + "\n"
-
-
-def write_matrix(path: str | Path, m: DenseMatrix) -> None:
-    Path(path).write_text(format_matrix(m))

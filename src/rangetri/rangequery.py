@@ -10,16 +10,20 @@ Three families live here:
   adding its front to a row entry in O(1) Python: a prefix count table
   of (ceil(n / B) + 1) x (n + 1) int64 entries for block size B, plus
   a sort and a binary search over fewer than B values;
-* the online block/matrix equal-pairs structure (``online_eq_build`` /
-  ``online_eq_query``), which splits the array into blocks, counts equal
-  pairs between blocks with a matrix product for frequent values and
-  direct enumeration for rare ones, both written into the interior of one
-  (b_cnt + 1) x (b_cnt + 1) int64 prefix table that two in-place
-  cumulative sums finish, and answers queries from that table plus the
-  range tails.  A tail position costs one list read, and one binary
-  search of its value's index list only when that value recurs in the
-  range.  ``OnlineEqSolver`` computes the ranks, index lists and
-  position links once and shares them with every doubling rebuild.
+* the online block/matrix equal-pairs structure (``online_eq_build``),
+  which splits the array into blocks, counts equal pairs between blocks
+  with a matrix product for frequent values and direct enumeration for
+  rare ones, both written into the interior of one (b_cnt + 1) x
+  (b_cnt + 1) int64 prefix table that two in-place cumulative sums
+  finish, and answers queries from that table plus the range tails.  A
+  tail position costs one list read, and one binary search of its
+  value's index list only when that value recurs in the range.
+  ``OnlineEqSolver`` computes the ranks, index lists and position links
+  once and shares them with every doubling rebuild.  The block
+  parameters take the matrix-product exponent as the constant
+  ``OMEGA`` = 3.
+
+The two online solvers share ``OnlineIndex``'s ``query``/``batch`` driver.
 
 ``matmul``, the exact integer matrix product (float64 BLAS while every
 partial sum stays below 2**53, int64 beyond), is also defined here since
@@ -203,10 +207,50 @@ def mo_offline(
 
 
 # ---------------------------------------------------------------------------
-# Online Mo
+# Online indices
 
 
-class MoOnline:
+class OnlineIndex:
+    """A range index that answers online: one ``Range`` (``query``) or
+    one batch (``batch``) at a time.
+
+    A subclass builds its tables for the query-count guess ``q_guess`` in
+    ``_prepare()`` and answers a checked 1-based [l, r] in ``_answer``.
+    Once the counted queries exceed the guess, it doubles until it covers
+    them and the tables are rebuilt; no answer depends on the guess.
+    """
+
+    def __init__(self, n: int, counters: Optional[OpCounters], q_guess: int):
+        if q_guess < 1:
+            raise InputError("query hint must be at least 1")
+        self.n = n
+        self.counters = counters
+        self.q_guess = q_guess
+        self.q_seen = 0
+
+    def _grow(self) -> None:
+        while self.q_seen > self.q_guess:
+            self.q_guess *= 2
+        self._prepare()
+
+    def query(self, rng: Range) -> int:
+        rng.check(self.n)
+        self.q_seen += 1
+        if self.q_seen > self.q_guess:
+            self._grow()
+        return self._answer(rng.l, rng.r)
+
+    def batch(self, queries: Sequence[Range] | np.ndarray) -> list[int]:
+        """Answer ``Range`` objects or their (q, 2) bounds array."""
+        rows = bounds(queries, self.n, 2).tolist()
+        self.q_seen += len(rows)
+        if self.q_seen > self.q_guess:
+            self._grow()
+        answer = self._answer
+        return [answer(l, r) for l, r in rows]
+
+
+class MoOnline(OnlineIndex):
     """Online variant of the block walk: answer rows plus count tables.
 
     With 0-based positions, block size B and C_x(v) the number of i < x
@@ -227,9 +271,8 @@ class MoOnline:
     [kB, r] and searching it for every front value.  A query thus costs
     O(1) Python and O(B log B) numpy work in O(B) memory.
 
-    The number-of-queries guess doubles whenever exceeded and the rows
-    and ``cross`` are rebuilt, in O(n * n / B) numpy work and no more
-    memory than the tables plus O(n); rebuilds never change any answer.
+    A doubling rebuild of the rows and ``cross`` costs O(n * n / B)
+    numpy work and no more memory than the tables plus O(n).
     """
 
     def __init__(
@@ -240,13 +283,10 @@ class MoOnline:
         q_guess: int = 1,
     ):
         _check_kind(f)
+        super().__init__(a.n, counters, q_guess)
         self.kind = f.kind
         self.vals = normalize(a.values)
-        self.n = a.n
         self.domain = int(self.vals.max()) + 1
-        self.counters = counters
-        self.q_guess = max(1, q_guess)
-        self.q_seen = 0
         self._before, own, _ = _pair_counts(self.kind, self.vals, self.domain)
         self._own = np.concatenate(([0], np.cumsum(own)))  # prefix sums of C_{p+1}(vals[p])
         self._prepare()
@@ -268,15 +308,9 @@ class MoOnline:
         if self.counters is not None:
             self.counters.extender_steps += sum(n - s for s in starts)
 
-    def query(self, rng: Range) -> int:
-        rng.check(self.n)
-        self.q_seen += 1
-        if self.q_seen > self.q_guess:
-            while self.q_seen > self.q_guess:
-                self.q_guess *= 2
-            self._prepare()
+    def _answer(self, l: int, r: int) -> int:
         block = self.block
-        l, r = rng.l - 1, rng.r - 1
+        l, r = l - 1, r - 1
         j = -(-l // block)  # first block start >= l is jB
         s = j * block
         if s > r:  # no block start inside: the front is the whole range
@@ -391,9 +425,6 @@ class OnlineEqStructure:
 
     n: int
     values: list[int]
-    beta: float
-    gamma: float
-    omega_eff: float
     b_len: int
     b_cnt: int
     tau: float
@@ -404,14 +435,17 @@ class OnlineEqStructure:
     prv: list[int]
 
 
-def _block_parameters(n: int, q_hint: int, omega_eff: float) -> tuple[float, float]:
+OMEGA = 3.0  # the matrix-product exponent the block parameters assume
+
+
+def _block_parameters(n: int, q_hint: int) -> tuple[float, float]:
     if n < 2:
         return 0.5, 0.5
     alpha = math.log(max(q_hint, 1)) / math.log(n)
     if q_hint <= n:
-        beta = 2.0 * alpha / (omega_eff + 1.0)
+        beta = 2.0 * alpha / (OMEGA + 1.0)
     else:
-        beta = (3.0 - alpha + omega_eff * (alpha + 1.0)) / (omega_eff + 1.0)
+        beta = (3.0 - alpha + OMEGA * (alpha + 1.0)) / (OMEGA + 1.0)
     beta = min(max(beta, 0.01), 0.99)
     gamma = min(max(1.0 + beta - alpha, 0.01), 0.99)
     return beta, gamma
@@ -420,7 +454,6 @@ def _block_parameters(n: int, q_hint: int, omega_eff: float) -> tuple[float, flo
 def online_eq_build(
     a: IntArray,
     q_hint: int,
-    omega_eff: float = 3.0,
     counters: Optional[OpCounters] = None,
     shared: Optional[EqValues] = None,
 ) -> OnlineEqStructure:
@@ -435,14 +468,12 @@ def online_eq_build(
     """
     if a.n < 1:
         raise InputError("empty array")
-    if not (2.0 <= omega_eff <= 3.0):
-        raise InputError("effective exponent must lie in [2, 3]")
     if q_hint < 1:
         raise InputError("query hint must be at least 1")
     n = a.n
     shared = shared if shared is not None else eq_values(a)
     value = shared.ranks
-    beta, gamma = _block_parameters(n, q_hint, omega_eff)
+    beta, gamma = _block_parameters(n, q_hint)
     b_len = max(1, math.ceil(n ** (1.0 - beta)))
     b_cnt = (n + b_len - 1) // b_len
     tau = n ** (1.0 - gamma)
@@ -487,9 +518,6 @@ def online_eq_build(
     return OnlineEqStructure(
         n=n,
         values=shared.values,
-        beta=beta,
-        gamma=gamma,
-        omega_eff=omega_eff,
         b_len=b_len,
         b_cnt=b_cnt,
         tau=tau,
@@ -540,34 +568,24 @@ def _eq_answer(s: OnlineEqStructure, l: int, r: int) -> int:
     return ans
 
 
-def online_eq_query(s: OnlineEqStructure, rng: Range) -> int:
-    """Answer one equal-pairs range query from the built structure."""
-    rng.check(s.n)
-    return _eq_answer(s, rng.l, rng.r)
-
-
-class OnlineEqSolver:
-    """Adaptive wrapper: doubles the query-count guess and rebuilds.
+class OnlineEqSolver(OnlineIndex):
+    """Online equal pairs from ``online_eq_build``'s structure, built for
+    the current query-count guess.
 
     The ranks, value list, index lists and position links do not depend
     on the guess; they are computed once and shared by every rebuild."""
 
-    def __init__(self, a: IntArray, counters: Optional[OpCounters] = None):
+    def __init__(self, a: IntArray, counters: Optional[OpCounters] = None, q_guess: int = 1):
+        super().__init__(a.n, counters, q_guess)
         self.array = a
-        self.counters = counters
-        self.q_guess = 1
-        self.q_seen = 0
         self.shared = eq_values(a)
-        self.structure = online_eq_build(a, self.q_guess, counters=counters, shared=self.shared)
+        self._prepare()
 
-    def query(self, rng: Range) -> int:
-        rng.check(self.array.n)
-        self.q_seen += 1
-        if self.q_seen > self.q_guess:
-            while self.q_seen > self.q_guess:
-                self.q_guess *= 2
-            self.structure = None  # free the old table before building the next
-            self.structure = online_eq_build(
-                self.array, self.q_guess, counters=self.counters, shared=self.shared
-            )
-        return _eq_answer(self.structure, rng.l, rng.r)
+    def _prepare(self) -> None:
+        self.structure = None  # free the old table before building the next
+        self.structure = online_eq_build(
+            self.array, self.q_guess, counters=self.counters, shared=self.shared
+        )
+
+    def _answer(self, l: int, r: int) -> int:
+        return _eq_answer(self.structure, l, r)

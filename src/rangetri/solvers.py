@@ -5,7 +5,10 @@ algorithms and reductions, and the per-edge triangle solvers they use.
 ``solver(array, queries)``; problems riq/req take single ranges, the
 2-prefixed problems take range pairs, and 2rdq returns booleans.  A
 batch is a list of ``Range`` / ``RangePair`` objects or its (q, 2) /
-(q, 4) bounds array (``core.bounds``).
+(q, 4) bounds array (``core.bounds``).  Each algorithm solves some
+problems natively: mo and mo-online riq and req, online-eq req, and
+via-triangle 2req and 2rdq.  Every other problem is derived from those
+by one shared sequence of reductions.
 ``EDGE_COUNTERS`` and ``EDGE_DETECTORS`` map a name to a per-edge
 triangle counter or detector, ``solver(graph)``, whose answers form an
 int64 (counts) or bool (detection) array aligned with
@@ -24,7 +27,6 @@ from .core import (
     INV,
     CapabilityError,
     IntArray,
-    PairFunction,
     as_queries,
     bounds,
     oracle_disjoint_query,
@@ -33,7 +35,7 @@ from .core import (
     oracle_pairs_query,
 )
 from .instrument import OpCounters
-from .rangequery import MoOnline, _eq_answer, mo_offline, online_eq_build
+from .rangequery import MoOnline, OnlineEqSolver, mo_offline
 from .reductions_range import (
     reduce_1r_to_2r,
     reduce_2r_to_1r,
@@ -61,33 +63,20 @@ def _oracle(problem: str):
     return lambda a, qs: [answer(a, q) for q in as_queries(bounds(qs, a.n, width))]
 
 
-def _mo_single(f: PairFunction, counters: Optional[OpCounters]):
+def _online_batch(make: Callable, counters: Optional[OpCounters]):
+    """A batch solver from an online index: the batch size is known, so
+    the index is built once for it and never rebuilds."""
+
     def solver(a: IntArray, queries) -> list[int]:
-        return mo_offline(f, a, queries, counters=counters)
+        return make(a, counters=counters, q_guess=max(1, len(queries))).batch(queries)
 
     return solver
 
 
-def _mo_online_single(f: PairFunction, counters: Optional[OpCounters]):
-    def solver(a: IntArray, queries) -> list[int]:
-        # batch interface: the query count is known, so start with the
-        # exact hint instead of paying the adaptive doubling rebuilds
-        queries = as_queries(bounds(queries, a.n, 2))
-        structure = MoOnline(f, a, counters=counters, q_guess=max(1, len(queries)))
-        return [structure.query(q) for q in queries]
-
-    return solver
-
-
-def _online_eq_single(counters: Optional[OpCounters]):
-    def solver(a: IntArray, queries) -> list[int]:
-        # batch interface: the query count is known, so build once with
-        # the exact hint instead of paying the adaptive doubling rebuilds
-        rows = bounds(queries, a.n, 2).tolist()
-        structure = online_eq_build(a, max(1, len(rows)), counters=counters)
-        return [_eq_answer(structure, l, r) for l, r in rows]
-
-    return solver
+def _disjoint(pair_eqp: Callable) -> Callable:
+    """2rdq from 2req: two ranges are disjoint in values when they share
+    no equal pair."""
+    return lambda a, qs: [ans == 0 for ans in pair_eqp(a, qs)]
 
 
 def _aligned(oracle: Callable, dtype) -> Callable:
@@ -133,42 +122,34 @@ def range_solver(
     if algo == "oracle":
         return _oracle(problem)
 
-    if algo in ("mo", "mo-online"):
-        make = _mo_single if algo == "mo" else _mo_online_single
-        if problem == "2rdq":
-            pair_eqp = reduce_2r_to_1r(EQP, make(EQP, counters))
-            return lambda a, qs: [ans == 0 for ans in pair_eqp(a, qs)]
-        f = _PROBLEM_FN[problem]
-        single = make(f, counters)
-        if problem_is_pair(problem):
-            return reduce_2r_to_1r(f, single)
-        return single
-
-    if algo == "online-eq":
-        single_eqp = _online_eq_single(counters)
-        pair_eqp = reduce_2r_to_1r(EQP, single_eqp)
-        if problem == "req":
-            return single_eqp
-        if problem == "2req":
-            return pair_eqp
-        if problem == "2rdq":
-            return lambda a, qs: [ans == 0 for ans in pair_eqp(a, qs)]
-        pair_inv = reduce_inv_to_eqp(pair_eqp)
-        if problem == "2riq":
-            return pair_inv
-        return reduce_1r_to_2r(INV, pair_inv)
-
-    # via-triangle
-    if problem == "2rdq":
-        detector = EDGE_DETECTORS[inner]
-        return lambda a, qs: reduce_2rdq_to_etd(a, qs, detector)
-    counter = EDGE_COUNTERS[inner]
-    pair_eqp = lambda a, qs: reduce_2req_to_etc(a, qs, counter)
-    if problem == "2req":
-        return pair_eqp
-    if problem == "req":
-        return reduce_1r_to_2r(EQP, pair_eqp)
-    pair_inv = reduce_inv_to_eqp(pair_eqp)
-    if problem == "2riq":
-        return pair_inv
-    return reduce_1r_to_2r(INV, pair_inv)
+    if algo == "mo":
+        solved = {
+            "riq": partial(mo_offline, INV, counters=counters),
+            "req": partial(mo_offline, EQP, counters=counters),
+        }
+    elif algo == "mo-online":
+        solved = {
+            "riq": _online_batch(partial(MoOnline, INV), counters),
+            "req": _online_batch(partial(MoOnline, EQP), counters),
+        }
+    elif algo == "online-eq":
+        solved = {"req": _online_batch(OnlineEqSolver, counters)}
+    else:  # via-triangle
+        counter, detector = EDGE_COUNTERS[inner], EDGE_DETECTORS[inner]
+        solved = {
+            "2req": lambda a, qs: reduce_2req_to_etc(a, qs, counter),
+            "2rdq": lambda a, qs: reduce_2rdq_to_etd(a, qs, detector),
+        }
+    # every other problem by one shared sequence: a step derives its
+    # target from its source when the source is solved and the target not
+    for target, source, reduce in (
+        ("2req", "req", partial(reduce_2r_to_1r, EQP)),
+        ("2riq", "riq", partial(reduce_2r_to_1r, INV)),
+        ("2rdq", "2req", _disjoint),
+        ("2riq", "2req", reduce_inv_to_eqp),
+        ("req", "2req", partial(reduce_1r_to_2r, EQP)),
+        ("riq", "2riq", partial(reduce_1r_to_2r, INV)),
+    ):
+        if target not in solved and source in solved:
+            solved[target] = reduce(solved[source])
+    return solved[problem]

@@ -34,11 +34,11 @@ def instance(tmp_path):
     """A small array plus single-range and pair query files."""
     rng = random.Random(99)
     a = rand_array(rng, 20, 0, 6)
-    files.write_array(tmp_path / "a.txt", a)
+    (tmp_path / "a.txt").write_text(files.format_array(a))
     singles = [rand_range(rng, 20) for _ in range(8)]
     pairs = [rand_pair(rng, 20) for _ in range(8)]
-    files.write_queries(tmp_path / "singles.txt", singles)
-    files.write_queries(tmp_path / "pairs.txt", pairs)
+    (tmp_path / "singles.txt").write_text(files.format_queries(singles))
+    (tmp_path / "pairs.txt").write_text(files.format_queries(pairs))
     return tmp_path, a, singles, pairs
 
 
@@ -221,7 +221,7 @@ class TestGraphCommands:
         from conftest import rand_graph
 
         g = rand_graph(rng, 10, 0.4)
-        files.write_graph(tmp_path / "g.txt", g)
+        (tmp_path / "g.txt").write_text(files.format_graph(g))
         return tmp_path / "g.txt", g
 
     @pytest.mark.parametrize("algo", ["oracle", "ayz", "via-2req"])
@@ -323,8 +323,8 @@ class TestMinmax:
 
         a = DenseMatrix(4, 4, [rng.randint(-9, 9) for _ in range(16)])
         b = DenseMatrix(4, 4, [rng.randint(-9, 9) for _ in range(16)])
-        files.write_matrix(tmp_path / "a.txt", a)
-        files.write_matrix(tmp_path / "b.txt", b)
+        (tmp_path / "a.txt").write_text(files.format_matrix(a))
+        (tmp_path / "b.txt").write_text(files.format_matrix(b))
         code, out = run(
             capsys,
             "minmax", "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "b.txt"),
@@ -519,11 +519,11 @@ class TestInt64Extremes:
     @pytest.fixture
     def extremes(self, tmp_path):
         n = len(self.VALUES)
-        files.write_array(tmp_path / "a.txt", IntArray(self.VALUES))
-        files.write_queries(tmp_path / "singles.txt", [Range(l, n) for l in range(1, n + 1)])
-        files.write_queries(
-            tmp_path / "pairs.txt", [pair(1, k, k + 1, n) for k in range(1, n)] + [pair(1, 2, 5, 6)]
-        )
+        (tmp_path / "a.txt").write_text(files.format_array(IntArray(self.VALUES)))
+        singles = [Range(l, n) for l in range(1, n + 1)]
+        (tmp_path / "singles.txt").write_text(files.format_queries(singles))
+        pairs = [pair(1, k, k + 1, n) for k in range(1, n)] + [pair(1, 2, 5, 6)]
+        (tmp_path / "pairs.txt").write_text(files.format_queries(pairs))
         return tmp_path
 
     @pytest.mark.parametrize("algo", ALGOS)

@@ -9,7 +9,7 @@ from rangetri.core import DenseMatrix, Graph, InputError, IntArray, Range, Range
 def test_array_roundtrip(tmp_path):
     path = tmp_path / "a.txt"
     a = IntArray([3, -1, 2])
-    files.write_array(path, a)
+    path.write_text(files.format_array(a))
     assert files.read_array(path).values.tolist() == a.values.tolist()
 
 
@@ -35,7 +35,7 @@ def test_array_value_outside_int64(tmp_path):
 def test_queries_roundtrip(tmp_path):
     path = tmp_path / "q.txt"
     queries = [Range(1, 3), RangePair(Range(1, 2), Range(4, 5)), Range(2, 2)]
-    files.write_queries(path, queries)
+    path.write_text(files.format_queries(queries))
     assert files.read_queries(path) == queries
 
 
@@ -48,14 +48,14 @@ def test_queries_bad_arity(tmp_path):
 
 def test_empty_query_file(tmp_path):
     path = tmp_path / "q.txt"
-    files.write_queries(path, [])
+    path.write_text(files.format_queries([]))
     assert files.read_queries(path) == []
 
 
 def test_graph_roundtrip(tmp_path):
     path = tmp_path / "g.txt"
     g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    files.write_graph(path, g)
+    path.write_text(files.format_graph(g))
     back = files.read_graph(path)
     assert back.n == g.n and back.sorted_edges() == g.sorted_edges()
 
@@ -70,7 +70,7 @@ def test_graph_edge_count_mismatch(tmp_path):
 def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     m = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    files.write_matrix(path, m)
+    path.write_text(files.format_matrix(m))
     assert files.read_matrix(path) == m
 
 

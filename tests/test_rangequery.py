@@ -4,13 +4,14 @@ structure, and matrix multiplication."""
 import math
 import random
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ADVERSARIAL, ADVERSARIAL_IDS, rand_array, rand_range
+from conftest import ADVERSARIAL, ADVERSARIAL_IDS, rand_array, rand_pair, rand_range
 from rangetri import rangequery
 from rangetri.core import (
     EQP,
@@ -30,14 +31,18 @@ from rangetri.rangequery import (
     MoOnline,
     OnlineEqSolver,
     Wavelet,
+    _eq_answer,
     matmul,
     mo_block_size,
     mo_offline,
     online_eq_build,
     eq_values,
-    online_eq_query,
 )
-from rangetri.solvers import range_solver
+from rangetri.solvers import PROBLEMS, range_solver
+
+ONLINE_INDICES = pytest.mark.parametrize(
+    "make", [partial(MoOnline, EQP), OnlineEqSolver], ids=["mo-online", "online-eq"]
+)
 
 
 class TestWavelet:
@@ -319,14 +324,14 @@ class TestMoOnline:
 
 class TestOnlineEq:
     def test_all_equal_block(self):
-        s = online_eq_build(IntArray([1] * 8), q_hint=8)
-        assert online_eq_query(s, Range(1, 8)) == 28
+        assert OnlineEqSolver(IntArray([1] * 8), q_guess=8).query(Range(1, 8)) == 28
 
     def test_all_distinct(self):
-        s = online_eq_build(IntArray([1, 2, 3, 4]), q_hint=4)
+        solver = OnlineEqSolver(IntArray([1, 2, 3, 4]), q_guess=10)
         for l in range(1, 5):
             for r in range(l, 5):
-                assert online_eq_query(s, Range(l, r)) == 0
+                assert solver.query(Range(l, r)) == 0
+        assert solver.q_guess == 10  # no rebuild
 
     def test_structure_invariants(self):
         # prefix's four-term difference at blocks (i, j) is the number of
@@ -356,10 +361,11 @@ class TestOnlineEq:
     def test_matches_oracle(self):
         rng = random.Random(32)
         a = rand_array(rng, 64, 0, 7)
-        s = online_eq_build(a, q_hint=100)
+        solver = OnlineEqSolver(a, q_guess=100)
         for _ in range(100):
             q = rand_range(rng, 64)
-            assert online_eq_query(s, q) == oracle_pairs_query(EQP, a, q)
+            assert solver.query(q) == oracle_pairs_query(EQP, a, q)
+        assert solver.q_guess == 100
 
     def test_adaptive_solver(self):
         rng = random.Random(33)
@@ -370,15 +376,6 @@ class TestOnlineEq:
             for _ in range(rng.randint(1, 20)):
                 q = rand_range(rng, n)
                 assert solver.query(q) == oracle_pairs_query(EQP, a, q)
-
-    def test_omega_is_tuning_only(self):
-        rng = random.Random(34)
-        a = rand_array(rng, 48, 0, 5)
-        queries = [rand_range(rng, 48) for _ in range(30)]
-        expected = [oracle_pairs_query(EQP, a, q) for q in queries]
-        for omega in (2.0, 2.807, 3.0):
-            s = online_eq_build(a, q_hint=30, omega_eff=omega)
-            assert [online_eq_query(s, q) for q in queries] == expected
 
     @settings(max_examples=40)
     @given(
@@ -406,7 +403,7 @@ class TestOnlineEq:
                     Range(1 + y % last, last),
                     Range(1 + x % n, n),
                 ]
-            answers = [online_eq_query(s, x) for x in queries]
+            answers = [_eq_answer(s, x.l, x.r) for x in queries]
             assert answers == [oracle_pairs_query(EQP, a, x) for x in queries]
             assert {type(x) for x in answers} == {int}
             streamed += queries
@@ -454,7 +451,7 @@ class TestOnlineEq:
                 for l in range(1, n + 1):
                     for r in range(l, n + 1):
                         calls.clear()
-                        answer = online_eq_query(s, Range(l, r))
+                        answer = _eq_answer(s, l, r)
                         if distinct:
                             assert (answer, calls) == (0, [])
                             continue
@@ -470,16 +467,17 @@ class TestOnlineEq:
         check = Range.check
         monkeypatch.setattr(Range, "check", lambda rng, n: checked.append(rng) or check(rng, n))
         a = IntArray([1, 2, 1, 1, 2])
-        solve = range_solver("req", "online-eq")
         queries = [Range(l, r) for l in range(1, 6) for r in range(l, 6)]
         expected = [oracle_pairs_query(EQP, a, q) for q in queries]
-        checked.clear()
-        assert solve(a, queries) == expected
         rows = np.array([(q.l, q.r) for q in queries], dtype=np.int64)
-        assert solve(a, rows) == expected
-        assert checked == []  # core.bounds checks the batch in numpy
-        with pytest.raises(RangeError, match=r"\[2, 9\]"):
-            solve(a, np.array([[1, 5], [2, 9]], dtype=np.int64))
+        for algo in ("mo-online", "online-eq"):
+            solve = range_solver("req", algo)
+            checked.clear()
+            assert solve(a, queries) == expected
+            assert solve(a, rows) == expected
+            assert checked == []  # core.bounds checks the batch in numpy
+            with pytest.raises(RangeError, match=r"\[2, 9\]"):
+                solve(a, np.array([[1, 5], [2, 9]], dtype=np.int64))
 
     def test_build_memory_stays_near_the_table(self):
         # n = 1024 and q_hint = 4096 give 512 blocks; a build holds one
@@ -506,18 +504,51 @@ class TestOnlineEq:
         solver = OnlineEqSolver(IntArray([1, 2, 1]))
         assert solver.query(Range(1, 3)) == 1
         assert len(checked) == 1
-        assert online_eq_query(solver.structure, Range(1, 3)) == 1
-        assert len(checked) == 2
 
-    @pytest.mark.parametrize(
-        "make", [lambda a: MoOnline(EQP, a), OnlineEqSolver], ids=["mo-online", "online-eq"]
-    )
+    @ONLINE_INDICES
     def test_rejected_query_is_not_counted(self, make):
         solver = make(IntArray([1, 2, 1]))
         for _ in range(3):
             with pytest.raises(RangeError, match=r"\[2, 9\]"):
                 solver.query(Range(2, 9))
+        # a bad row rejects its whole batch, objects or bounds array
+        for bad in ([Range(1, 2), Range(2, 9)], np.array([[1, 2], [2, 9], [1, 1]])):
+            with pytest.raises(RangeError, match=r"\[2, 9\]"):
+                solver.batch(bad)
         assert (solver.q_seen, solver.q_guess) == (0, 1)
+        assert solver.batch([Range(1, 3), Range(2, 3)]) == [1, 0]
+        assert (solver.q_seen, solver.q_guess) == (2, 2)
+
+    @ONLINE_INDICES
+    def test_query_guess_below_one_is_refused(self, make):
+        for q_guess in (0, -3):
+            with pytest.raises(InputError, match="at least 1"):
+                make(IntArray([1, 2, 1]), q_guess=q_guess)
+
+    @pytest.mark.parametrize(
+        "algo, problems",
+        [("mo-online", PROBLEMS), ("online-eq", ("req", "2req", "2rdq"))],
+    )
+    def test_batch_builds_once(self, monkeypatch, algo, problems):
+        # one native batch per solver call: one build for the whole batch,
+        # where answering it query by query from q_guess = 1 would rebuild
+        builds = []
+        for cls in (MoOnline, OnlineEqSolver):
+            prepare = cls._prepare
+            monkeypatch.setattr(
+                cls, "_prepare", lambda self, prepare=prepare: builds.append(self) or prepare(self)
+            )
+        rng = random.Random(37)
+        a = rand_array(rng, 30, 0, 4)
+        for problem in problems:
+            if problem.startswith("2"):
+                queries = [rand_pair(rng, 30) for _ in range(20)]
+            else:
+                queries = [rand_range(rng, 30) for _ in range(20)]
+            builds.clear()
+            answers = range_solver(problem, algo)(a, queries)
+            assert answers == range_solver(problem, "oracle")(a, queries)
+            assert len(builds) == 1
 
 
 class TestMatmul:
