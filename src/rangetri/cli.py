@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import files, gen
 from .core import (
-    EQP,
-    INV,
     CapabilityError,
     InputError,
     RangeError,
@@ -27,18 +24,13 @@ from .core import (
     oracle_minmax,
 )
 from .minmax import minmax_product
-from .reductions_range import (
-    reduce_1r_to_2r,
-    reduce_2r_to_1r,
-    reduce_eqp_to_inv,
-    reduce_inv_to_eqp,
-)
 from .reductions_triangle import reduce_etc_to_2req
 from .solvers import (
     ALGOS,
     EDGE_COUNTERS,
     EDGE_DETECTORS,
     PROBLEMS,
+    REDUCTIONS,
     problem_is_pair,
     range_solver,
 )
@@ -113,24 +105,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# (source, target) -> wrapper turning a target solver into a source solver
-_REDUCTIONS = {
-    ("2riq", "riq"): partial(reduce_2r_to_1r, INV),
-    ("2req", "req"): partial(reduce_2r_to_1r, EQP),
-    ("riq", "2riq"): partial(reduce_1r_to_2r, INV),
-    ("req", "2req"): partial(reduce_1r_to_2r, EQP),
-    ("2req", "2riq"): reduce_eqp_to_inv,
-    ("2riq", "2req"): reduce_inv_to_eqp,
-}
-
-
 def cmd_reduce(args) -> int:
     src, dst = args.from_problem, args.to_problem
-    if (src, dst) not in _REDUCTIONS:
+    wrap = {(target, source): w for target, source, w in REDUCTIONS}.get((src, dst))
+    if wrap is None:
         raise InputError(f"unsupported reduction {src} -> {dst}")
     array, queries = _load_instance(args, src)
-    answers = _REDUCTIONS[src, dst](range_solver(dst, "oracle"))(array, queries)
-    _emit([[ans] for ans in answers], args.format)
+    answers = wrap(range_solver(dst, "oracle"))(array, queries)
+    _emit([[int(ans)] for ans in answers], args.format)
     if args.verify:
         return _check(answers, range_solver(src, "oracle")(array, queries))
     return 0

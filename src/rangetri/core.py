@@ -71,8 +71,8 @@ class IntArray:
 
     ``values`` is one read-only int64 ndarray.  The constructor takes any
     sequence or array of integers; a value outside int64 raises
-    ``InputError``.  Solvers rank-normalise the values first, so only
-    their order matters.
+    ``InputError``.  The INV and EQP solvers rank-normalise the values
+    first, so only their order matters to them.
     """
 
     __slots__ = ("values",)
@@ -91,9 +91,6 @@ class IntArray:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def normalized(self) -> "IntArray":
-        return IntArray(normalize(self.values))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntArray) and np.array_equal(self.values, other.values)
@@ -198,34 +195,30 @@ def eqp(x: int, y: int) -> int:
     return 1 if x == y else 0
 
 
-def mul(x: int, y: int) -> int:
-    return x * y
-
-
 @dataclass(frozen=True)
 class PairFunction:
     """A binary integer function used to score index pairs.
 
     ``kind`` is one of ``inv`` (strict inversion indicator), ``eqp``
-    (equality indicator), ``mul`` (product) or ``custom``.  Custom
-    functions carry their own evaluator and, optionally, a decomposition
-    into weighted equality terms (see :mod:`rangetri.reductions_range`).
+    (equality indicator) or ``custom``.  A custom function carries only
+    its evaluator, which the oracles call on values; its decomposition
+    into weighted equality terms is passed to the reduction that needs
+    it (see :mod:`rangetri.reductions_range`).
     """
 
     kind: str
     evaluator: Callable[[int, int], int]
-    decomposition: object = None
 
     @staticmethod
     def builtin(kind: str) -> "PairFunction":
-        table = {"inv": inv, "eqp": eqp, "mul": mul}
+        table = {"inv": inv, "eqp": eqp}
         if kind not in table:
             raise InputError(f"unknown pair function kind {kind!r}")
         return PairFunction(kind, table[kind])
 
     @staticmethod
-    def custom(evaluator: Callable[[int, int], int], decomposition=None) -> "PairFunction":
-        return PairFunction("custom", evaluator, decomposition)
+    def custom(evaluator: Callable[[int, int], int]) -> "PairFunction":
+        return PairFunction("custom", evaluator)
 
     def __call__(self, x: int, y: int) -> int:
         return self.evaluator(x, y)
@@ -233,7 +226,6 @@ class PairFunction:
 
 INV = PairFunction.builtin("inv")
 EQP = PairFunction.builtin("eqp")
-MUL = PairFunction.builtin("mul")
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +505,7 @@ def oracle_pairs_query(f: PairFunction, a: IntArray, q: Range | RangePair) -> in
             return int(np.sum(xs[:, None] > ys[None, :]))
         if f.kind == "eqp":
             return int(np.sum(xs[:, None] == ys[None, :]))
-        # other kinds in exact Python integers: products leave int64
+        # custom kinds call their evaluator on Python ints, pair by pair
         return sum(f(x, y) for x in xs.tolist() for y in ys.tolist())
     q.check(a.n)
     xs = vals[q.l - 1 : q.r]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -33,7 +32,8 @@ from .core import (
 
 SingleSolver = Callable[[IntArray, Union[Sequence[Range], np.ndarray]], list[int]]
 PairSolver = Callable[[IntArray, Union[Sequence[RangePair], np.ndarray]], list[int]]
-# a value map of a decomposition term: int64 array in, integer array out
+# a map of a decomposition term: the int64 values of the whole array in,
+# an integer array of the same length out
 ValueMap = Callable[[np.ndarray], np.ndarray]
 
 NEG_SENTINEL = -1
@@ -44,8 +44,11 @@ class Decomposition:
     """A binary function written as a weighted sum of equality predicates.
 
     ``terms`` is a list of (alpha, g, h) with integer coefficient alpha
-    and pure value maps g, h that act elementwise on int64 arrays; the
-    represented function is f(x, y) = sum_i alpha_i * [g_i(x) == h_i(y)].
+    and pure maps g, h; the represented function is
+    f(x, y) = sum_i alpha_i * [g_i(x) == h_i(y)] on the array's values.
+    A map is called once per array, on all of its int64 values, and
+    returns one integer per value.  Most maps act elementwise; a map may
+    also read the whole array, as INV's bit split does to rank it.
     """
 
     terms: tuple[tuple[int, ValueMap, ValueMap], ...]
@@ -73,13 +76,14 @@ def bit_count(n: int) -> int:
 
 
 def inv_decomposition(n: int) -> Decomposition:
-    """Split the inversion indicator over [0, n) by most significant
-    differing bit.
+    """Split the inversion indicator by most significant differing bit,
+    for arrays of at most n distinct values.
 
-    Term t keeps the top t-1 bits when bit t (counted from the most
-    significant of k = ceil(log2 n) bits) is 1 on the left / 0 on the
-    right, and otherwise maps to a sentinel that can never match: -1 on
-    the left, 2n on the right.
+    Each map first ranks its array into [0, n), which keeps every
+    inversion.  Term t keeps the top t-1 bits of a rank when bit t
+    (counted from the most significant of k = ceil(log2 n) bits) is 1 on
+    the left / 0 on the right, and otherwise maps to a sentinel that can
+    never match: -1 on the left, 2n on the right.
     """
     k = bit_count(n)
     pos_sentinel = 2 * n
@@ -89,9 +93,11 @@ def inv_decomposition(n: int) -> Decomposition:
         shift_prefix = k - t + 1
 
         def g(x, _b=shift_bit, _p=shift_prefix):
+            x = normalize(x)
             return np.where((x >> _b) & 1, x >> _p, NEG_SENTINEL)
 
         def h(y, _b=shift_bit, _p=shift_prefix, _s=pos_sentinel):
+            y = normalize(y)
             return np.where((y >> _b) & 1, _s, y >> _p)
 
         terms.append((1, g, h))
@@ -103,8 +109,6 @@ def decomposition_for(f: PairFunction, n: int) -> Decomposition:
         return eqp_decomposition()
     if f.kind == "inv":
         return inv_decomposition(n)
-    if f.decomposition is not None:
-        return f.decomposition
     raise CapabilityError(f"no equality decomposition available for {f.kind!r}")
 
 
@@ -166,25 +170,24 @@ def reduce_1r_to_2r(
     the earlier positions i whose left map g(v_i) equals the right map
     h(v_x).  Then f([a, b]) = P[b] - P[a-1] - f([1, a-1], [a, b]).
 
-    Works on the rank-normalized array; for inv and eqp the answers are
-    unchanged by normalization.
+    The maps read the values of A, as f does, and ``pair_solver`` is
+    asked about A itself.  Without a ``decomposition``, f must be inv or
+    eqp.
     """
 
     def solver(a: IntArray, queries) -> list[int]:
         l, r = bounds(queries, a.n, 2).T
-        vals = normalize(a.values)
-        n = vals.size
-        d = decomposition if decomposition is not None else decomposition_for(f, n)
+        d = decomposition if decomposition is not None else decomposition_for(f, a.n)
 
-        gained = np.zeros(n, dtype=np.int64)
+        gained = np.zeros(a.n, dtype=np.int64)
         for alpha, g, h in d.terms:
-            gained += alpha * _earlier_matches(_term_values(g, h, vals))
+            gained += alpha * _earlier_matches(_term_values(g, h, a.values))
         prefix = np.concatenate(([0], np.cumsum(gained)))
 
         cut = l > 1
         middle = np.zeros(l.size, dtype=np.int64)
         cross = np.stack((np.ones_like(l[cut]), l[cut] - 1, l[cut], r[cut]), axis=1)
-        middle[cut] = pair_solver(IntArray(vals), cross)
+        middle[cut] = pair_solver(a, cross)
         return (prefix[r] - prefix[l - 1] - middle).tolist()
 
     return solver
@@ -216,21 +219,20 @@ def apply_decomposition(d: Decomposition, eqp_solver: PairSolver) -> PairSolver:
     """Turn a two-range equal-pairs solver into a solver for any function
     given as a weighted sum of equality predicates.
 
-    One 2n-length array per term: the left map applied to the original
-    values in the first half, the right map in the second half; the query
+    One 2n-length array per term: the left map applied to the values of
+    A in the first half, the right map in the second half; the query
     ([a,b],[c,d]) becomes ([a,b],[n+c,n+d]) on each term array.
     """
 
     def solver(a: IntArray, pairs) -> list[int]:
         b = bounds(pairs, a.n, 4)
-        vals = normalize(a.values)
         if not len(b):
             return []
         shifted = b + np.array([0, 0, a.n, a.n])
         totals = np.zeros(len(b), dtype=np.int64)
         for alpha, g, h in d.terms:
             totals += alpha * np.asarray(
-                eqp_solver(IntArray(_term_values(g, h, vals)), shifted), dtype=np.int64
+                eqp_solver(IntArray(_term_values(g, h, a.values)), shifted), dtype=np.int64
             )
         return totals.tolist()
 
@@ -248,24 +250,8 @@ def reduce_inv_to_eqp(eqp_solver: PairSolver) -> PairSolver:
     return solver
 
 
-def inv_bit_arrays(a: IntArray) -> list[IntArray]:
-    """The 2n-length term arrays of the inversion bit split (test hook)."""
-    vals = normalize(a.values)
-    return [IntArray(_term_values(g, h, vals)) for _, g, h in inv_decomposition(a.n).terms]
-
-
 # ---------------------------------------------------------------------------
-# The easy cases
-
-
-def mul_pairs_fast(a: IntArray, pairs) -> list[int]:
-    """Two-range product sums in linear time via prefix sums, in exact
-    Python integers: a product of two int64 range sums leaves int64."""
-    prefix = [0, *accumulate(a.values.tolist())]
-    return [
-        (prefix[r1] - prefix[l1 - 1]) * (prefix[r2] - prefix[l2 - 1])
-        for l1, r1, l2, r2 in bounds(pairs, a.n, 4).tolist()
-    ]
+# Boolean matrix product
 
 
 def _segments(ones: np.ndarray, d: int, offset: int) -> tuple[np.ndarray, np.ndarray]:

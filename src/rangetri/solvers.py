@@ -8,7 +8,8 @@ batch is a list of ``Range`` / ``RangePair`` objects or its (q, 2) /
 (q, 4) bounds array (``core.bounds``).  Each algorithm solves some
 problems natively: mo and mo-online riq and req, online-eq req, and
 via-triangle 2req and 2rdq.  Every other problem is derived from those
-by one shared sequence of reductions.
+through ``REDUCTIONS``, the one table of reduction arrows, which the
+CLI's ``reduce`` command reads too.
 ``EDGE_COUNTERS`` and ``EDGE_DETECTORS`` map a name to a per-edge
 triangle counter or detector, ``solver(graph)``, whose answers form an
 int64 (counts) or bool (detection) array aligned with
@@ -39,6 +40,7 @@ from .rangequery import MoOnline, OnlineEqSolver, mo_offline
 from .reductions_range import (
     reduce_1r_to_2r,
     reduce_2r_to_1r,
+    reduce_eqp_to_inv,
     reduce_inv_to_eqp,
 )
 from .reductions_triangle import reduce_2rdq_to_etd, reduce_2req_to_etc
@@ -77,6 +79,21 @@ def _disjoint(pair_eqp: Callable) -> Callable:
     """2rdq from 2req: two ranges are disjoint in values when they share
     no equal pair."""
     return lambda a, qs: [ans == 0 for ans in pair_eqp(a, qs)]
+
+
+# Every reduction arrow as (target, source, wrap): wrap turns a solver
+# for source into one for target.  ``range_solver`` tries them in this
+# order.  Each wrap looks its reduction up when called, so rebinding one
+# (a tracing wrapper, say) reaches every solver composed from it.
+REDUCTIONS = (
+    ("2req", "req", lambda s: reduce_2r_to_1r(EQP, s)),
+    ("2riq", "riq", lambda s: reduce_2r_to_1r(INV, s)),
+    ("2rdq", "2req", _disjoint),
+    ("2riq", "2req", lambda s: reduce_inv_to_eqp(s)),
+    ("req", "2req", lambda s: reduce_1r_to_2r(EQP, s)),
+    ("riq", "2riq", lambda s: reduce_1r_to_2r(INV, s)),
+    ("2req", "2riq", lambda s: reduce_eqp_to_inv(s)),
+)
 
 
 def _aligned(oracle: Callable, dtype) -> Callable:
@@ -140,16 +157,9 @@ def range_solver(
             "2req": lambda a, qs: reduce_2req_to_etc(a, qs, counter),
             "2rdq": lambda a, qs: reduce_2rdq_to_etd(a, qs, detector),
         }
-    # every other problem by one shared sequence: a step derives its
-    # target from its source when the source is solved and the target not
-    for target, source, reduce in (
-        ("2req", "req", partial(reduce_2r_to_1r, EQP)),
-        ("2riq", "riq", partial(reduce_2r_to_1r, INV)),
-        ("2rdq", "2req", _disjoint),
-        ("2riq", "2req", reduce_inv_to_eqp),
-        ("req", "2req", partial(reduce_1r_to_2r, EQP)),
-        ("riq", "2riq", partial(reduce_1r_to_2r, INV)),
-    ):
+    # every other problem by one pass over the arrows: an arrow derives
+    # its target from its source when the source is solved and the target not
+    for target, source, wrap in REDUCTIONS:
         if target not in solved and source in solved:
-            solved[target] = reduce(solved[source])
+            solved[target] = wrap(solved[source])
     return solved[problem]

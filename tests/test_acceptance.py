@@ -34,14 +34,12 @@ from rangetri.core import (
     oracle_minmax,
     oracle_pairs_query,
     oracle_triangle_list,
-    pair,
 )
 from rangetri.instrument import OpCounters
 from rangetri.minmax import MinMaxStats, minmax_product
 from rangetri.rangequery import mo_block_size, mo_offline
 from rangetri.reductions_range import (
     bmm_via_2req,
-    inv_bit_arrays,
     reduce_1r_to_2r,
     reduce_2r_to_1r,
     reduce_eqp_to_inv,
@@ -137,11 +135,6 @@ def test_criterion_2_reduction_web(capsys):
         ]
         ok &= eqp_from_inv(a, pairs) == want_pair_eqp
         ok &= inv_from_eqp(a, pairs) == want_pair_inv
-        # bit identity: per-term equal-pair sums reproduce inversions
-        arrays = inv_bit_arrays(a)
-        for p, want in zip(pairs, want_pair_inv):
-            shifted = pair(p.first.l, p.first.r, n + p.second.l, n + p.second.r)
-            ok &= sum(oracle_pairs_query(EQP, t, shifted) for t in arrays) == want
     report(capsys, 2, "reduction web exact on 1000 instances", ok)
 
 

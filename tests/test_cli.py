@@ -192,6 +192,7 @@ class TestReduce:
             ("req", "2req", "singles.txt"),
             ("2req", "2riq", "pairs.txt"),
             ("2riq", "2req", "pairs.txt"),
+            ("2rdq", "2req", "pairs.txt"),
         ],
     )
     def test_verify_passes(self, capsys, instance, src, dst, qfile):

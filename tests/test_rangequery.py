@@ -16,11 +16,11 @@ from rangetri import rangequery
 from rangetri.core import (
     EQP,
     INV,
-    MUL,
     CapabilityError,
     DenseMatrix,
     InputError,
     IntArray,
+    PairFunction,
     Range,
     RangeError,
     normalize,
@@ -110,11 +110,12 @@ class TestMoOffline:
 
     def test_unsupported_function(self):
         a = IntArray([1, 2, 3, 4])
+        product = PairFunction.custom(lambda x, y: x * y)
         for queries in ([], [Range(1, 4)]):
             with pytest.raises(CapabilityError):
-                mo_offline(MUL, a, queries)
+                mo_offline(product, a, queries)
         with pytest.raises(CapabilityError):
-            MoOnline(MUL, a)
+            MoOnline(product, a)
 
     def test_range_past_array(self):
         queries = [Range(1, 2), Range(2, 4), Range(1, 5)]

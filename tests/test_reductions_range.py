@@ -11,7 +11,6 @@ from conftest import ADVERSARIAL, ADVERSARIAL_IDS, query_objects, rand_array, ra
 from rangetri.core import (
     EQP,
     INV,
-    MUL,
     CapabilityError,
     DenseMatrix,
     InputError,
@@ -28,14 +27,13 @@ from rangetri.reductions_range import (
     apply_decomposition,
     bmm_via_2req,
     eqp_decomposition,
-    inv_bit_arrays,
     inv_decomposition,
-    mul_pairs_fast,
     reduce_1r_to_2r,
     reduce_2r_to_1r,
     reduce_eqp_to_inv,
     reduce_inv_to_eqp,
 )
+from rangetri.solvers import ALGOS, range_solver
 
 
 def oracle_single(f):
@@ -44,6 +42,40 @@ def oracle_single(f):
 
 def oracle_pairs(f):
     return lambda a, qs: [oracle_pairs_query(f, a, q) for q in query_objects(qs)]
+
+
+def leq_decomposition(n):
+    """[x <= y] for arrays of at most n distinct values: INV's terms with
+    g and h swapped, which give [y > x], plus EQP's identity."""
+    swapped = tuple((alpha, h, g) for alpha, g, h in inv_decomposition(n).terms)
+    return Decomposition(swapped + eqp_decomposition().terms)
+
+
+# Members of the pair-function class beyond INV and EQP, each evaluated
+# and decomposed on values: name -> (f, decomposition).  Their maps are
+# defined on all of int64, so every ADVERSARIAL array is in their domain
+# (leq's holds at most 16 distinct values).
+MEMBERS = {
+    "parity": (
+        PairFunction.custom(lambda x, y: int(x % 2 == y % 2)),
+        Decomposition(((1, lambda x: x % 2, lambda y: y % 2),)),
+    ),
+    "mod3": (
+        PairFunction.custom(lambda x, y: int(x % 3 == y % 3)),
+        Decomposition(((1, lambda x: x % 3, lambda y: y % 3),)),
+    ),
+    "div4": (
+        PairFunction.custom(lambda x, y: int(x // 4 == y // 4)),
+        Decomposition(((1, lambda x: x // 4, lambda y: y // 4),)),
+    ),
+    "leq": (PairFunction.custom(lambda x, y: int(x <= y)), leq_decomposition(16)),
+}
+# f(x, y) = [x = y + 1].  Its map y + 1 wraps at 2**63 - 1, which is
+# outside this member's domain, so it is tested on small values only.
+SUCCESSOR = (
+    PairFunction.custom(lambda x, y: int(x == y + 1)),
+    Decomposition(((1, lambda x: x, lambda y: y + 1),)),
+)
 
 
 class TestDecomposition:
@@ -59,28 +91,6 @@ class TestDecomposition:
     def test_term_count(self, n):
         k = 1 if n == 1 else math.ceil(math.log2(n))
         assert len(inv_decomposition(n)) == max(1, k)
-
-    def test_bit_arrays_shape(self):
-        rng = random.Random(0)
-        for _ in range(20):
-            n = rng.randint(1, 40)
-            a = rand_array(rng, n)
-            arrays = inv_bit_arrays(a)
-            k = 1 if n == 1 else math.ceil(math.log2(n))
-            assert len(arrays) == max(1, k)
-            assert all(t.n == 2 * n for t in arrays)
-
-    def test_bit_identity_on_every_query(self):
-        # the per-term equal-pair sums reproduce inversions exactly
-        rng = random.Random(1)
-        for _ in range(60):
-            n = rng.randint(2, 32)
-            a = rand_array(rng, n, 0, 8)
-            p = rand_pair(rng, n)
-            arrays = inv_bit_arrays(a)
-            shifted = pair(p.first.l, p.first.r, n + p.second.l, n + p.second.r)
-            total = sum(oracle_pairs_query(EQP, t, shifted) for t in arrays)
-            assert total == oracle_pairs_query(INV, a, p)
 
 
 class TestTwoRangeFromSingle:
@@ -111,7 +121,8 @@ class TestSingleFromTwoRange:
             assert solver(a, queries) == [oracle_pairs_query(f, a, q) for q in queries]
 
     def test_no_decomposition_for_opaque_function(self):
-        solver = reduce_1r_to_2r(MUL, oracle_pairs(MUL))
+        product = PairFunction.custom(lambda x, y: x * y)
+        solver = reduce_1r_to_2r(product, oracle_pairs(product))
         with pytest.raises(CapabilityError):
             solver(IntArray([1, 2, 3]), [rand_range(random.Random(0), 3)])
 
@@ -145,39 +156,19 @@ class TestEqpInvInterplay:
             assert wrapped(a, pairs) == oracle_pairs(EQP)(a, pairs)
 
     def test_custom_decomposition(self):
-        # parity match counter: f(x, y) = [x mod 2 == y mod 2]
-        d = Decomposition(((1, lambda x: x % 2, lambda y: y % 2),))
-        assert d.validate(16, lambda x, y: int(x % 2 == y % 2))
-        rng = random.Random(7)
+        # parity match counter f(x, y) = [x mod 2 == y mod 2], on values:
+        # the parities of ranks would differ on 1, 4, 7
+        f, d = MEMBERS["parity"]
+        assert d.validate(16, f)
         solver = apply_decomposition(d, oracle_pairs(EQP))
+        a = IntArray([1, 4, 7])
+        assert solver(a, [pair(1, 1, 2, 3)]) == [1]
+        rng = random.Random(7)
         for _ in range(30):
             n = rng.randint(2, 20)
             a = rand_array(rng, n, 0, 9)
             p = rand_pair(rng, n)
-            vals = a.normalized().values
-            expected = sum(
-                int(vals[i] % 2 == vals[j] % 2)
-                for i in range(p.first.l - 1, p.first.r)
-                for j in range(p.second.l - 1, p.second.r)
-            )
-            assert solver(a, [p]) == [expected]
-
-
-class TestMulFast:
-    def test_examples(self):
-        a = IntArray([1, 2, 3])
-        assert mul_pairs_fast(a, [pair(1, 1, 2, 3)]) == [5]
-        assert mul_pairs_fast(IntArray([0, 0, 0]), [pair(1, 2, 3, 3)]) == [0]
-        b = IntArray([2, 3, 4, 5])
-        assert mul_pairs_fast(b, [pair(2, 2, 4, 4)]) == [15]
-
-    def test_matches_oracle(self):
-        rng = random.Random(8)
-        for _ in range(60):
-            n = rng.randint(2, 30)
-            a = rand_array(rng, n, -9, 9)
-            pairs = [rand_pair(rng, n) for _ in range(5)]
-            assert mul_pairs_fast(a, pairs) == [oracle_pairs_query(MUL, a, p) for p in pairs]
+            assert solver(a, [p]) == [oracle_pairs_query(f, a, p)]
 
 
 class TestBooleanMatrixProduct:
@@ -216,9 +207,6 @@ class TestBooleanMatrixProduct:
             )
 
 
-PARITY = Decomposition(((1, lambda x: x % 2, lambda y: y % 2),))
-
-
 def every_range(n):
     return [Range(l, r) for l in range(1, n + 1) for r in range(l, n + 1)]
 
@@ -233,21 +221,24 @@ def every_pair(n):
     ]
 
 
-# name -> (solver, pair function answered, single ranges?, oracle on ranks?)
+# name -> (solver, pair function answered, single ranges?); each member
+# of the class goes through apply_decomposition (under its own name) and
+# through reduce_1r_to_2r with its decomposition
 REDUCTIONS = {
-    "2r_to_1r-inv": (reduce_2r_to_1r(INV, oracle_single(INV)), INV, False, False),
-    "2r_to_1r-eqp": (reduce_2r_to_1r(EQP, oracle_single(EQP)), EQP, False, False),
-    "1r_to_2r-inv": (reduce_1r_to_2r(INV, oracle_pairs(INV)), INV, True, False),
-    "1r_to_2r-eqp": (reduce_1r_to_2r(EQP, oracle_pairs(EQP)), EQP, True, False),
-    "eqp_to_inv": (reduce_eqp_to_inv(oracle_pairs(INV)), EQP, False, False),
-    "inv_to_eqp": (reduce_inv_to_eqp(oracle_pairs(EQP)), INV, False, False),
-    "parity": (
-        apply_decomposition(PARITY, oracle_pairs(EQP)),
-        PairFunction.custom(lambda x, y: int(x % 2 == y % 2)),
-        False,
-        True,
-    ),
-    "mul": (mul_pairs_fast, MUL, False, False),
+    "2r_to_1r-inv": (reduce_2r_to_1r(INV, oracle_single(INV)), INV, False),
+    "2r_to_1r-eqp": (reduce_2r_to_1r(EQP, oracle_single(EQP)), EQP, False),
+    "1r_to_2r-inv": (reduce_1r_to_2r(INV, oracle_pairs(INV)), INV, True),
+    "1r_to_2r-eqp": (reduce_1r_to_2r(EQP, oracle_pairs(EQP)), EQP, True),
+    "eqp_to_inv": (reduce_eqp_to_inv(oracle_pairs(INV)), EQP, False),
+    "inv_to_eqp": (reduce_inv_to_eqp(oracle_pairs(EQP)), INV, False),
+    **{
+        name: (apply_decomposition(d, oracle_pairs(EQP)), f, False)
+        for name, (f, d) in MEMBERS.items()
+    },
+    **{
+        f"1r_to_2r-{name}": (reduce_1r_to_2r(f, oracle_pairs(f), d), f, True)
+        for name, (f, d) in MEMBERS.items()
+    },
 }
 
 
@@ -258,24 +249,49 @@ class TestAdversarialShapes:
     @pytest.mark.parametrize("values", ADVERSARIAL, ids=ADVERSARIAL_IDS)
     @pytest.mark.parametrize("name", list(REDUCTIONS))
     def test_both_forms_match_oracle(self, name, values):
-        solver, f, single, on_ranks = REDUCTIONS[name]
+        solver, f, single = REDUCTIONS[name]
         a = IntArray(values)
         queries = every_range(a.n) if single else every_pair(a.n)
         b = bounds(queries, a.n, 2 if single else 4)
-        reference = a.normalized() if on_ranks else a
-        want = [oracle_pairs_query(f, reference, q) for q in queries]
+        want = [oracle_pairs_query(f, a, q) for q in queries]
         for batch in (queries, b, [], b[:0]):
             got = solver(a, batch)
             assert got == (want if len(batch) else [])
             assert all(type(x) is int for x in got)
 
-    def test_mul_beyond_int64(self):
-        # range sums of values near 2**62 leave int64, and so do products
-        rng = random.Random(10)
-        for _ in range(20):
-            n = rng.randint(2, 12)
-            a = IntArray([rng.choice([1, -1]) * rng.randint(2**62 - 99, 2**62) for _ in range(n)])
-            pairs = every_pair(n)
-            want = [oracle_pairs_query(MUL, a, p) for p in pairs]
-            assert mul_pairs_fast(a, pairs) == want
-            assert mul_pairs_fast(a, bounds(pairs, n, 4)) == want
+
+class TestValueMembers:
+    """Decompositions read the array's values, as the oracle does."""
+
+    def test_successor_on_values(self):
+        f, d = SUCCESSOR
+        assert d.validate(16, f)
+        pairs_solver = apply_decomposition(d, oracle_pairs(EQP))
+        singles_solver = reduce_1r_to_2r(f, oracle_pairs(f), d)
+        # on ranks [2, 1, 3, 0] these would read 1 and 2
+        a = IntArray([10, 5, 20, 4])
+        assert pairs_solver(a, [pair(1, 1, 2, 4)]) == [0]
+        assert singles_solver(a, [Range(1, 4)]) == [1]
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(2, 24)
+            a = rand_array(rng, n, -50, 50)
+            pairs = [rand_pair(rng, n) for _ in range(5)]
+            singles = [rand_range(rng, n) for _ in range(5)]
+            assert pairs_solver(a, pairs) == [oracle_pairs_query(f, a, p) for p in pairs]
+            assert singles_solver(a, singles) == [oracle_pairs_query(f, a, q) for q in singles]
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("name", [*MEMBERS, "successor"])
+    def test_every_2req_algo(self, name, algo):
+        f, d = MEMBERS.get(name, SUCCESSOR)
+        pairs_solver = apply_decomposition(d, range_solver("2req", algo))
+        singles_solver = reduce_1r_to_2r(f, pairs_solver, d)
+        rng = random.Random(12)
+        for _ in range(6):
+            n = rng.randint(2, 16)
+            a = rand_array(rng, n, -50, 50)
+            pairs = [rand_pair(rng, n) for _ in range(6)]
+            singles = [rand_range(rng, n) for _ in range(6)]
+            assert pairs_solver(a, pairs) == [oracle_pairs_query(f, a, p) for p in pairs]
+            assert singles_solver(a, singles) == [oracle_pairs_query(f, a, q) for q in singles]
