@@ -534,23 +534,8 @@ def _adjacency_sets(g: Graph) -> dict[int, set[int]]:
     return adj
 
 
-_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
 def oracle_edge_triangle_counts(g: Graph) -> dict[Edge, int]:
     """Per-edge triangle count: |N(u) ∩ N(v)| for every edge (u, v)."""
-    if g.n * g.m >= 50_000 and (g.n + 1) ** 2 <= 64 * g.m:
-        # packed-bitset path for dense graphs only, so that its (n + 1)^2
-        # bool matrix stays within 64m bytes: popcount of the AND of
-        # adjacency rows
-        edges = g.sorted_edges()
-        earr = np.array(edges, dtype=np.int64)
-        bits = np.zeros((g.n + 1, g.n + 1), dtype=bool)
-        bits[earr[:, 0], earr[:, 1]] = True
-        bits[earr[:, 1], earr[:, 0]] = True
-        packed = np.packbits(bits, axis=1)
-        common = _BYTE_POPCOUNT[packed[earr[:, 0]] & packed[earr[:, 1]]].sum(axis=1)
-        return {e: int(c) for e, c in zip(edges, common.tolist())}
     adj = _adjacency_sets(g)
     return {(u, v): len(adj[u] & adj[v]) for u, v in g.sorted_edges()}
 

@@ -11,7 +11,3 @@ class OpCounters:
 
     extender_steps: int = 0
     matmul_calls: int = 0
-
-    def reset(self) -> None:
-        self.extender_steps = 0
-        self.matmul_calls = 0

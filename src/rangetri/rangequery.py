@@ -3,8 +3,9 @@
 Three families live here:
 
 * the offline square-root-decomposition solver (``mo_offline``), which
-  groups queries by the first block start at or after their left end and
-  answers each group from one int64 answer row plus vectorised front sums;
+  reads each query off the int64 answer row of the first block start at
+  or after its left end and adds its front, summed for the whole batch
+  in vectorised chunks;
 * its online variant (``MoOnline``), which precomputes an int64 row of
   answers for every block start and answers an arbitrary query by
   adding its front to a row entry in O(1) Python: a prefix count table
@@ -146,8 +147,14 @@ def _check_kind(f: PairFunction) -> None:
 # Offline Mo
 
 
-# front steps summed in one numpy batch; bounds the scratch memory of a group
-FRONT_BATCH = 1 << 16
+# Front steps summed in one numpy chunk; bounds the front pass's scratch
+# memory.  Swept over 2**11 .. 2**16 on perfbench's seed-1 mo_offline
+# batches (median of 6 interleaved runs, 2-vCPU VM): graph_triangle's two
+# reduce_etc_to_2req batches, n = 7120, q = 14206 and n = 10026, q = 20029,
+# took 23.3 and 38.9 ms at 2**13 against 30.1 and 52.4 ms at 2**16 (2**14:
+# 25.1 and 36.5 ms), and range_direct's n = q = 1024 req and riq batches
+# 1.8 and 4.4 ms at every size.  2**13 was the fastest or within 7 % of it.
+FRONT_BATCH = 1 << 13
 
 
 def mo_block_size(n: int, q: int) -> int:
@@ -163,13 +170,15 @@ def mo_offline(
     """Answer offline single-range queries (``Range`` objects or their
     (q, 2) bounds array) from block rows plus front sums.
 
-    With B = max(1, n / sqrt(q)), a query [l, r] is grouped by s, the first
-    block start at or after l.  If s <= r its answer starts from the answer
-    row of s, the int64 answers of [s, k] for every k, built once per group
-    in O(n) numpy work; the front steps p in [l, min(s, r + 1)) then each
-    add the pairs that prepending p to (p, r] gains, summed in vectorised
-    batches of about ``FRONT_BATCH`` steps.  That is n / B rows and fewer
-    than B front steps per query, O(n sqrt(q)) in all, for any q.
+    With B = max(1, n / sqrt(q)), let s be the first block start at or
+    after l.  Two passes answer the batch.  The row pass visits each s
+    with a query [l, r] where s <= r, builds the answer row of s, the int64
+    answers of [s, k] for every k, in O(n) numpy work, and reads it off
+    for those queries.  The front pass then adds, for every query, the
+    pairs that prepending p to (p, r] gains for each front step p in
+    [l, min(s, r + 1)), summed over the whole batch in vectorised chunks
+    of about ``FRONT_BATCH`` steps.  That is n / B rows and fewer than B
+    front steps per query, O(n sqrt(q)) in all, for any q.
     """
     _check_kind(f)
     l, r = bounds(queries, a.n, 2).T - 1
@@ -184,25 +193,22 @@ def mo_offline(
     block = mo_block_size(n, q)
     start = -(-l // block) * block  # first block start >= l
     front = np.minimum(start, r + 1) - l  # front steps of each query
-    order = np.argsort(start, kind="stable")
-    starts, first = np.unique(start[order], return_index=True)
     answers = np.zeros(q, dtype=np.int64)
     seen = np.zeros(domain, dtype=np.int64)  # value counts of vals[0:counted]
-    counted = steps = 0
-    for s, group in zip(starts.tolist(), np.split(order, first[1:])):
-        inside = group[r[group] >= s]
-        if len(inside):
-            seen += np.bincount(vals[counted:s], minlength=domain)
-            counted = s
-            answers[inside] = _answer_row(f.kind, vals, before, seen, s)[r[inside] - s]
-            steps += n - s
-        ends = np.cumsum(front[group])
-        cuts = np.searchsorted(ends, np.arange(FRONT_BATCH, ends[-1], FRONT_BATCH))
-        for part in np.split(group, cuts):
-            answers[part] += _front_sums(gain, l[part], r[part], front[part])
-        steps += int(ends[-1])
+    inside = np.flatnonzero(start <= r)
+    inside = inside[np.argsort(start[inside], kind="stable")]
+    starts, first = np.unique(start[inside], return_index=True)
+    counted = 0
+    for s, group in zip(starts.tolist(), np.split(inside, first[1:])):
+        seen += np.bincount(vals[counted:s], minlength=domain)
+        counted = s
+        answers[group] = _answer_row(f.kind, vals, before, seen, s)[r[group] - s]
+    ends = np.cumsum(front)
+    cuts = np.searchsorted(ends, np.arange(FRONT_BATCH, ends[-1], FRONT_BATCH)).tolist()
+    for i, j in zip([0, *cuts], [*cuts, q]):
+        answers[i:j] += _front_sums(gain, l[i:j], r[i:j], front[i:j])
     if counters is not None:
-        counters.extender_steps += steps
+        counters.extender_steps += int((n - starts).sum() + ends[-1])
     return answers.tolist()
 
 

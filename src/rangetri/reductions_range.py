@@ -49,6 +49,10 @@ class Decomposition:
     A map is called once per array, on all of its int64 values, and
     returns one integer per value.  Most maps act elementwise; a map may
     also read the whole array, as INV's bit split does to rank it.
+
+    A map must keep every output inside int64.  numpy wraps an overflow
+    silently, and both reductions then answer wrong with no error: the
+    successor map y -> y + 1 sends 2**63 - 1 to -2**63.
     """
 
     terms: tuple[tuple[int, ValueMap, ValueMap], ...]

@@ -365,8 +365,8 @@ class TestTriangleOracles:
         assert set(oracle_edge_triangle_counts(path_graph(3)).values()) == {0}
 
     def test_counts_memory_stays_linear_on_sparse_graphs(self):
-        # n * m >= 50 000 on both; the (n + 1)^2 bitset would take 9 MB
-        # for the path and 3.7 kB for K60
+        # n * m >= 50 000 on both; an (n + 1)^2 adjacency matrix would take
+        # 9 MB for the path and 3.7 kB for K60
         path, clique = path_graph(3000), complete_graph(60)
         tracemalloc.start()
         try:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL, ADVERSARIAL_IDS, rand_array, rand_pair, rand_range
-from rangetri import rangequery
+from rangetri import gen, rangequery
 from rangetri.core import (
     EQP,
     INV,
@@ -178,6 +178,19 @@ class TestMoOffline:
                 counters = OpCounters()
                 mo_offline(f, a, queries, counters=counters)
                 assert counters.extender_steps == sum(n + 1 - s for s in rows) + fronts
+
+    def test_step_count_pinned(self, monkeypatch):
+        # range_direct's batch shape, seed 1: the count is
+        # rangequery.extender_steps in perfbench and does not depend on
+        # how the fronts are chunked
+        a = gen.gen_array(1024, 0, 1023, seed=101)
+        queries = gen.gen_queries(1024, 1024, "single", seed=102)
+        for batch in (rangequery.FRONT_BATCH, 7):
+            monkeypatch.setattr(rangequery, "FRONT_BATCH", batch)
+            for f in (EQP, INV):
+                counters = OpCounters()
+                mo_offline(f, a, queries, counters=counters)
+                assert counters.extender_steps == 32_390
 
 
 class TestMoOnline:
