@@ -7,10 +7,11 @@ triple loops) so that trusting them requires reading only a few lines.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,18 +53,32 @@ def normalize(values) -> np.ndarray:
     return np.unique(values, return_inverse=True)[1].astype(np.int64)
 
 
-def _as_int64(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array (no copy if it is one already); a
-    value outside int64 raises ``InputError(f"{what} outside int64")``,
-    also an unsigned array entry of 2**63 or more, which numpy's cast
-    would wrap to a negative number."""
+def _as_int64(values, what: str, whats: str) -> np.ndarray:
+    """``values`` as an int64 array (no copy if it is one already).
+    Raises ``InputError(f"{whats} must be integers")`` on a float,
+    string, bytes or other non-integer entry, or a non-integer numpy
+    dtype, which a cast would truncate or parse; and
+    ``InputError(f"{what} outside int64")`` on a value outside int64,
+    also an unsigned entry of 2**63 or more, which a cast would wrap to
+    a negative number."""
     try:
-        arr = np.asarray(values, dtype=np.int64)
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise InputError(f"{whats} must be integers") from exc
+    kind = arr.dtype.kind
+    if kind == "u" and arr.size and arr.max() >= 1 << 63:
+        raise InputError(f"{what} outside int64")
+    if kind in "iub" or not arr.size:
+        return arr.astype(np.int64, copy=False)
+    # numpy infers a float or object dtype for Python ints that do not
+    # all fit one integer dtype; any other entry is not an integer
+    items = np.asarray(values, dtype=object).ravel().tolist()
+    if not all(isinstance(x, (int, np.integer)) for x in items):
+        raise InputError(f"{whats} must be integers")
+    try:
+        return np.array(items, dtype=np.int64).reshape(arr.shape)
     except OverflowError as exc:
         raise InputError(f"{what} outside int64") from exc
-    if isinstance(values, np.ndarray) and values.dtype.kind == "u" and (arr < 0).any():
-        raise InputError(f"{what} outside int64")
-    return arr
 
 
 class IntArray:
@@ -80,7 +95,7 @@ class IntArray:
     def __init__(self, values):
         if not isinstance(values, np.ndarray):
             values = list(values)
-        vals = _as_int64(values, "array value")
+        vals = _as_int64(values, "array value", "array values")
         if vals is values:
             vals = vals.copy()
         if vals.size < 1:
@@ -234,11 +249,13 @@ EQP = PairFunction.builtin("eqp")
 
 def _edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     """``edges`` (an iterable of pairs or an (m, 2) int array) as an
-    (m, 2) int64 array.  Pairs are read in one ``np.fromiter`` pass once
+    (m, 2) int64 array.  Pairs are read in one ``struct.pack`` pass once
     every item is known to have length 2 and not to be a string, so
-    ragged input is rejected, never re-paired."""
+    ragged input is rejected, never re-paired.  ``struct`` takes only
+    integers (``__index__``) that fit int64, so a float, string or bytes
+    id is rejected, never truncated or parsed."""
     if isinstance(edges, np.ndarray):
-        arr = _as_int64(edges, "vertex id")
+        arr = _as_int64(edges, "vertex id", "vertex ids")
         if arr.size == 0:
             return arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -253,12 +270,17 @@ def _edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     if not pairs:
         raise InputError("edges must be vertex pairs")
     try:
-        flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
-    except OverflowError as exc:
-        raise InputError("vertex id outside int64") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError("vertex ids must be integers") from exc
-    return flat.reshape(-1, 2)
+        packed = struct.pack(f"={2 * len(edges)}q", *chain.from_iterable(edges))
+    except struct.error:
+        # some id is not an integer or lies outside int64: say which
+        try:
+            np.fromiter(map(index, chain.from_iterable(edges)), np.int64, 2 * len(edges))
+        except OverflowError as exc:
+            raise InputError("vertex id outside int64") from exc
+        except TypeError as exc:
+            raise InputError("vertex ids must be integers") from exc
+        raise
+    return np.frombuffer(packed, np.int64).reshape(-1, 2)
 
 
 # the most cells a Graph's adjacency bitmap may have (4 MB of bool)
@@ -433,7 +455,7 @@ class DenseMatrix:
     def __init__(self, rows: int, cols: int, entries):
         if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
-        flat = _as_int64(entries, "matrix entry")
+        flat = _as_int64(entries, "matrix entry", "matrix entries")
         if flat.size != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries, got {flat.size}")
         self.array = flat.reshape(rows, cols)
@@ -482,6 +504,26 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+# ---------------------------------------------------------------------------
+# Packing
+
+
+def pack(sizes: Sequence[int], budget: int) -> list[range]:
+    """Group consecutive independent instances into solver calls: split
+    the positions of ``sizes`` into runs, in order, each as long as its
+    sizes sum to at most ``budget``.  An instance larger than the budget
+    is a run of its own."""
+    runs, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > budget:
+            runs.append(range(start, i))
+            start, total = i, 0
+        total += size
+    if len(sizes):
+        runs.append(range(start, len(sizes)))
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .core import (
     ShapeError,
     bounds,
     normalize,
+    pack,
 )
 
 SingleSolver = Callable[[IntArray, Union[Sequence[Range], np.ndarray]], list[int]]
@@ -219,25 +220,54 @@ def reduce_eqp_to_inv(inv_solver: PairSolver) -> PairSolver:
     return solver
 
 
+# The most 2n * q that one eqp_solver call of apply_decomposition takes:
+# a term costs 2n * q, for its 2n-long array asked q pairs.  Chosen by a
+# sweep of 2riq via-triangle + AYZ on gen arrays and pair queries, INV's
+# ceil(log2 n) terms, best of 9 interleaved runs on a 2-vCPU VM, in ms:
+#
+#   n = q        32     64     128     256     512
+#   unpacked    5.7   11.7    28.6    98.4     294
+#   2^14        2.4    9.4    28.7    98.1     291
+#   2^16        2.4    7.7    27.5    96.6     300
+#   2^18        2.4    7.7    30.1   105.7     300
+#
+# A call past ~2^17 loses to the superlinear inner solver; at 2^16 every
+# term from n = q = 256 on (2n * q >= 2^17) has a call of its own.
+TERM_BUDGET = 1 << 16
+
+
 def apply_decomposition(d: Decomposition, eqp_solver: PairSolver) -> PairSolver:
     """Turn a two-range equal-pairs solver into a solver for any function
     given as a weighted sum of equality predicates.
 
-    One 2n-length array per term: the left map applied to the values of
-    A in the first half, the right map in the second half; the query
-    ([a,b],[c,d]) becomes ([a,b],[n+c,n+d]) on each term array.
+    Each term is a 2n-long array, the left map applied to the values of
+    A in the first half and the right map in the second half, and the
+    query ([a,b],[c,d]) asks ([a,b],[n+c,n+d]) of it.  Consecutive terms
+    share one eqp_solver call while their sizes 2n * q sum to at most
+    ``TERM_BUDGET`` (``core.pack``): each term's array is ranked and
+    offset by 2n times its place in the call, so no two terms share a
+    value, the arrays are laid side by side, and each term's queries are
+    shifted onto its block.  The answers are summed alpha-weighted per
+    query.
     """
 
     def solver(a: IntArray, pairs) -> list[int]:
         b = bounds(pairs, a.n, 4)
         if not len(b):
             return []
+        width = 2 * a.n
         shifted = b + np.array([0, 0, a.n, a.n])
         totals = np.zeros(len(b), dtype=np.int64)
-        for alpha, g, h in d.terms:
-            totals += alpha * np.asarray(
-                eqp_solver(IntArray(_term_values(g, h, a.values)), shifted), dtype=np.int64
-            )
+        for run in pack([width * len(b)] * len(d), TERM_BUDGET):
+            terms = [d.terms[i] for i in run]
+            offset = width * np.arange(len(terms))
+            values = np.concatenate([
+                normalize(_term_values(g, h, a.values)) + off
+                for (_, g, h), off in zip(terms, offset.tolist())
+            ])
+            queries = (shifted + offset[:, None, None]).reshape(-1, 4)
+            answers = np.asarray(eqp_solver(IntArray(values), queries), dtype=np.int64)
+            totals += np.array([alpha for alpha, _, _ in terms]) @ answers.reshape(len(terms), -1)
         return totals.tolist()
 
     return solver

@@ -470,6 +470,24 @@ class TestExitCodes:
         assert "int64" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name,text,argv",
+        [
+            ("a.txt", "3\n1 2.5 3\n", ["solve", "--problem", "req", "--algo", "mo",
+                                         "--array", "a.txt", "--queries", "q.txt"]),
+            ("g.txt", "3 2\n1 2\n2 3.0\n", ["detect", "--graph", "g.txt", "--algo", "ayz"]),
+            ("m.txt", "1 2\n1 0x2\n", ["minmax", "--a", "m.txt", "--b", "m.txt"]),
+        ],
+        ids=["array", "graph", "matrix"],
+    )
+    def test_non_integer_input_is_usage_error(self, capsys, tmp_path, name, text, argv):
+        (tmp_path / name).write_text(text)
+        (tmp_path / "q.txt").write_text("1 3\n")
+        code = main([str(tmp_path / x) if x.endswith(".txt") else x for x in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "expected integers" in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "--problem", "riq", "--algo", "oracle", "--zeta", "4"],

@@ -31,6 +31,7 @@ from rangetri.core import (
     oracle_minmax,
     oracle_pairs_query,
     oracle_triangle_list,
+    pack,
     pair,
 )
 
@@ -101,6 +102,44 @@ class TestTypes:
         # an int64 array is copied before it is made read-only
         own = np.array([3, 1])
         assert IntArray(own).values.tolist() == [3, 1] and own.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.5, 2],
+            [1.0, 2],
+            ["1", "2"],
+            [b"1", 2],
+            [1, None],
+            [[1, 2], [3]],
+            np.array([1.5, 2.0]),
+            np.array([1, 2], dtype=np.float16),
+            np.array(["1", "2"]),
+            np.array([1, 2], dtype=object) + 0.5,
+        ],
+        ids=[
+            "float", "integral-float", "strings", "bytes", "none", "ragged", "float-array",
+            "float16-array", "string-array", "object-floats",
+        ],
+    )
+    def test_non_integers_rejected(self, values):
+        """Nothing is truncated or parsed: a non-integer entry or dtype is
+        an InputError for arrays and matrices alike."""
+        with pytest.raises(InputError, match=r"^array values must be integers$"):
+            IntArray(values)
+        with pytest.raises(InputError, match=r"^matrix entries must be integers$"):
+            DenseMatrix(1, len(values), values)
+
+    def test_integer_forms_accepted(self):
+        forms = [[1, 2], (1, 2), [np.int8(1), np.uint64(2)], [True, 2],
+                 np.array([1, 2], dtype=np.int16), np.array([1, 2], dtype=object)]
+        for values in forms:
+            assert IntArray(values).values.tolist() == [1, 2]
+            assert DenseMatrix(1, 2, values).entries == [1, 2]
+        # ints that no single numpy dtype holds are still checked for range
+        assert IntArray([-1, 2**63 - 1]).values.tolist() == [-1, 2**63 - 1]
+        with pytest.raises(InputError, match=r"^array value outside int64$"):
+            IntArray([-1, 2**63])
 
     def test_pair_nonoverlap(self):
         with pytest.raises(RangeError):
@@ -184,10 +223,19 @@ class TestTypes:
             ([(2**63, 1)], "vertex id outside int64"),
             ([(1, -(2**63) - 1)], "vertex id outside int64"),
             (np.array([[2**63, 1]], dtype=np.uint64), "vertex id outside int64"),
+            ([(1.5, 2), (2, 3)], "vertex ids must be integers"),
+            ([(1, 2.0), (2, 3)], "vertex ids must be integers"),
+            ([("1", "2"), (2, 3)], "vertex ids must be integers"),
+            ([(b"1", 2), (2, 3)], "vertex ids must be integers"),
+            (np.array([[1.5, 2], [2, 3]]), "vertex ids must be integers"),
+            (np.array([[1, 2], [2, 3]], dtype=np.float32), "vertex ids must be integers"),
+            (np.array([["1", "2"], ["2", "3"]]), "vertex ids must be integers"),
         ],
         ids=[
             "ragged", "one-triple", "triples", "empty-item", "flat", "strings", "bytes",
             "flat-array", "wide-array", "none", "nested", "big", "small", "big-unsigned",
+            "float-id", "integral-float-id", "string-ids", "bytes-id", "float-array",
+            "integral-float-array", "string-array",
         ],
     )
     def test_graph_rejects_malformed_edges(self, edges, message):
@@ -256,6 +304,16 @@ class TestTypes:
             DenseMatrix(1, 2, [0, 2**63])
         with pytest.raises(InputError, match="int64"):
             DenseMatrix.from_rows([[-(2**63) - 1]])
+
+
+def test_pack_runs():
+    """Consecutive instances share a run while their sizes fit the
+    budget; one over it runs alone, and empty instances cost nothing."""
+    assert pack([], 10) == []
+    assert pack([4, 4, 4, 4, 4], 10) == [range(0, 2), range(2, 4), range(4, 5)]
+    assert pack([3, 20, 3, 3], 10) == [range(0, 1), range(1, 2), range(2, 4)]
+    assert pack([0, 0, 10, 0, 1], 10) == [range(0, 4), range(4, 5)]
+    assert pack([5, 5], 0) == [range(0, 1), range(1, 2)]
 
 
 class TestBounds:

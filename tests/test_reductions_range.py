@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL, ADVERSARIAL_IDS, query_objects, rand_array, rand_pair, rand_range
+from rangetri import reductions_range
 from rangetri.core import (
     EQP,
     INV,
@@ -295,3 +296,74 @@ class TestValueMembers:
             singles = [rand_range(rng, n) for _ in range(6)]
             assert pairs_solver(a, pairs) == [oracle_pairs_query(f, a, p) for p in pairs]
             assert singles_solver(a, singles) == [oracle_pairs_query(f, a, q) for q in singles]
+
+
+# f(x, y) = [x = y mod 2] - [x = y mod 3] + [x // 4 = y // 4], as four
+# terms whose outputs collide across terms (parity twice, with alpha 2
+# and -1): only the offsets of a packed call keep the terms apart
+COLLIDING = (
+    PairFunction.custom(lambda x, y: int(x % 2 == y % 2) - int(x % 3 == y % 3) + int(x // 4 == y // 4)),
+    Decomposition((
+        (2, lambda x: x % 2, lambda y: y % 2),
+        (-1, lambda x: x % 3, lambda y: y % 3),
+        (1, lambda x: x // 4, lambda y: y // 4),
+        (-1, lambda x: x % 2, lambda y: y % 2),
+    )),
+)
+
+
+def recording(calls):
+    """The EQP oracle as an eqp_solver that records each call's
+    (array length, number of queries)."""
+    inner = oracle_pairs(EQP)
+
+    def solver(a, qs):
+        calls.append((a.n, len(qs)))
+        return inner(a, qs)
+
+    return solver
+
+
+class TestPackedTerms:
+    """apply_decomposition lays consecutive terms side by side in one
+    eqp_solver call while their sizes 2n * q sum to at most TERM_BUDGET."""
+
+    # None keeps the module's budget
+    @pytest.mark.parametrize("budget", [None, 0, 24, 200])
+    def test_calls_within_budget_match_oracle(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(reductions_range, "TERM_BUDGET", budget)
+        budget = reductions_range.TERM_BUDGET
+        f, d = COLLIDING
+        assert d.validate(16, f)
+        rng = random.Random(13)
+        for n in (1, 2, 3, 7, 12):
+            a = rand_array(rng, n, -9, 9)
+            for q in (0, 1, 4) if n > 1 else (0,):
+                pairs = [rand_pair(rng, n) for _ in range(q)]
+                calls = []
+                assert apply_decomposition(d, recording(calls))(a, pairs) == [
+                    oracle_pairs_query(f, a, p) for p in pairs
+                ]
+                if not q:
+                    assert calls == []
+                    continue
+                size = 2 * n * q
+                terms = [length // (2 * n) for length, _ in calls]
+                assert sum(terms) == len(d)
+                assert [asked for _, asked in calls] == [k * q for k in terms]
+                assert all(k == 1 or k * size <= budget for k in terms)
+                # greedy: every call takes as many terms as fit, at least one
+                assert len(calls) == math.ceil(len(d) / max(1, budget // size))
+
+    def test_terms_over_budget_go_one_per_call(self):
+        f, d = COLLIDING
+        n = 16
+        q = reductions_range.TERM_BUDGET // (2 * n) + 1
+        rng = random.Random(14)
+        a = rand_array(rng, n, 0, 9)
+        pairs = [rand_pair(rng, n) for _ in range(q)]
+        calls = []
+        got = apply_decomposition(d, recording(calls))(a, pairs)
+        assert calls == [(2 * n, q)] * len(d)
+        assert got == [oracle_pairs_query(f, a, p) for p in pairs]

@@ -314,6 +314,50 @@ class TestDetectViaListing:
         assert set(detect_via_listing(g, rng=RandomSource(1)).values()) == {False}
 
 
+class TestPackedDetection:
+    """detect_via_listing puts the blow-ups of consecutive samples of a
+    phase side by side in one lister call, up to BLOWUP_BUDGET edges."""
+
+    @staticmethod
+    def run(g, seed):
+        """The answers, and (edges, copies) per lister call: a phase's call
+        of capacity cap holds cap // (100 m) copies, the capacity-one
+        verification one."""
+        calls = []
+
+        def lister(h, cap):
+            calls.append((h.m, max(1, cap // (100 * g.m))))
+            return baseline_list(h, cap)
+
+        return detect_via_listing(g, lister, RandomSource(seed)), calls
+
+    # None keeps the module's budget
+    @pytest.mark.parametrize("budget", [None, 0, 60])
+    def test_calls_within_budget_match_oracle(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(triangle, "BLOWUP_BUDGET", budget)
+        budget = triangle.BLOWUP_BUDGET
+        rng = random.Random(17)
+        for _ in range(10):
+            g = rand_graph(rng, rng.randint(3, 16), 0.35)
+            for seed in range(3):
+                got, calls = self.run(g, seed)
+                assert got == oracle_edge_triangle_detect(g)
+                assert all(copies == 1 or edges <= budget for edges, copies in calls)
+                if not budget:
+                    assert all(copies == 1 for _, copies in calls)
+                # reruns are bit-identical, call for call
+                assert self.run(g, seed) == (got, calls)
+
+    def test_fewer_calls_than_unpacked(self, monkeypatch):
+        g = gen.gen_graph("powerlaw", 30, 0.15, seed=21)
+        got, packed = self.run(g, 1)
+        monkeypatch.setattr(triangle, "BLOWUP_BUDGET", 0)
+        unpacked = self.run(g, 1)
+        assert got == unpacked[0] == oracle_edge_triangle_detect(g)
+        assert len(packed) < len(unpacked[1])
+
+
 class TestInnerListing:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(InputError):
