@@ -3,9 +3,11 @@
 Three families live here:
 
 * the offline square-root-decomposition solver (``mo_offline``), which
-  reads each query off the int64 answer row of the first block start at
-  or after its left end and adds its front, summed for the whole batch
-  in vectorised chunks;
+  reads each query [l, r] off the int64 answer row of the nearer of the
+  block starts s' <= l <= s and corrects it by its front, summed for the
+  whole batch in vectorised chunks: from s it adds the pairs each
+  position in [l, s) gains, from s' it subtracts those of [s', l), as
+  pairs[s', r] - pairs[l, r] telescopes to that sum;
 * its online variant (``MoOnline``), which precomputes an int64 row of
   answers for every block start and answers an arbitrary query by
   adding its front to a row entry in O(1) Python: a prefix count table
@@ -148,17 +150,32 @@ def _check_kind(f: PairFunction) -> None:
 
 
 # Front steps summed in one numpy chunk; bounds the front pass's scratch
-# memory.  Swept over 2**11 .. 2**16 on perfbench's seed-1 mo_offline
-# batches (median of 6 interleaved runs, 2-vCPU VM): graph_triangle's two
-# reduce_etc_to_2req batches, n = 7120, q = 14206 and n = 10026, q = 20029,
-# took 23.3 and 38.9 ms at 2**13 against 30.1 and 52.4 ms at 2**16 (2**14:
-# 25.1 and 36.5 ms), and range_direct's n = q = 1024 req and riq batches
-# 1.8 and 4.4 ms at every size.  2**13 was the fastest or within 7 % of it.
+# memory.  Swept over 2**11 .. 2**16 with the nearer-start fronts and
+# mo_offline_block_size on perfbench's mo_offline batches at seeds 1 and
+# 4242 (median of 30 interleaved runs, 2-vCPU VM).  graph_triangle's two
+# reduce_etc_to_2req batches (seed 1: n = 7120, q = 14206 and n = 10026,
+# q = 20029) took 15.4 and 20.1 ms at 2**13; 2**14 was within 1.5 % of
+# that, 2**12 3-6 % and 2**11 9-12 % slower, 2**15 10-12 % and 2**16
+# 13-16 % slower.  range_direct's n = q = 1024 req and riq batches took
+# 1.4 and 3.1 ms from 2**13 up, 2-3 % more at 2**12 and 4-5 % at 2**11.
 FRONT_BATCH = 1 << 13
 
 
 def mo_block_size(n: int, q: int) -> int:
     return max(1, int(n / math.sqrt(q)))
+
+
+# mo_offline's block size: 0.7 times mo_block_size's n / sqrt(q), which
+# MoOnline keeps.  A smaller block builds more rows, each one O(n) cumsum,
+# to shorten every front, whose steps cost a searchsorted or a wavelet
+# walk each.  Paired against 1.0 over interleaved runs at seeds 1 and
+# 4242 (2-vCPU VM, FRONT_BATCH = 2**13), as median per-run time ratios:
+# 0.7 took the reduce_etc_to_2req batches to 0.89 / 0.85 (seed 1) and
+# 0.89 / 0.80 (seed 4242) and the riq batch to 0.94, and left the req
+# batch at 0.995 / 1.004 (200 runs).  0.5 took the reduce_etc_to_2req
+# batches to 0.74-0.88 but the req batch to 1.04 / 1.08.
+def mo_offline_block_size(n: int, q: int) -> int:
+    return max(1, int(0.7 * n / math.sqrt(q)))
 
 
 def mo_offline(
@@ -170,15 +187,24 @@ def mo_offline(
     """Answer offline single-range queries (``Range`` objects or their
     (q, 2) bounds array) from block rows plus front sums.
 
-    With B = max(1, n / sqrt(q)), let s be the first block start at or
-    after l.  Two passes answer the batch.  The row pass visits each s
-    with a query [l, r] where s <= r, builds the answer row of s, the int64
-    answers of [s, k] for every k, in O(n) numpy work, and reads it off
-    for those queries.  The front pass then adds, for every query, the
-    pairs that prepending p to (p, r] gains for each front step p in
-    [l, min(s, r + 1)), summed over the whole batch in vectorised chunks
-    of about ``FRONT_BATCH`` steps.  That is n / B rows and fewer than B
-    front steps per query, O(n sqrt(q)) in all, for any q.
+    With B = max(1, 0.7 n / sqrt(q)) (``mo_offline_block_size``) and
+    gain(p, r) the pairs that prepending p to (p, r] gains, each query
+    [l, r] reads the nearer of two anchors, ties going forward:
+
+    * forward, from the block start s >= l: row_s[r] plus gain(p, r) for
+      p in [l, min(s, r + 1)), with no row when s > r;
+    * backward, from the block start s' <= l: row_s'[r] minus gain(p, r)
+      for p in [s', l).  pairs[s', r] - pairs[l, r] telescopes to that
+      sum, and s' <= r, so the row always exists.
+
+    Two passes answer the batch.  The row pass visits each anchor some
+    query reads a row of, builds its answer row, the int64 answers of
+    [s, k] for every k, in O(n) numpy work, and reads it off for those
+    queries.  The front pass then sums every query's front, signed by
+    its direction, over the whole batch in vectorised chunks of about
+    ``FRONT_BATCH`` steps.  That is at most n / B + 1 rows and at most
+    B / 2 front steps per query, about B / 4 on average, O(n sqrt(q)) in
+    all, for any q.
     """
     _check_kind(f)
     l, r = bounds(queries, a.n, 2).T - 1
@@ -190,9 +216,14 @@ def mo_offline(
     domain = int(vals.max()) + 1
     before, _, gain = _pair_counts(f.kind, vals, domain)
 
-    block = mo_block_size(n, q)
-    start = -(-l // block) * block  # first block start >= l
-    front = np.minimum(start, r + 1) - l  # front steps of each query
+    block = mo_offline_block_size(n, q)
+    below = l // block * block  # block start at or before l
+    above = -(-l // block) * block  # block start at or after l
+    forward = np.minimum(above, r + 1) - l  # front steps from above
+    back = l - below < forward  # read below instead; ties go forward
+    start = np.where(back, below, above)  # each query's anchor
+    front = np.where(back, l - below, forward)
+    front_lo = np.minimum(start, l)  # a front covers [front_lo, front_lo + front)
     answers = np.zeros(q, dtype=np.int64)
     seen = np.zeros(domain, dtype=np.int64)  # value counts of vals[0:counted]
     inside = np.flatnonzero(start <= r)
@@ -206,7 +237,8 @@ def mo_offline(
     ends = np.cumsum(front)
     cuts = np.searchsorted(ends, np.arange(FRONT_BATCH, ends[-1], FRONT_BATCH)).tolist()
     for i, j in zip([0, *cuts], [*cuts, q]):
-        answers[i:j] += _front_sums(gain, l[i:j], r[i:j], front[i:j])
+        sums = _front_sums(gain, front_lo[i:j], r[i:j], front[i:j])
+        answers[i:j] += np.where(back[i:j], -sums, sums)
     if counters is not None:
         counters.extender_steps += int((n - starts).sum() + ends[-1])
     return answers.tolist()
@@ -267,6 +299,8 @@ class MoOnline(OnlineIndex):
                        C_{r+1}(vals[p]) - C_{p+1}(vals[p]),
 
     with the row term 0 and s = r + 1 when no block start lies inside.
+    Unlike ``mo_offline`` it always reads this forward start: a query
+    costs O(1) Python whatever its front, so a shorter one does not pay.
     ``rows[j]`` holds the int64 answers of [jB, k] for every k.  The
     prefix sums of C_{p+1}(vals[p]), one number per position, give the
     second sum.  For the first, C_{r+1}(v) is T_k(v), the count over

@@ -35,6 +35,7 @@ from rangetri.rangequery import (
     matmul,
     mo_block_size,
     mo_offline,
+    mo_offline_block_size,
     online_eq_build,
     eq_values,
 )
@@ -57,6 +58,14 @@ class TestWavelet:
             x, v = (np.asarray(c, dtype=np.int64) for c in zip(*needles))
             expected = [sum(1 for i in range(xi) if vals[i] < vi) for xi, vi in needles]
             assert Wavelet(vals, d).less(x, v).tolist() == expected
+
+
+def mo_fronts(x: Range, block: int) -> tuple[int, int, int, int]:
+    """0-based block starts below <= l <= above of ``x`` under block size
+    ``block``, and its forward and backward front steps."""
+    l, r = x.l - 1, x.r - 1
+    below, above = l // block * block, -(-l // block) * block
+    return below, above, min(above, r + 1) - l, l - below
 
 
 class TestMoOffline:
@@ -163,21 +172,26 @@ class TestMoOffline:
             assert counters.extender_steps <= budget
 
     def test_step_count(self):
-        # n - s per answer row built, one per front step
+        # n - s per answer row read, plus each query's shorter front:
+        # forward from the block start s >= l or back from s' <= l
         rng = random.Random(14)
         for _ in range(30):
             n = rng.randint(1, 80)
             q = rng.randint(1, 60)
             a = rand_array(rng, n, 0, 5)
             queries = [rand_range(rng, n) for _ in range(q)]
-            block = mo_block_size(n, q)
-            starts = [-(-(x.l - 1) // block) * block + 1 for x in queries]
-            rows = {s for s, x in zip(starts, queries) if s <= x.r}
-            fronts = sum(min(s, x.r + 1) - x.l for s, x in zip(starts, queries))
+            block = mo_offline_block_size(n, q)
+            rows, fronts = set(), 0
+            for x in queries:
+                below, above, forward, backward = mo_fronts(x, block)
+                s = below if backward < forward else above
+                if s < x.r:
+                    rows.add(s)
+                fronts += min(forward, backward)
             for f in (EQP, INV):
                 counters = OpCounters()
                 mo_offline(f, a, queries, counters=counters)
-                assert counters.extender_steps == sum(n + 1 - s for s in rows) + fronts
+                assert counters.extender_steps == sum(n - s for s in rows) + fronts
 
     def test_step_count_pinned(self, monkeypatch):
         # range_direct's batch shape, seed 1: the count is
@@ -190,7 +204,53 @@ class TestMoOffline:
             for f in (EQP, INV):
                 counters = OpCounters()
                 mo_offline(f, a, queries, counters=counters)
-                assert counters.extender_steps == 32_390
+                assert counters.extender_steps == 29_984
+
+    def test_nearer_start_every_range(self, monkeypatch):
+        # every (l, r) under every block size B in 1..n: l on a block start
+        # (no front), ties (forward), backward fronts from s' = 0, and
+        # ranges with no block start inside; then one query at a time (q = 1)
+        rng = random.Random(16)
+        arrays = [IntArray(v) for v in ADVERSARIAL]
+        arrays += [rand_array(rng, n, 0, 4) for n in (9, 17, 24)]
+        seen = set()
+        for a in arrays:
+            n = a.n
+            every = [Range(l, r) for l in range(1, n + 1) for r in range(l, n + 1)]
+            for f in (EQP, INV):
+                expected = [oracle_pairs_query(f, a, x) for x in every]
+                for block in range(1, n + 1):
+                    monkeypatch.setattr(rangequery, "mo_offline_block_size", lambda n, q: block)
+                    assert mo_offline(f, a, every) == expected
+                    for x in every:
+                        below, above, forward, backward = mo_fronts(x, block)
+                        seen.add("on start" if backward == 0 else
+                                 "tie" if backward == forward else
+                                 "from 0" if backward < forward and below == 0 else
+                                 "backward" if backward < forward else "forward")
+                        if above >= x.r:
+                            seen.add("no start inside")
+                monkeypatch.undo()
+                assert [mo_offline(f, a, [x])[0] for x in every] == expected
+        assert seen == {"on start", "tie", "from 0", "backward", "forward", "no start inside"}
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        st.integers(1, 40),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=30),
+    )
+    def test_property_any_block_size(self, values, block, picks):
+        a = IntArray(values)
+        n = a.n
+        queries = []
+        for x, y in picks:
+            l = 1 + x % n
+            queries.append(Range(l, l + y % (n - l + 1)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rangequery, "mo_offline_block_size", lambda n, q: min(block, n))
+            for f in (EQP, INV):
+                expected = [oracle_pairs_query(f, a, q) for q in queries]
+                assert mo_offline(f, a, queries) == expected
 
 
 class TestMoOnline:
