@@ -87,7 +87,8 @@ def _wedge_chunks(g: Graph, slots: np.ndarray, owner: np.ndarray, firsts=None):
     order), so a caller may stop early."""
     row, nb = owner[slots], g.indices[slots]
     firsts = np.arange(slots.size) if firsts is None else firsts
-    later = (np.searchsorted(row, row, "right") - np.arange(slots.size) - 1)[firsts]
+    row_end = np.cumsum(np.bincount(row, minlength=g.n + 1))  # row v ends before row_end[v]
+    later = (row_end[row] - np.arange(slots.size) - 1)[firsts]
     done = np.cumsum(later)
     start = 0
     while start < firsts.size:
@@ -114,15 +115,10 @@ def _owner(g: Graph) -> np.ndarray:
     return np.repeat(np.arange(g.n + 1), np.diff(g.indptr))
 
 
-def _slot_edges(g: Graph, forward: np.ndarray) -> np.ndarray:
-    """The edge at each CSR slot: slot s of row c holding v is edge
-    {c, v}.  The forward slots (c < v, marked in ``forward``) are the
-    edges in order; the backward ones are the edges ordered by
-    (ev, eu)."""
-    edge = np.empty(g.indices.size, dtype=np.int64)
-    edge[forward] = np.arange(g.m)
-    edge[~forward] = np.argsort(g.ev * (g.n + 1) + g.eu)  # distinct keys
-    return edge
+def _degree_key(g: Graph) -> np.ndarray:
+    """Each vertex's (degree, id) as one int64 key, deg * (n + 1) + id:
+    the order compact-forward orients every edge by."""
+    return np.diff(g.indptr) * (g.n + 1) + np.arange(g.n + 1)
 
 
 def default_theta(m: int) -> int:
@@ -141,16 +137,16 @@ def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
     ``g.eu``/``g.ev`` (Alon-Yuster-Zwick).  A vertex is heavy when its
     degree exceeds theta, by default ``default_theta(m)``.
 
-    Every triangle with a light vertex is found once per light vertex,
-    as the closed wedge (c; v, w), v < w, centred at it.  That wedge
-    credits edge (v, w); it also credits edge (c, v) when w is heavy and
-    (v is heavy or c < v), and edge (c, w) when v is heavy and (w is
-    heavy or c < w), so each triangle's edge with a heavy third vertex
-    is counted once.  An edge with both ends heavy adds its entry of
-    the H x H 0/1 product A_H @ A_H over the heavy vertices, which
-    counts its heavy third vertices; the product is computed in row
-    chunks, in float32 while that is exact.  That is m * theta wedges
-    plus one product on H <= 2m / theta vertices.
+    Vertices are ordered by (degree, id), so every light vertex comes
+    before every heavy one.  A triangle with a light vertex is found
+    once, as the closed wedge (c; v, w) at its lowest vertex c, which is
+    light: both v and w come after c.  That wedge credits all three of
+    its edges.  An edge with both ends heavy also adds its entry of the
+    H x H 0/1 product A_H @ A_H over the heavy vertices, which counts
+    its heavy third vertices; the product is computed in row chunks, in
+    float32 while that is exact.  A light row pairs at most theta
+    neighbours, so that is at most m * theta wedges plus one product on
+    H <= 2m / theta vertices.
     """
     m = g.m
     if theta is None:
@@ -159,18 +155,14 @@ def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
         raise InputError("degree threshold must be >= 1")
 
     heavy = np.diff(g.indptr) > theta
+    key = _degree_key(g)
     owner = _owner(g)
-    # per slot: its neighbour lies after its row's vertex, or is heavy
-    forward = g.indices > owner
-    heavy_nb = heavy[g.indices]
-    slot_edge = _slot_edges(g, forward)
-    light = np.flatnonzero(~heavy[owner])
+    # the slots of light rows whose neighbour comes after the row's vertex
+    up = np.flatnonzero(~heavy[owner] & (key[g.indices] > key[owner]))
     credited = [owner[:0]]
-    for first, second, edge in _wedge_chunks(g, light, owner):
-        hv, hw = heavy_nb[first], heavy_nb[second]
-        cv = slot_edge[first[hw & (hv | forward[first])]]
-        cw = slot_edge[second[hv & (hw | forward[second])]]
-        credited += [edge, cv, cw]
+    for first, second, edge in _wedge_chunks(g, up, owner):
+        c = owner[first]
+        credited += [edge, g.edge_index(c, g.indices[first]), g.edge_index(c, g.indices[second])]
     counts = np.bincount(np.concatenate(credited), minlength=m)
 
     both = np.flatnonzero(heavy[g.eu] & heavy[g.ev])
@@ -217,13 +209,12 @@ def baseline_list(g: Graph, cap: int) -> ListingResult:
     """
     if cap < 0:
         raise InputError("cap must be >= 0")
-    deg = np.diff(g.indptr)
-    rank = np.argsort(np.lexsort((np.arange(g.n + 1), deg)))  # by (degree, id)
+    key = _degree_key(g)
     owner = _owner(g)
     # forward slots by row then rank, so a pair in u's row is (u -> v,
     # u -> w) with v middle-ranked; one per edge, at its lower-ranked end
-    forward = np.flatnonzero(rank[g.indices] > rank[owner])
-    forward = forward[np.lexsort((rank[g.indices[forward]], owner[forward]))]
+    forward = np.flatnonzero(key[g.indices] > key[owner])
+    forward = forward[np.lexsort((key[g.indices[forward]], owner[forward]))]
     # take them in edge order, and stop once cap + 1 triangles are found
     firsts = np.argsort(g.edge_index(owner[forward], g.indices[forward]))
     found, total = [np.empty((0, 3), dtype=np.int64)], 0
@@ -289,10 +280,11 @@ def _blowup(g: Graph, comp12, first, second, comp3, third):
 def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
     """List up to m triangles using only a per-edge triangle detector.
 
-    Works on a 3-partite blow-up (six edge copies per input edge) and
-    repeatedly halves each component's third part, keeping only
-    first-second edges the detector confirms; when every component's
-    third part is a single vertex, the surviving edges name triangles.
+    Works on a 3-partite blow-up whose first-second edges are the edges
+    u < v, each once, from u in part 0 to v in part 1, and repeatedly
+    halves each component's third part, keeping only first-second edges
+    the detector confirms; when every component's third part is a
+    single vertex, the surviving edges name triangles.
     """
     n, m = g.n, g.m
     if not m:
@@ -313,14 +305,12 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
 
     # A component is its third part, (comp3, third) sorted by component
     # then vertex, and its first-second edges, (comp12, first, second)
-    # sorted by component then edge: at first both orientations of every
-    # edge, with the component's vertices as the third part.
+    # sorted by component then edge: at first every edge (u, v), u < v,
+    # with the component's vertices as the third part.
     third = np.argsort(comp[1:], kind="stable") + 1
     comp3 = comp[third]
-    first = np.concatenate((g.eu, g.ev))
-    second = np.concatenate((g.ev, g.eu))
-    order = np.lexsort((second, first, comp[first]))
-    comp12, first, second = comp[first[order]], first[order], second[order]
+    order = np.argsort(comp[g.eu], kind="stable")
+    comp12, first, second = comp[g.eu[order]], g.eu[order], g.ev[order]
 
     truncated = False
     while third.size > comp3[-1] + 1:  # some third part has two vertices
@@ -342,10 +332,10 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
         detected = detector(graph)
         keep = np.fromiter(map(detected.get, zip(a.tolist(), b.tolist()), repeat(False)), bool, a.size)
         comp12, first, second = comp12[keep], first[keep], second[keep]
-        if comp12.size > 6 * m:
+        if comp12.size > 3 * m:
             # drop the lexicographically last edges, by component then edge
             truncated = True
-            comp12, first, second = comp12[: 6 * m], first[: 6 * m], second[: 6 * m]
+            comp12, first, second = comp12[: 3 * m], first[: 3 * m], second[: 3 * m]
         if not comp12.size:
             break
         # drop components left without edges and renumber the rest
@@ -361,9 +351,9 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
     # keep the triples whose three pairs are edges of g, in case the
     # detector confirmed an edge no triangle goes through
     tris = np.unique(tris[_is_triangle(g, tris)], axis=0)
-    # One triangle can survive through up to six edge slots (three third
-    # vertices times two orientations), so the slot cap of 6m does not by
-    # itself bound the distinct output; trim deterministically to m.
+    # One triangle can survive through up to three edge slots, one per
+    # third vertex, so the slot cap of 3m keeps at least m of them but
+    # does not by itself bound the distinct output; trim to m.
     if len(tris) > m:
         tris, truncated = tris[:m], True
     return ListingResult(set(map(tuple, tris.tolist())), TRUNCATED if truncated else COMPLETE)

@@ -3,6 +3,7 @@
 import collections
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -107,31 +108,75 @@ def with_leaves(edges, hubs, leaves):
     return Graph(n, edges)
 
 
-# one graph per AYZ crediting rule; at the default theta the named
-# vertices are heavy and the rest light
-CREDIT_CASES = {
-    # edge (2, 3): both ends light, third vertex 1 heavy, below them
-    "light_light_heavy_below": (with_leaves([(1, 2), (1, 3), (2, 3)], [1], 6), {1}),
-    # edge (1, 2): both ends light, third vertex 3 heavy, above them
-    "light_light_heavy_above": (with_leaves([(1, 2), (1, 3), (2, 3)], [3], 6), {3}),
-    # edges (1, 3) and (2, 3): light-heavy, with heavy third vertex
-    "light_heavy": (with_leaves([(1, 2), (1, 3), (2, 3)], [1, 2], 6), {1, 2}),
-    # edge (1, 2) closes at heavy 3 and light 4: product plus a wedge
-    "heavy_heavy": (
+def circulant(n, offsets):
+    """The graph on 1..n joining i and i + d (mod n) for each offset d."""
+    return Graph(n, {tuple(sorted((i + 1, (i + d) % n + 1))) for i in range(n) for d in offsets})
+
+
+# AYZ finds a triangle with a light vertex at its lowest vertex by
+# (degree, id), and an all-heavy one through the heavy product; at the
+# default theta the named vertices are heavy and the rest light
+ORIENTATION_CASES = {
+    # triangle {1, 2, 3}: its light vertex 3 has the largest id but the
+    # lowest degree, so the wedge at 3 pairs heavy 1 and 2
+    "light_lowest_heavy_partners": (with_leaves([(1, 2), (1, 3), (2, 3)], [1, 2], 6), {1, 2}),
+    # edge (1, 2) closes at heavy 3 and at light 4: product plus a wedge
+    "heavy_heavy_light_third": (
         with_leaves([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)], [1, 2, 3], 4),
         {1, 2, 3},
     ),
+    # light 2 and 3 tie on degree: the wedge is at 2, pairing 3 and heavy 1
+    "one_heavy_below": (with_leaves([(1, 2), (1, 3), (2, 3)], [1], 6), {1}),
+    # the wedge is at light 1, pairing light 2 and heavy 3
+    "one_heavy_above": (with_leaves([(1, 2), (1, 3), (2, 3)], [3], 6), {3}),
+    "all_heavy": (with_leaves([(1, 2), (1, 3), (2, 3)], [1, 2, 3], 6), {1, 2, 3}),
+    # every degree ties, so ids order the vertices; at theta >= the
+    # largest degree every vertex is light
+    "K4": (complete_graph(4), {1, 2, 3, 4}),
+    "circulant_4_regular": (circulant(9, (1, 2)), set(range(1, 10))),
 }
 
 
-@pytest.mark.parametrize("case", list(CREDIT_CASES))
-def test_ayz_crediting_rules(case):
-    g, heavy = CREDIT_CASES[case]
+@pytest.mark.parametrize("case", list(ORIENTATION_CASES))
+def test_ayz_lowest_vertex_rule(case):
+    g, heavy = ORIENTATION_CASES[case]
     deg = np.diff(g.indptr)
     assert set(np.flatnonzero(deg > default_theta(g.m)).tolist()) == heavy
     expected = oracle_edge_triangle_counts(g)
     for theta in (1, 2, None, int(deg.max())):
         assert ayz_edge_counts(g, theta=theta) == expected
+
+
+class WedgeRecording(Graph):
+    """A Graph that counts the pairs the wedge kernel looks up."""
+
+    wedge_pairs = 0
+
+    def edge_index(self, u, v):
+        if sys._getframe(1).f_code is triangle._wedge_chunks.__code__:
+            self.wedge_pairs += np.size(u)
+        return super().edge_index(u, v)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen.gen_graph("gnp", 120, 0.3, seed=2), gen.gen_graph("powerlaw", 400, 0.01, seed=3)],
+    ids=["gnp", "powerlaw"],
+)
+def test_ayz_pairs_only_up_neighbours(g):
+    # a light vertex pairs only its neighbours of higher (degree, id)
+    deg = np.diff(g.indptr)
+    key = deg * (g.n + 1) + np.arange(g.n + 1)
+    up = np.zeros(g.n + 1, dtype=np.int64)
+    np.add.at(up, np.where(key[g.eu] < key[g.ev], g.eu, g.ev), 1)
+    expected = oracle_edge_triangle_counts(g)
+    for theta in (1, 2, None, int(deg.max())):
+        th = default_theta(g.m) if theta is None else theta
+        h = WedgeRecording(g.n, np.stack((g.eu, g.ev), axis=1))
+        assert ayz_edge_counts(h, theta=theta) == expected
+        bound = int((up * (up - 1) // 2)[deg <= th].sum())
+        assert h.wedge_pairs <= bound <= g.m * th
+        assert h.wedge_pairs > 0 or bound == 0
 
 
 class TestBaselineList:
@@ -236,13 +281,20 @@ class TestListViaDetection:
         assert res.status == (TRUNCATED if len(truth) > g.m else COMPLETE)
 
     def test_random_graphs(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            g = rand_graph(rng, rng.randint(3, 16), 0.4)
+        # sparse to dense, so that t < m, t = m and t > m all occur
+        rng = random.Random(25)
+        graphs = [rand_graph(rng, rng.randint(3, 24), rng.choice((0.2, 0.4, 0.7, 0.9))) for _ in range(200)]
+        graphs.append(gen.gen_graph("powerlaw", 400, 0.01, seed=3))
+        statuses = collections.Counter()
+        for g in graphs:
             res = list_via_detection(g, oracle_edge_triangle_detect)
             truth = oracle_triangle_list(g)
             assert res.triangles <= truth
             assert len(res.triangles) == min(g.m, len(truth))
+            if res.status == COMPLETE:
+                assert res.triangles == truth
+            statuses[res.status] += 1
+        assert statuses[COMPLETE] and statuses[TRUNCATED]
 
     def test_iteration_bound(self):
         calls = {"n": 0}
@@ -267,10 +319,11 @@ class TestListViaDetection:
     )
     def test_blowups_stay_bounded(self, g, largest):
         # One blow-up per halving of the largest component's third part.
-        # Each holds at most 12m first-second edges (at most 6m survivors,
-        # each copied into both halves) and 4m third-part joins (every
-        # vertex w lies in one third part and joins at most the part-0
-        # and part-1 copies of its deg(w) neighbours).
+        # Each holds at most 6m first-second edges (at most 3m survivors,
+        # one orientation of an edge per third vertex, each copied into
+        # both halves) and 4m third-part joins (every vertex w lies in one
+        # third part and joins at most the part-0 and part-1 copies of its
+        # deg(w) neighbours).
         sizes = []
 
         def counting_detector(graph):
@@ -279,7 +332,7 @@ class TestListViaDetection:
 
         list_via_detection(g, counting_detector)
         assert len(sizes) <= math.ceil(math.log2(largest))
-        assert max(sizes) <= 16 * g.m
+        assert max(sizes) <= 10 * g.m
 
     def test_triangle_free(self):
         res = list_via_detection(path_graph(6), oracle_edge_triangle_detect)
