@@ -367,14 +367,15 @@ class Graph:
         and v (vertex ids in 1..n, in either order) are not adjacent.
         Vectorised: u and v are ints or int arrays of one shape.
 
-        Only the pairs that ``adjacency`` marks are looked up in ``keys``.
-        A pair further apart than the band may land on another row's
-        cell, but the lookup rejects it.  Ids outside 1..n clip to the
-        first or last cell, rows 0 and n, which no edge sets."""
+        Only the pairs of ids in 1..n that ``adjacency`` marks are looked
+        up in ``keys``.  A pair further apart than the band may land on
+        another row's cell, but the lookup rejects it; a pair with an id
+        outside 1..n could share a real edge's key, so it gives -1 first."""
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         band, adjacent = self.adjacency
-        marked = adjacent.take(lo * (band - 1) + hi, mode="clip")  # cell lo * band + (hi - lo)
+        marked = (lo >= 1) & (hi <= self.n)
+        marked &= adjacent.take(lo * (band - 1) + hi, mode="clip")  # cell lo * band + (hi - lo)
         key = (lo * (self.n + 1) + hi)[marked]
         at = np.searchsorted(self.keys, key)
         out = np.full(lo.shape, -1, dtype=np.int64)

@@ -300,7 +300,7 @@ def test_criterion_8_minmax_product(capsys):
         want = oracle_minmax(a, b)
         stats = MinMaxStats()
         ok &= minmax_product(a, b, direct, stats=stats) == want
-        batches = max(1, math.ceil(math.log2(2 * n * n)))
+        batches = math.ceil(math.log2(n))  # n candidates per cell
         ok &= stats.batches == batches
         ok &= stats.probes_per_batch == [n * n] * batches
         ok &= minmax_product(a, b, chain) == want

@@ -252,6 +252,11 @@ class TestTypes:
         assert g.edge_index(g.ev, g.eu).tolist() == list(range(len(pairs)))
         assert Graph(0, []).edge_index([1, 2], [2, 1]).tolist() == [-1, -1]
 
+    def test_edge_index_refuses_ids_outside_the_graph(self):
+        # on K3, key(0, 7) = 0 * 4 + 7 is the key of edge (1, 3)
+        g = Graph(3, [(1, 2), (1, 3), (2, 3)])
+        assert g.edge_index([0, 7, -1, 4], [7, 0, 2, 1]).tolist() == [-1, -1, -1, -1]
+
     def test_edge_index_without_bitmap(self):
         n = 3000
         path = [(v, v + 1) for v in range(1, n)]
@@ -262,9 +267,10 @@ class TestTypes:
         assert wide.adjacency[0] == 1 and wide.adjacency[1].tolist() == [True]
         rng = random.Random(5)
         # (1, n), u == v, edges in both orders, pairs further apart than
-        # the band, and random pairs, mostly non-edges
-        u = [1, n, 7, 8, 5, n - 1, n, 1, 2] + [rng.randint(1, n) for _ in range(300)]
-        v = [n, 1, 7, 7, 8, n, n - 1, 3, 1] + [rng.randint(1, n) for _ in range(300)]
+        # the band, (0, 2n + 1), whose key is that of (1, n), and random
+        # pairs, mostly non-edges
+        u = [1, n, 7, 8, 5, n - 1, n, 1, 2, 0] + [rng.randint(1, n) for _ in range(300)]
+        v = [n, 1, 7, 7, 8, n, n - 1, 3, 1, 2 * n + 1] + [rng.randint(1, n) for _ in range(300)]
         for g in (narrow, wide):
             position = {e: k for k, e in enumerate(g.sorted_edges())}
             want = [position.get((min(a, b), max(a, b)), -1) for a, b in zip(u, v)]

@@ -3,7 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import query_objects
 from rangetri.core import (
@@ -24,6 +27,10 @@ def disjoint_oracle(a, queries):
 
 def disjoint_via_triangle_detection(a, queries):
     return reduce_2rdq_to_etd(a, queries, EDGE_DETECTORS["oracle"])
+
+
+def disjoint_via_ayz(a, queries):
+    return reduce_2rdq_to_etd(a, queries, EDGE_DETECTORS["ayz"])
 
 
 def rand_matrix(rng, n, lo=-50, hi=50):
@@ -56,6 +63,27 @@ def solver_arrays(a, b):
 
     minmax_product(a, b, recording)
     return seen
+
+
+@st.composite
+def matrix_pairs(draw, n):
+    """Two n x n matrices of one family: all entries equal, entries in
+    -1..1 (ties everywhere), rows and columns monotone (sorted row-major,
+    either way), or int64-extreme entries."""
+    family = draw(st.sampled_from(["equal", "band", "monotone", "extremes"]))
+
+    def matrix():
+        if family == "equal":
+            return DenseMatrix(n, n, [draw(st.integers(-3, 3))] * (n * n))
+        entries = st.integers(-1, 1) if family == "band" else st.integers(-20, 20)
+        if family == "extremes":
+            entries = st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
+        flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+        if family == "monotone":
+            flat.sort(reverse=draw(st.booleans()))
+        return DenseMatrix(n, n, flat)
+
+    return matrix(), matrix()
 
 
 class TestRanking:
@@ -112,6 +140,15 @@ class TestProduct:
             got = minmax_product(a, b, disjoint_via_triangle_detection)
             assert got == oracle_minmax(a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_property_matches_oracle(self, n, data):
+        a, b = data.draw(matrix_pairs(n))
+        want = oracle_minmax(a, b)
+        assert minmax_product(a, b, disjoint_oracle) == want
+        assert minmax_product(a, b, disjoint_via_ayz) == want
+
     def test_duplicate_values(self):
         a = DenseMatrix.from_rows([[5, 5], [5, 5]])
         b = DenseMatrix.from_rows([[5, 2], [5, 2]])
@@ -125,7 +162,7 @@ class TestInstrumentation:
             a, b = rand_matrix(rng, n), rand_matrix(rng, n)
             stats = MinMaxStats()
             minmax_product(a, b, disjoint_oracle, stats=stats)
-            expected_batches = max(1, math.ceil(math.log2(2 * n * n)))
+            expected_batches = math.ceil(math.log2(n))  # n candidates per cell
             assert stats.batches == expected_batches
             assert stats.probes_per_batch == [n * n] * expected_batches
             assert stats.solver_queries <= expected_batches * n * n
@@ -145,3 +182,45 @@ class TestInstrumentation:
                 for mids, leq in stats.trace:
                     assert leq[i, j] == (answer_rank <= mids[i, j])
                 assert out[i, j] == rank_to_value[answer_rank - 1]
+
+    def test_solver_protocol(self):
+        # each cell's queries are its own binary search over t = pa + pb
+        # in 2..n + 1, replayed here from the ranks: both prefixes are
+        # non-empty, and a converged cell is not asked again
+        rng = random.Random(6)
+        for n in (1, 2, 3, 7, 13):
+            a, b = rand_matrix(rng, n, -3, 3), rand_matrix(rng, n, -3, 3)
+            asked = []
+
+            def recording(arr, queries):
+                asked.append(np.asarray(queries).tolist())
+                return disjoint_oracle(arr, queries)
+
+            minmax_product(a, b, recording)
+            ra, rb, _ = rank_entries(a, b)
+            rounds = math.ceil(math.log2(n))
+            want = [[] for _ in range(rounds)]
+            for i in range(n):
+                for j in range(n):
+                    merged = sorted([(r, 0) for r in ra[i]] + [(rb[k][j], 1) for k in range(n)])
+                    answer = min(max(ra[i][k], rb[k][j]) for k in range(n))
+                    lo, hi = 2, n + 1
+                    for r in range(rounds):
+                        if lo == hi:
+                            break
+                        t = (lo + hi) // 2
+                        pa = sum(side == 0 for _, side in merged[:t])
+                        if 0 < pa < t:
+                            want[r].append([i * n + 1, i * n + pa, (n + j) * n + 1, (n + j) * n + t - pa])
+                        if answer <= merged[t - 1][0]:
+                            hi = t
+                        else:
+                            lo = t + 1
+                    assert lo == hi
+            assert asked == [queries for queries in want if queries]
+            for queries in asked:
+                for first_a, last_a, first_b, last_b in queries:
+                    pa, pb = last_a - first_a + 1, last_b - first_b + 1
+                    assert pa >= 1 and pb >= 1 and 2 <= pa + pb <= n + 1
+            if n == 1:
+                assert asked == []
