@@ -22,9 +22,13 @@ Three families live here:
   tail position costs one list read, and one binary search of its
   value's index list only when that value recurs in the range.
   ``OnlineEqSolver`` computes the ranks, index lists and position links
-  once and shares them with every doubling rebuild.  The block
-  parameters take the matrix-product exponent as the constant
-  ``OMEGA`` = 3.
+  once and shares them with every doubling rebuild.  For q_hint =
+  n**alpha queries a block is ceil(c * n**(1 - beta)) positions, with
+  beta = 2 alpha / (omega + 1) up to q = n and (3 - alpha + omega (alpha
+  - 1)) / (omega + 1) above (the two meet at q = n; at ``OMEGA`` = 3 both
+  are alpha / 2, so a block is about c * n / sqrt(q)).  The constant c,
+  ``EQ_BLOCK_SCALE`` = 0.15, was swept: a tail step is a Python list read
+  and a bisect, dearer than a table cell by about two orders.
 
 The two online solvers share ``OnlineIndex``'s ``query``/``batch`` driver.
 
@@ -477,15 +481,42 @@ class OnlineEqStructure:
 
 OMEGA = 3.0  # the matrix-product exponent the block parameters assume
 
+# Online-eq's block length is EQ_BLOCK_SCALE * n**(1 - beta): the paper's
+# balance weighs one tail step like one table cell, but a tail step is a
+# Python list read and often a bisect (~0.5 us) while a cell of the product
+# and the cumsums is nanoseconds of numpy.  Swept over 0.1 .. 1 on a 2-vCPU
+# VM (medians of 7 interleaved runs, ms; every answer equal): perfbench's
+# two OnlineEqSolver streams at n = 1024 (16 values to q = 4n, near-distinct
+# to q = n, seed 1), range_solver("req", "online-eq") at n = q = 20 000
+# with values 0..n-1 and 0..15, and reduce_etc_to_2req through online-eq on
+# powerlaw(1000, 0.01, seed 102):
+#   c     streams  req 0..n-1  req 0..15  etc
+#   1.0    35.9      286        1029      316
+#   0.5    25.1      173         542      180
+#   0.25   20.1      122         323      117
+#   0.18   19.4      115         260      114
+#   0.15   19.5      106         236       98
+#   0.12   21.3      102         205       94
+#   0.1    22.2      102         200       96
+# (streams: medians of 40 runs).  Below 0.15 the streams lose up to 14 %;
+# above it every other shape does.  Scaling tau by 0.5 .. 4 moved nothing
+# beyond noise, so gamma stays 1 + beta - alpha.
+EQ_BLOCK_SCALE = 0.15
+
 
 def _block_parameters(n: int, q_hint: int) -> tuple[float, float]:
+    """The block exponent beta and frequency exponent gamma for q_hint
+    queries, alpha = log q_hint / log n: beta = 2 alpha / (omega + 1) up
+    to q = n and (3 - alpha + omega (alpha - 1)) / (omega + 1) above,
+    which meet at q = n and reach 1 at q = n**2; gamma = 1 + beta - alpha.
+    Both are clipped to [0.01, 0.99]."""
     if n < 2:
         return 0.5, 0.5
     alpha = math.log(max(q_hint, 1)) / math.log(n)
     if q_hint <= n:
         beta = 2.0 * alpha / (OMEGA + 1.0)
     else:
-        beta = (3.0 - alpha + OMEGA * (alpha + 1.0)) / (OMEGA + 1.0)
+        beta = (3.0 - alpha + OMEGA * (alpha - 1.0)) / (OMEGA + 1.0)
     beta = min(max(beta, 0.01), 0.99)
     gamma = min(max(1.0 + beta - alpha, 0.01), 0.99)
     return beta, gamma
@@ -499,12 +530,14 @@ def online_eq_build(
 ) -> OnlineEqStructure:
     """Build the block/matrix structure for equal-pairs range queries.
 
-    Frequent values (appearing at least tau = n**(1-gamma) times) are
-    counted per block into a matrix M and contribute M @ M.T; rare values
-    are enumerated directly.  Both land in the interior of one prefix
-    table, which two in-place cumulative sums finish; it answers any
-    block-aligned query with four lookups.  ``shared`` is ``eq_values(a)``,
-    passed by callers that build over one array more than once.
+    Blocks are b_len = max(1, ceil(EQ_BLOCK_SCALE * n**(1 - beta)))
+    positions long, with beta from ``_block_parameters``.  Frequent values
+    (appearing at least tau = n**(1-gamma) times) are counted per block
+    into a matrix M and contribute M @ M.T; rare values are enumerated
+    directly.  Both land in the interior of one prefix table, which two
+    in-place cumulative sums finish; it answers any block-aligned query
+    with four lookups.  ``shared`` is ``eq_values(a)``, passed by callers
+    that build over one array more than once.
     """
     if a.n < 1:
         raise InputError("empty array")
@@ -514,7 +547,7 @@ def online_eq_build(
     shared = shared if shared is not None else eq_values(a)
     value = shared.ranks
     beta, gamma = _block_parameters(n, q_hint)
-    b_len = max(1, math.ceil(n ** (1.0 - beta)))
+    b_len = max(1, math.ceil(EQ_BLOCK_SCALE * n ** (1.0 - beta)))
     b_cnt = (n + b_len - 1) // b_len
     tau = n ** (1.0 - gamma)
 
@@ -525,16 +558,16 @@ def online_eq_build(
 
     n_freq = int(is_frequent.sum())
     if n_freq:
+        # block i's counts are row i + 1 of m, below a zero row, so the
+        # product is the table with its zero first row and column in place
         column = np.cumsum(is_frequent) - 1
         m = np.bincount(
-            block[freq] * n_freq + column[value[freq]], minlength=b_cnt * n_freq
-        ).reshape(b_cnt, n_freq)
+            (block[freq] + 1) * n_freq + column[value[freq]], minlength=(b_cnt + 1) * n_freq
+        ).reshape(b_cnt + 1, n_freq)
         product = matmul(
-            DenseMatrix(b_cnt, n_freq, m), DenseMatrix(n_freq, b_cnt, m.T), counters=counters
-        ).array
-        # allocated after the product, so the float64 intermediate is gone
-        prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)
-        prefix[1:, 1:] = product
+            DenseMatrix(b_cnt + 1, n_freq, m), DenseMatrix(n_freq, b_cnt + 1, m.T), counters=counters
+        )
+        prefix = np.ascontiguousarray(product.array)
     else:
         prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)
 
@@ -547,9 +580,11 @@ def online_eq_build(
     size = np.searchsorted(rare_value, rare_value, side="right") - first
     left = np.repeat(np.arange(len(keys)), size)
     right = first[left] + np.arange(len(left)) - (np.cumsum(size) - size)[left]
+    # one flat index per pair: numpy's 1-D add.at path is several times
+    # faster than the 2-D one and, unlike a float64 bincount, stays exact
     np.add.at(
-        prefix[1:, 1:],
-        (rare_block[left], rare_block[right]),
+        prefix.reshape(-1),  # a view: prefix is C-contiguous
+        (rare_block[left] + 1) * (b_cnt + 1) + rare_block[right] + 1,
         per_block[left] * per_block[right],
     )
     np.cumsum(prefix, axis=1, out=prefix)

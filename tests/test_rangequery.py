@@ -24,6 +24,7 @@ from rangetri.core import (
     Range,
     RangeError,
     normalize,
+    oracle_edge_triangle_counts,
     oracle_pairs_query,
 )
 from rangetri.instrument import OpCounters
@@ -39,6 +40,7 @@ from rangetri.rangequery import (
     online_eq_build,
     eq_values,
 )
+from rangetri.reductions_triangle import reduce_etc_to_2req
 from rangetri.solvers import PROBLEMS, range_solver
 
 ONLINE_INDICES = pytest.mark.parametrize(
@@ -434,12 +436,60 @@ class TestOnlineEq:
 
     def test_matches_oracle(self):
         rng = random.Random(32)
-        a = rand_array(rng, 64, 0, 7)
-        solver = OnlineEqSolver(a, q_guess=100)
-        for _ in range(100):
-            q = rand_range(rng, 64)
-            assert solver.query(q) == oracle_pairs_query(EQP, a, q)
-        assert solver.q_guess == 100
+        for hi in (7, 63):  # frequent values; mostly rare ones
+            a = rand_array(rng, 64, 0, hi)
+            for q_guess in (1, 64, 100, 256, 64 * 64):  # 1, n, q, 4n, n^2
+                solver = OnlineEqSolver(a, q_guess=q_guess)
+                for _ in range(100):
+                    q = rand_range(rng, 64)
+                    assert solver.query(q) == oracle_pairs_query(EQP, a, q)
+                # a guess of 100 or more never rebuilds; a smaller one doubles past it
+                assert solver.q_guess == (q_guess if q_guess >= 100 else 128)
+
+    def test_block_parameters_across_q_equals_n(self, monkeypatch):
+        # beta = 2 alpha / (omega + 1) up to q = n and
+        # (3 - alpha + omega (alpha - 1)) / (omega + 1) above: the two meet at
+        # q = n for any omega, beta never falls as q grows, and it reaches
+        # its clip at q = n^2; gamma = 1 + beta - alpha
+        for omega in (2.373, rangequery.OMEGA):  # ends on the module's own
+            monkeypatch.setattr(rangequery, "OMEGA", omega)
+            for n in (2, 3, 64, 1000, 4096):
+                hints = sorted({*range(1, 40), *(round(n ** (x / 32)) for x in range(65))})
+                betas = [rangequery._block_parameters(n, q)[0] for q in hints]
+                assert betas == sorted(betas)
+                below = rangequery._block_parameters(n, n)
+                above = rangequery._block_parameters(n, n + 1)
+                alpha = math.log(n + 1) / math.log(n)
+                assert below[0] == pytest.approx(2 / (omega + 1))
+                assert above[0] - below[0] <= alpha - 1  # no jump at q = n
+                assert above[1] == pytest.approx(1 + above[0] - alpha)
+                assert rangequery._block_parameters(n, n * n)[0] == 0.99
+        # at omega = 3 the two branches are one line, beta = alpha / 2, so
+        # b_len = ceil(EQ_BLOCK_SCALE * n / sqrt(q_hint)) below the clip
+        for n, q in ((1024, 1024), (1024, 4096), (20_000, 20_000), (10_026, 20_052)):
+            s = online_eq_build(IntArray([0] * n), q_hint=q)
+            assert s.b_len == math.ceil(rangequery.EQ_BLOCK_SCALE * n / math.sqrt(q))
+
+    def test_triangle_counts_through_online_eq_stay_small(self, monkeypatch):
+        # reduce_etc_to_2req asks ~2n queries on an array of n = 2m: q > n.
+        # Each build of this run is traced alone (tracing the Python tail
+        # walks too would take seconds)
+        peaks = []
+        build = rangequery.online_eq_build
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return build(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(rangequery, "online_eq_build", traced)
+        g = gen.gen_graph("powerlaw", 1000, 0.01, seed=102)
+        counts = reduce_etc_to_2req(g, range_solver("2req", "online-eq"))
+        assert counts == oracle_edge_triangle_counts(g)
+        assert len(peaks) == 1 and peaks[0] < 32 << 20
 
     def test_adaptive_solver(self):
         rng = random.Random(33)
@@ -554,11 +604,15 @@ class TestOnlineEq:
                 solve(a, np.array([[1, 5], [2, 9]], dtype=np.int64))
 
     def test_build_memory_stays_near_the_table(self):
-        # n = 1024 and q_hint = 4096 give 512 blocks; a build holds one
-        # (b_cnt + 1)^2 int64 table, plus scratch while it fills it
+        # n = 1024 and q_hint = 4096 give blocks of ceil(0.15 * 1024**0.4) = 3
+        # positions, so 342 blocks.  A build keeps one (b_cnt + 1)^2 int64
+        # table plus the O(n) value lists; while it fills the table it also
+        # holds scratch: matmul's float64 copy of it (at most the table
+        # again), the rare values' pairs and O(n) arrays
         rng = random.Random(35)
-        for hi in (15, 1023):  # all values frequent; mostly rare values
-            a = rand_array(rng, 1024, 0, hi)
+        n = 1024
+        for hi in (15, 1023):  # 9 of 16 values frequent (tau = 64); all rare
+            a = rand_array(rng, n, 0, hi)
             online_eq_build(a, q_hint=4096)  # warm-up
             tracemalloc.start()
             try:
@@ -566,10 +620,10 @@ class TestOnlineEq:
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert s.b_cnt == 512
+            assert (s.b_len, s.b_cnt) == (3, 342)
             table = s.prefix.nbytes
-            assert peak < 3.5 * table
-            assert kept < 1.25 * table
+            assert kept < table + 256 * n
+            assert peak < table + 1280 * n
 
     def test_one_range_check_per_query(self, monkeypatch):
         checked = []
