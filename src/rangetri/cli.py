@@ -4,7 +4,12 @@ Subcommands: gen, solve, reduce, count, detect, list, minmax, verify,
 bench.  Exit codes: 0 success, 1 verification failure, 2 usage or input
 error.  All randomness flows from --seed (default 0, never entropy), which
 gen, detect, list and bench take; a subcommand rejects flags it does not
-read.  Every solver is looked up by name in ``solvers``.
+read.  ``solve``, ``verify`` and ``reduce`` look their solvers up by
+name in ``solvers``, as ``count`` and ``detect`` do for their other
+algorithms.  ``count --algo via-2req``, ``detect --algo via-listing``,
+``list`` and ``minmax`` call ``reductions_triangle``, ``triangle`` and
+``minmax`` directly; ``count`` and ``minmax`` take the range solver they
+hand on from ``range_solver``.
 """
 
 from __future__ import annotations

@@ -45,22 +45,17 @@ def gen_range_pair(n: int, rng: random.Random) -> RangePair:
 
 
 def gen_queries(n: int, q: int, kind: str = "single", seed: int = 0) -> list:
-    """q queries of the given kind: single, pair, or an even mix."""
+    """q queries of the given kind: single ranges or range pairs."""
     if q < 0 or n < 1:
         raise InputError("need q >= 0 and n >= 1")
+    if kind == "single":
+        draw = gen_range
+    elif kind == "pair":
+        draw = gen_range_pair
+    else:
+        raise InputError(f"unknown query kind {kind!r}")
     rng = random.Random(seed)
-    out = []
-    for i in range(q):
-        pick = kind
-        if kind == "mixed":
-            pick = "single" if i % 2 == 0 else "pair"
-        if pick == "single":
-            out.append(gen_range(n, rng))
-        elif pick == "pair":
-            out.append(gen_range_pair(n, rng))
-        else:
-            raise InputError(f"unknown query kind {kind!r}")
-    return out
+    return [draw(n, rng) for _ in range(q)]
 
 
 def _repair_isolated(n: int, edges: set[tuple[int, int]], rng: random.Random) -> None:

@@ -32,7 +32,6 @@ class MinMaxStats:
     """Instrumentation for the per-cell binary search."""
 
     batches: int = 0
-    probes_per_batch: list[int] = field(default_factory=list)
     solver_queries: int = 0
     # per round, the (n, n) probed ranks x and answers "C[i][j] <= x"
     trace: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
@@ -109,7 +108,6 @@ def minmax_product(
             leq[i, j] = ~np.asarray(disjoint_solver(table, queries), dtype=bool)
         if stats is not None:
             stats.batches += 1
-            stats.probes_per_batch.append(n * n)
             stats.solver_queries += len(queries)
             stats.trace.append((np.maximum(sorted_ranks[row + pa], sorted_ranks[col + pb]), leq))
         hi = np.where(leq, t, hi)

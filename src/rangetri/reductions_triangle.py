@@ -148,17 +148,13 @@ class MultigraphBuild:
         return ufunc.reduceat(per_edge[self.query_vw], self.query_ptr[:-1])
 
 
-def build_query_multigraph(
-    a: IntArray, queries: Sequence[RangePair] | np.ndarray, collapse: bool = False
-) -> MultigraphBuild:
+def build_query_multigraph(a: IntArray, queries: Sequence[RangePair] | np.ndarray) -> MultigraphBuild:
     """Compile a two-range query batch into a tripartite multigraph.
 
     Part U holds the array values, parts V and W hold the base intervals
     appearing in first / second range decompositions; UV and UW edge
-    multiplicities are occurrence counts of the value in the interval
-    (collapsed to 1 when ``collapse`` is set, which preserves emptiness
-    but not counts).  Only intervals actually used by some query get a
-    vertex.
+    multiplicities are occurrence counts of the value in the interval.
+    Only intervals actually used by some query get a vertex.
     """
     b = bounds(queries, a.n, 4)
     vals = normalize(a.values)
@@ -182,8 +178,6 @@ def build_query_multigraph(
     d = int(vals.max()) + 1
     key, mult = np.unique((anc * d + vals)[used], return_counts=True)
     node, val = np.divmod(key, d)
-    if collapse:
-        mult = np.ones_like(mult)
     values, u_id = np.unique(val, return_inverse=True)
     part_u = range(part_w.stop, part_w.stop + values.size)
     u_id += part_u.start
@@ -322,6 +316,6 @@ def reduce_2rdq_to_etd(
     the query carries a triangle."""
     if len(queries) == 0:
         return []
-    build = build_query_multigraph(a, queries, collapse=True)
+    build = build_query_multigraph(a, queries)
     detected = multigraph_edge_detect(build.mg, solver)
     return (~build.fold(np.logical_or, detected)).tolist()

@@ -364,13 +364,14 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
 
 
 # The most blow-up edges that one lister call of detect_via_listing takes.
-# Chosen by a sweep of detection with the baseline lister, seed 1, best
-# of 9 interleaved runs on a 2-vCPU VM, in ms:
+# Chosen by a sweep of detection with the baseline lister, seed 1, on
+# graphs of generator seeds 7, 102 and 121; the median of three best-of-9
+# interleaved runs on a 2-vCPU VM, in ms:
 #
 #   graph (m)             unpacked   2^12   2^14   2^16
-#   gnp(150, 0.1) (1136)       258    237    235    267
-#   powerlaw(300, 0.007) (393) 128    106    102    103
-#   powerlaw(30, 0.15) (67)     22    8.6    7.8    8.0
+#   gnp(150, 0.1) (1091)       183    154    152    159
+#   powerlaw(300, 0.007) (389) 100     73     69     69
+#   powerlaw(30, 0.15) (67)     39   11.7   11.6   10.9
 #
 # Packing saves per-call overhead, but the copies of one call do not see
 # the edges found by each other, so a larger call repeats their work.
@@ -406,17 +407,15 @@ def detect_via_listing(
     capacity = 100 * m
     log_m = max(1, math.ceil(math.log2(m)))
     phases = list(range(int(math.log2(m)) if m > 1 else 0, -1, -1))
-    # The first-second edges are the directed edges u -> v, u in part 0
-    # and v in part 1: d < m is eu[d] -> ev[d] and m + d is ev[d] -> eu[d].
-    first, second = np.concatenate((g.eu, g.ev)), np.concatenate((g.ev, g.eu))
     deg = np.diff(g.indptr)
     none = np.zeros(0, dtype=np.int64)
 
     def listed(remaining: np.ndarray, thirds: list, cap: int) -> np.ndarray:
-        """The directed edges that the lister finds a triangle through,
-        in the blow-ups of the remaining ones with the given third parts,
-        one copy per nonempty part, side by side in one lister call of
-        capacity cap per copy."""
+        """The edges that the lister finds a triangle through, in the
+        blow-ups of the remaining ones with the given third parts, one
+        copy per nonempty part, side by side in one lister call of
+        capacity cap per copy.  Edge (u, v), u < v, goes from u in part 0
+        to v in part 1."""
         d = remaining.nonzero()[0]
         thirds = [third for third in thirds if third.size]
         if not d.size or not thirds:
@@ -425,8 +424,8 @@ def detect_via_listing(
         graph, back, _, _ = _blowup(
             g,
             np.repeat(copies, d.size),
-            np.tile(first[d], copies.size),
-            np.tile(second[d], copies.size),
+            np.tile(g.eu[d], copies.size),
+            np.tile(g.ev[d], copies.size),
             np.repeat(copies, [third.size for third in thirds]),
             np.concatenate(thirds),
         )
@@ -436,14 +435,13 @@ def detect_via_listing(
         tris = np.array(list(found), dtype=np.int64)
         # ids follow key order, so a triangle's two smallest ids are its
         # part-0 vertex u and part-1 vertex v of one copy, keyed
-        # 3c(n + 1) + u and (3c + 1)(n + 1) + v
+        # 3c(n + 1) + u and (3c + 1)(n + 1) + v, with u < v
         ends = back[np.sort(tris, axis=1)[:, :2] - 1] % (n + 1)
-        u, v = ends[:, 0], ends[:, 1]
-        return g.edge_index(u, v) + m * (u > v)
+        return g.edge_index(ends[:, 0], ends[:, 1])
 
     for attempt in range(restart_cap):
-        remaining = np.ones(2 * m, dtype=bool)
-        detected = np.zeros(2 * m, dtype=bool)
+        remaining = np.ones(m, dtype=bool)
+        detected = np.zeros(m, dtype=bool)
         for s in phases:
             p = 2.0 ** (-s)
             samples = []
@@ -460,7 +458,7 @@ def detect_via_listing(
                 remaining[found] = False
 
         if not listed(remaining, [np.arange(1, n + 1)], 1).size:
-            return dict(zip(g.sorted_edges(), detected[:m].tolist()))
+            return dict(zip(g.sorted_edges(), detected.tolist()))
     raise RuntimeError(f"detection failed to verify after {restart_cap} restarts")
 
 

@@ -302,7 +302,6 @@ def test_criterion_8_minmax_product(capsys):
         ok &= minmax_product(a, b, direct, stats=stats) == want
         batches = math.ceil(math.log2(n))  # n candidates per cell
         ok &= stats.batches == batches
-        ok &= stats.probes_per_batch == [n * n] * batches
         ok &= minmax_product(a, b, chain) == want
     report(capsys, 8, "minmax product via disjointness and triangle chain", ok)
 

@@ -65,6 +65,14 @@ class TestGen:
         assert code == 2 and captured.out == ""
         assert "edge probability" in captured.err and "not in [0, 1]" in captured.err
 
+    @pytest.mark.parametrize("q", ["0", "4"])
+    def test_unknown_query_kind_is_usage_error(self, capsys, q):
+        # no command reads a file mixing single ranges and range pairs
+        code = main(["gen", "queries", "--n", "8", "--q", q, "--kind", "mixed"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "unknown query kind" in captured.err
+
     def test_zero_queries(self, capsys):
         code, out = run(capsys, "gen", "queries", "--n", "8", "--q", "0")
         assert code == 0 and out == ""
@@ -84,8 +92,8 @@ class TestGen:
                 files.read_array,
             ),
             (
-                ["queries", "--n", "12", "--q", "7", "--kind", "mixed", "--seed", "3"],
-                lambda: gen.gen_queries(12, 7, kind="mixed", seed=3),
+                ["queries", "--n", "12", "--q", "7", "--kind", "pair", "--seed", "3"],
+                lambda: gen.gen_queries(12, 7, kind="pair", seed=3),
                 files.format_queries,
                 files.read_queries,
             ),

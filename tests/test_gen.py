@@ -38,7 +38,6 @@ PINNED = {
     "graph-powerlaw": "105e122021f604c5cd82e4ed6f72aef23733c6d6b2ee4d307752a51e08de09b1",
     "matrix-boolean": "18c0e7f5d5335fc596340802a4b2e33a87ec49dccb834de55f742458c0c92d0f",
     "matrix-int": "8ff4f2b6967ad2ce3455e0abef583796ba95aa5e92d24aa30083a60244bda3c0",
-    "queries-mixed": "b293ea4cc3fe801791c6e94b622994ebe962e229ef1e7e4547b95607d6f34d5a",
     "queries-pair": "e7b5c3e578f7a99b0db4e31226942ba3a32134ecd1ad5f20162fc6d16cc3865a",
     "queries-single": "e5a132fc83cd2d7ec0b1f263044cb0e9927607d018592915f03c6b72df50006e",
 }

@@ -366,6 +366,24 @@ class TestDetectViaListing:
         g = path_graph(5)
         assert set(detect_via_listing(g, rng=RandomSource(1)).values()) == {False}
 
+    @pytest.mark.parametrize("k", [3, 8, 20])
+    def test_star_blowups_hold_each_edge_once(self, k):
+        # K_{1,k}: each edge (1, leaf) is seeded once, from part 0 to part
+        # 1, so the verification blow-up over all n vertices has its k
+        # first-second edges, the centre's k joins to the leaves' part-1
+        # copies and each leaf's join to the centre's part-0 copy
+        g = Graph(k + 1, [(1, leaf) for leaf in range(2, k + 2)])
+        calls = []
+
+        def lister(h, cap):
+            calls.append((cap, h.m))
+            return baseline_list(h, cap)
+
+        got = detect_via_listing(g, lister, RandomSource(1))
+        assert got == oracle_edge_triangle_detect(g)
+        assert set(got.values()) == {False}
+        assert [size for cap, size in calls if cap == 1] == [3 * g.m]
+
 
 class TestPackedDetection:
     """detect_via_listing puts the blow-ups of consecutive samples of a
