@@ -9,26 +9,12 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 from . import gen
 from .instrument import OpCounters
 from .solvers import problem_is_pair, range_solver
-
-CSV_FIELDS = (
-    "problem",
-    "algorithm",
-    "n",
-    "m",
-    "q",
-    "t",
-    "seed",
-    "wall_ns",
-    "extender_steps",
-    "matmul_calls",
-    "status",
-)
 
 # cells above this many array cells are skipped with a diagnostic row
 CELL_BUDGET = 1 << 22
@@ -39,22 +25,16 @@ class BenchRecord:
     problem: str
     algorithm: str
     n: int
-    m: int
     q: int
-    t: int
     seed: int
     wall_ns: int
     extender_steps: int
-    matmul_calls: int
     status: str = "ok"
-
-    def row(self) -> list:
-        return [getattr(self, field) for field in CSV_FIELDS]
 
 
 def run_cell(problem: str, algo: str, n: int, q: int, seed: int) -> BenchRecord:
     if n * max(1, q) > CELL_BUDGET:
-        return BenchRecord(problem, algo, n, 0, q, 0, seed, 0, 0, 0, "skipped")
+        return BenchRecord(problem, algo, n, q, seed, 0, 0, "skipped")
     array = gen.gen_array(n, 0, n - 1, seed=seed)
     kind = "pair" if problem_is_pair(problem) else "single"
     queries = gen.gen_queries(n, q, kind=kind, seed=seed + 1)
@@ -63,18 +43,7 @@ def run_cell(problem: str, algo: str, n: int, q: int, seed: int) -> BenchRecord:
     start = time.perf_counter_ns()
     solver(array, queries)
     wall = time.perf_counter_ns() - start
-    return BenchRecord(
-        problem,
-        algo,
-        n,
-        0,
-        q,
-        0,
-        seed,
-        wall,
-        counters.extender_steps,
-        counters.matmul_calls,
-    )
+    return BenchRecord(problem, algo, n, q, seed, wall, counters.extender_steps)
 
 
 def run_matrix(
@@ -100,6 +69,5 @@ def run_matrix(
 
 def write_csv(records: Sequence[BenchRecord], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for record in records:
-        writer.writerow(record.row())
+    writer.writerow(field.name for field in fields(BenchRecord))
+    writer.writerows(astuple(record) for record in records)

@@ -72,9 +72,7 @@ def cmd_gen(args) -> int:
         g = gen.gen_graph(args.kind or "gnp", args.n, p=args.p, seed=args.seed)
         text = files.format_graph(g)
     else:
-        m = gen.gen_matrix(
-            args.rows, args.cols, args.vmin, args.vmax, seed=args.seed, boolean=args.boolean
-        )
+        m = gen.gen_matrix(args.rows, args.cols, args.vmin, args.vmax, seed=args.seed)
         text = files.format_matrix(m)
     if args.out:
         Path(args.out).write_text(text)
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=4)
     p.add_argument("--vmin", type=int, default=0)
     p.add_argument("--vmax", type=int, default=15)
-    p.add_argument("--boolean", action="store_true")
     p.add_argument("--out", default=None)
     _seed(p)
     p.set_defaults(func=cmd_gen)

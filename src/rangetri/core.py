@@ -177,7 +177,13 @@ def bounds(queries, n: int, width: int) -> np.ndarray:
         except AttributeError as exc:
             kind = "Range" if width == 2 else "RangePair"
             raise InputError(f"expected {kind} queries") from exc
-        queries = np.array(cols, dtype=np.int64).T
+        try:
+            queries = np.array(cols, dtype=np.int64).T
+        except OverflowError:
+            # a bound past int64 is past n, so some query's check raises
+            for query in queries:
+                query.check(n)
+            raise
     if queries.dtype.kind not in "iu" or queries.shape[1:] != (width,):
         raise InputError(f"query bounds must be an integer array of shape (q, {width})")
     # checked before the cast, which would wrap unsigned bounds >= 2**63

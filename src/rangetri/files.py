@@ -36,7 +36,10 @@ def read_array(path: str | Path) -> IntArray:
     lines = _lines(path)
     if len(lines) < 2:
         raise InputError(f"{path}: array file needs two lines")
-    (n,) = _ints(lines[0], path, 1)
+    header = _ints(lines[0], path, 1)
+    if len(header) != 1:
+        raise InputError(f"{path}:1: expected 'n'")
+    (n,) = header
     values = _ints(lines[1], path, 2)
     if len(values) != n:
         raise InputError(f"{path}:2: expected {n} values, got {len(values)}")

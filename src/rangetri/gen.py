@@ -11,8 +11,6 @@ from itertools import accumulate
 
 from .core import DenseMatrix, Graph, InputError, IntArray, Range, RangePair
 
-GRAPH_KINDS = ("gnp", "powerlaw", "complete", "cycle", "bipartite")
-
 
 def gen_array(n: int, vmin: int, vmax: int, seed: int = 0) -> IntArray:
     if n < 1 or vmin > vmax:
@@ -132,14 +130,8 @@ def gen_graph(kind: str, n: int, p: float = 0.2, seed: int = 0) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def gen_matrix(
-    rows: int, cols: int, lo: int, hi: int, seed: int = 0, boolean: bool = False
-) -> DenseMatrix:
+def gen_matrix(rows: int, cols: int, lo: int, hi: int, seed: int = 0) -> DenseMatrix:
     if rows < 1 or cols < 1 or lo > hi:
         raise InputError("need positive dimensions and lo <= hi")
     rng = random.Random(seed)
-    if boolean:
-        entries = [rng.randint(0, 1) for _ in range(rows * cols)]
-    else:
-        entries = [rng.randint(lo, hi) for _ in range(rows * cols)]
-    return DenseMatrix(rows, cols, entries)
+    return DenseMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])

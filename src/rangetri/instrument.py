@@ -10,4 +10,3 @@ class OpCounters:
     """Nonnegative counters incremented by instrumented solvers."""
 
     extender_steps: int = 0
-    matmul_calls: int = 0

@@ -17,7 +17,7 @@ queries answer all cells at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -33,8 +33,6 @@ class MinMaxStats:
 
     batches: int = 0
     solver_queries: int = 0
-    # per round, the (n, n) probed ranks x and answers "C[i][j] <= x"
-    trace: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def minmax_product(
@@ -109,7 +107,6 @@ def minmax_product(
         if stats is not None:
             stats.batches += 1
             stats.solver_queries += len(queries)
-            stats.trace.append((np.maximum(sorted_ranks[row + pa], sorted_ranks[col + pb]), leq))
         hi = np.where(leq, t, hi)
         lo = np.where(leq, lo, t + 1)
 

@@ -384,11 +384,7 @@ def _peak(m: DenseMatrix) -> int:
     return max(int(m.array.max()), -int(m.array.min()))
 
 
-def matmul(
-    a: DenseMatrix,
-    b: DenseMatrix,
-    counters: Optional[OpCounters] = None,
-) -> DenseMatrix:
+def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Exact integer matrix product.
 
     With bound = max|a| * max|b| * inner dimension, operands with
@@ -402,8 +398,6 @@ def matmul(
     bound = _peak(a) * _peak(b) * a.cols
     if bound >= 2**63:
         raise InputError("matrix product may overflow int64")
-    if counters is not None:
-        counters.matmul_calls += 1
     if bound < 2**53:
         product = (a.array.astype(np.float64) @ b.array.astype(np.float64)).astype(np.int64)
     else:
@@ -525,7 +519,6 @@ def _block_parameters(n: int, q_hint: int) -> tuple[float, float]:
 def online_eq_build(
     a: IntArray,
     q_hint: int,
-    counters: Optional[OpCounters] = None,
     shared: Optional[EqValues] = None,
 ) -> OnlineEqStructure:
     """Build the block/matrix structure for equal-pairs range queries.
@@ -564,9 +557,7 @@ def online_eq_build(
         m = np.bincount(
             (block[freq] + 1) * n_freq + column[value[freq]], minlength=(b_cnt + 1) * n_freq
         ).reshape(b_cnt + 1, n_freq)
-        product = matmul(
-            DenseMatrix(b_cnt + 1, n_freq, m), DenseMatrix(n_freq, b_cnt + 1, m.T), counters=counters
-        )
+        product = matmul(DenseMatrix(b_cnt + 1, n_freq, m), DenseMatrix(n_freq, b_cnt + 1, m.T))
         prefix = np.ascontiguousarray(product.array)
     else:
         prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)
@@ -658,9 +649,7 @@ class OnlineEqSolver(OnlineIndex):
 
     def _prepare(self) -> None:
         self.structure = None  # free the old table before building the next
-        self.structure = online_eq_build(
-            self.array, self.q_guess, counters=self.counters, shared=self.shared
-        )
+        self.structure = online_eq_build(self.array, self.q_guess, shared=self.shared)
 
     def _answer(self, l: int, r: int) -> int:
         return _eq_answer(self.structure, l, r)

@@ -377,12 +377,14 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
 # the edges found by each other, so a larger call repeats their work.
 BLOWUP_BUDGET = 1 << 14
 
+# listing-based detection gives up after this many unverified attempts
+DETECT_RESTARTS = 20
+
 
 def detect_via_listing(
     g: Graph,
     lister: Optional[Lister] = None,
     rng: Optional[RandomSource] = None,
-    restart_cap: int = 20,
 ) -> dict[Edge, bool]:
     """Per-edge triangle detection using only a bounded lister.
 
@@ -393,10 +395,9 @@ def detect_via_listing(
     sizes sum to at most ``BLOWUP_BUDGET`` edges (``core.pack``); every
     copy in a call holds the edges remaining when the call is made.  A
     final capacity-one verification makes the answer exact or forces a
-    restart with fresh randomness.
+    restart with fresh randomness; ``DETECT_RESTARTS`` failed attempts
+    raise ``RuntimeError``.
     """
-    if restart_cap < 1:
-        raise InputError("restart cap must be >= 1")
     if lister is None:
         lister = baseline_list
     if rng is None:
@@ -439,7 +440,7 @@ def detect_via_listing(
         ends = back[np.sort(tris, axis=1)[:, :2] - 1] % (n + 1)
         return g.edge_index(ends[:, 0], ends[:, 1])
 
-    for attempt in range(restart_cap):
+    for attempt in range(DETECT_RESTARTS):
         remaining = np.ones(m, dtype=bool)
         detected = np.zeros(m, dtype=bool)
         for s in phases:
@@ -459,7 +460,7 @@ def detect_via_listing(
 
         if not listed(remaining, [np.arange(1, n + 1)], 1).size:
             return dict(zip(g.sorted_edges(), detected.tolist()))
-    raise RuntimeError(f"detection failed to verify after {restart_cap} restarts")
+    raise RuntimeError(f"detection failed to verify after {DETECT_RESTARTS} restarts")
 
 
 # ---------------------------------------------------------------------------

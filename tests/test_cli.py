@@ -104,8 +104,8 @@ class TestGen:
                 files.read_graph,
             ),
             (
-                ["matrix", "--rows", "3", "--cols", "5", "--boolean", "--seed", "5"],
-                lambda: gen.gen_matrix(3, 5, 0, 15, seed=5, boolean=True),
+                ["matrix", "--rows", "3", "--cols", "5", "--vmin", "0", "--vmax", "1", "--seed", "5"],
+                lambda: gen.gen_matrix(3, 5, 0, 1, seed=5),
                 files.format_matrix,
                 files.read_matrix,
             ),
@@ -408,7 +408,7 @@ class TestBench:
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
         header = lines[0].split(",")
-        assert header[:4] == ["problem", "algorithm", "n", "m"]
+        assert header == ["problem", "algorithm", "n", "q", "seed", "wall_ns", "extender_steps", "status"]
         assert len(lines) == 1 + 3
         for line in lines[1:]:
             row = dict(zip(header, line.split(",")))
@@ -465,6 +465,27 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "array,queries,problem,message",
+        [
+            ("3 4\n1 2 3\n", "1 2\n", "req", "a.txt:1: expected 'n'"),
+            ("\n1 2 3\n", "1 2\n", "req", "a.txt:1: expected 'n'"),
+            ("3\n1 2 3\n", f"1 2 3 {10**23}\n", "2req",
+             f"range [3, {10**23}] outside array of length 3"),
+        ],
+        ids=["header-two-ints", "header-blank", "bound-past-int64"],
+    )
+    def test_bad_input_is_one_line_usage_error(self, capsys, tmp_path, array, queries, problem, message):
+        (tmp_path / "a.txt").write_text(array)
+        (tmp_path / "q.txt").write_text(queries)
+        code = main([
+            "solve", "--problem", problem, "--algo", "mo",
+            "--array", str(tmp_path / "a.txt"), "--queries", str(tmp_path / "q.txt"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_array_value_outside_int64_is_usage_error(self, capsys, tmp_path, command):

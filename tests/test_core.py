@@ -347,6 +347,13 @@ class TestBounds:
         with pytest.raises(RangeError, match=r"^range \[4, 9\] outside array of length 8$"):
             bounds([pair(1, 2, 3, 4), pair(1, 2, 4, 9)], 8, 4)
 
+    def test_object_bound_past_int64(self):
+        # np.int64 cannot hold the bound; the objects' own check names it
+        with pytest.raises(RangeError, match=rf"^range \[3, {10**23}\] outside array of length 8$"):
+            bounds([pair(1, 2, 3, 4), pair(1, 2, 3, 10**23)], 8, 4)
+        with pytest.raises(RangeError, match=rf"^range \[1, {2**63}\] outside array of length 8$"):
+            bounds([Range(1, 2**63)], 8, 2)
+
     def test_malformed_batches(self):
         with pytest.raises(InputError, match=r"shape \(q, 4\)"):
             bounds(np.ones((3, 2), dtype=np.int64), 8, 4)

@@ -23,6 +23,14 @@ def test_array_errors(tmp_path):
         files.read_array(path)
 
 
+@pytest.mark.parametrize("header", ["3 4", ""])
+def test_array_header_is_one_integer(tmp_path, header):
+    path = tmp_path / "a.txt"
+    path.write_text(f"{header}\n1 2 3\n")
+    with pytest.raises(InputError, match=r"a\.txt:1: expected"):
+        files.read_array(path)
+
+
 def test_array_value_outside_int64(tmp_path):
     path = tmp_path / "a.txt"
     path.write_text(f"3\n{2**63} 1 {2**63}\n")

@@ -77,12 +77,12 @@ def outputs(name: str) -> list:
             for q in (0, 1, 40)
             for seed in SEEDS
         ]
-    boolean = mode == "boolean"
+    lo, hi = (0, 1) if mode == "boolean" else (-20, 20)
     return [
         (m.rows, m.cols, m.entries)
         for rows, cols in ((1, 1), (3, 5), (8, 8))
         for seed in SEEDS
-        for m in [gen.gen_matrix(rows, cols, -20, 20, seed=seed, boolean=boolean)]
+        for m in [gen.gen_matrix(rows, cols, lo, hi, seed=seed)]
     ]
 
 

@@ -166,22 +166,6 @@ class TestInstrumentation:
             assert stats.batches == expected_batches
             assert stats.solver_queries <= expected_batches * n * n
 
-    def test_trace_is_consistent_binary_search(self):
-        rng = random.Random(5)
-        a, b = rand_matrix(rng, 4), rand_matrix(rng, 4)
-        stats = MinMaxStats()
-        out = minmax_product(a, b, disjoint_oracle, stats=stats)
-        ra, rb, rank_to_value = rank_entries(a, b)
-        assert len(stats.trace) == stats.batches
-        for i in range(4):
-            for j in range(4):
-                answer_rank = min(
-                    max(ra[i][k], rb[k][j]) for k in range(4)
-                )
-                for mids, leq in stats.trace:
-                    assert leq[i, j] == (answer_rank <= mids[i, j])
-                assert out[i, j] == rank_to_value[answer_rank - 1]
-
     def test_solver_protocol(self):
         # each cell's queries are its own binary search over t = pa + pb
         # in 2..n + 1, replayed here from the ranks: both prefixes are

@@ -350,10 +350,6 @@ class TestDetectViaListing:
         det = detect_via_listing(g, rng=RandomSource(seed))
         assert det == oracle_edge_triangle_detect(g)
 
-    def test_rejects_nonpositive_restart_cap(self):
-        with pytest.raises(InputError):
-            detect_via_listing(cycle_graph(3), restart_cap=0)
-
     def test_multi_seed_oracle_equality(self):
         rng = random.Random(3)
         for trial in range(30):
