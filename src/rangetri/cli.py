@@ -1,12 +1,16 @@
 """Command-line interface.
 
 Subcommands: gen, solve, reduce, count, detect, list, minmax, verify,
-bench.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-error.  All randomness flows from --seed (default 0, never entropy), which
-gen, detect, list and bench take; a subcommand rejects flags it does not
-read.  ``solve``, ``verify`` and ``reduce`` look their solvers up by
-name in ``solvers``, as ``count`` and ``detect`` do for their other
-algorithms.  ``count --algo via-2req``, ``detect --algo via-listing``,
+bench.  Exit codes: 0 success, 1 verification failure or a ``failed``
+listing, 2 usage or input error.  ``list`` prints a listing's status on
+stderr when it is not ``complete``: ``truncated-at-t`` exits 0, and
+``failed`` (fewer than t triangles, and fewer than the graph holds)
+prints how many of them were found and exits 1.  All randomness flows
+from --seed (default 0, never entropy), which gen, detect, list and
+bench take; a subcommand rejects flags it does not read.  ``solve``,
+``verify`` and ``reduce`` look their solvers up by name in ``solvers``,
+as ``count`` and ``detect`` do for their other algorithms.
+``count --algo via-2req``, ``detect --algo via-listing``,
 ``list`` and ``minmax`` call ``reductions_triangle``, ``triangle`` and
 ``minmax`` directly; ``count`` and ``minmax`` take the range solver they
 hand on from ``range_solver``.
@@ -40,7 +44,10 @@ from .solvers import (
     range_solver,
 )
 from .triangle import (
+    COMPLETE,
+    FAILED,
     RandomSource,
+    ayz_counts,
     ayz_edge_counts,
     baseline_list,
     detect_via_listing,
@@ -158,6 +165,13 @@ def cmd_list(args) -> int:
     else:
         result = main_listing_retry(g, t, RandomSource(args.seed), zeta=args.zeta)
     _emit([list(tri) for tri in sorted(result.triangles)], args.format)
+    found = len(result.triangles)
+    if result.status == FAILED:
+        total = int(ayz_counts(g).sum()) // 3
+        print(f"failed: listed {found} of {total} triangles", file=sys.stderr)
+        return VERIFY_FAILURE
+    if result.status != COMPLETE:
+        print(f"{result.status}: listed {found} triangles", file=sys.stderr)
     return 0
 
 

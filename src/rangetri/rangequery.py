@@ -384,6 +384,10 @@ def _peak(m: DenseMatrix) -> int:
     return max(int(m.array.max()), -int(m.array.min()))
 
 
+# entries of matmul's float64 product cast to int64 per step
+_CAST_CHUNK = 1 << 14
+
+
 def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Exact integer matrix product.
 
@@ -391,7 +395,9 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     bound >= 2**63 are refused, so the result never wraps.  Below 2**53
     the product runs in float64 (BLAS): every partial sum is then an
     integer of magnitude below 2**53, exactly representable, so the
-    result is exact in any summation order.  Otherwise it runs in int64.
+    result is exact in any summation order.  It is cast to int64 in its
+    own buffer, a few rows at a time, so one table is held, not two.
+    Otherwise it runs in int64.
     """
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {b.rows}")
@@ -399,7 +405,13 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if bound >= 2**63:
         raise InputError("matrix product may overflow int64")
     if bound < 2**53:
-        product = (a.array.astype(np.float64) @ b.array.astype(np.float64)).astype(np.int64)
+        floats = a.array.astype(np.float64) @ b.array.astype(np.float64)
+        product = floats.view(np.int64)
+        # numpy buffers a source that overlaps its target, so each step
+        # holds one chunk more
+        step = max(1, _CAST_CHUNK // b.cols)
+        for row in range(0, a.rows, step):
+            product[row : row + step] = floats[row : row + step]
     else:
         product = a.array @ b.array
     return DenseMatrix(a.rows, b.cols, product)

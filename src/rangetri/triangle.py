@@ -58,7 +58,16 @@ FAILED = "failed"
 
 @dataclass
 class ListingResult:
-    """A set of canonical triangles plus how the run ended."""
+    """A set of canonical triangles plus how the run ended.
+
+    ``complete``: the set is every triangle of the graph.  The main
+    listers check this against the AYZ count; inner_listing's colored
+    path says it when no color triple was cut, which is Monte Carlo.
+    ``truncated-at-t``: the lister stopped at its capacity, so more
+    triangles may exist; the main listers hold at least t.
+    ``failed``: the main listers' runs ended with fewer than t triangles
+    and fewer than the graph holds.
+    """
 
     triangles: set[TriangleT]
     status: str
@@ -277,6 +286,11 @@ def _blowup(g: Graph, comp12, first, second, comp3, third):
 # Listing from detection
 
 
+def _is_triangle(g: Graph, tris: np.ndarray) -> np.ndarray:
+    """Whether the three pairs of each row of a (k, 3) array are edges."""
+    return (g.edge_index(tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]) >= 0).all(axis=1)
+
+
 def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
     """List up to m triangles using only a per-edge triangle detector.
 
@@ -467,11 +481,6 @@ def detect_via_listing(
 # High-capacity randomized listing
 
 
-def _is_triangle(g: Graph, tris: np.ndarray) -> np.ndarray:
-    """Whether the three pairs of each row of a (k, 3) array are edges."""
-    return (g.edge_index(tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]) >= 0).all(axis=1)
-
-
 def _induced(g: Graph, keep: np.ndarray):
     """Subgraph induced by the vertices v with keep[v] (a boolean mask
     over ids 0..n), with isolated vertices dropped; returns (graph or
@@ -484,12 +493,6 @@ def _induced(g: Graph, keep: np.ndarray):
     if inside.all():
         return g, np.arange(1, g.n + 1)
     return compact(np.stack((g.eu[inside], g.ev[inside]), axis=1))
-
-
-def _lists_exactly(g: Graph, t: int, zeta: int) -> bool:
-    """Whether inner_listing answers capacity t on g with the exact
-    baseline lister rather than by random coloring."""
-    return t <= zeta * g.m
 
 
 def inner_listing(
@@ -517,7 +520,7 @@ def inner_listing(
     m = g.m
     if not m:
         return ListingResult(set(), COMPLETE)
-    if _lists_exactly(g, t, zeta):
+    if t <= zeta * m:
         return baseline_list(g, t)
 
     r = t // m
@@ -569,15 +572,10 @@ def inner_listing(
     return ListingResult(triangles, status)
 
 
-def _main_listing(g: Graph, t: int, rng: RandomSource, zeta: int):
-    """main_listing's result, and whether it holds every triangle of g
-    for certain: its phase on a sample with every edge of g was listed
-    COMPLETE by the exact baseline lister.  Such a phase ends the run,
-    since no later one can add a triangle."""
-    if t <= 0:
-        raise InputError("capacity must be positive")
-    if zeta < 1:
-        raise InputError("zeta must be >= 1")
+def _main_listing(g: Graph, t: int, rng: RandomSource, zeta: int) -> set[TriangleT]:
+    """One run: the colored lister at capacity 32t on vertex samples of
+    rate 2^-s, s = 0 .. log2 m, until t triangles are found.  A triangle
+    of an induced subgraph is a triangle of g."""
     m = g.m
     collected: set[TriangleT] = set()
     for s in range(int(math.log2(m)) + 1 if m > 1 else 1):
@@ -587,15 +585,33 @@ def _main_listing(g: Graph, t: int, rng: RandomSource, zeta: int):
         sub, back = _induced(g, keep)
         if sub is None:
             continue
-        result = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s))
-        if sub is g and result.status == COMPLETE and _lists_exactly(g, 32 * t, zeta):
-            found = result.triangles
-            return ListingResult(found, COMPLETE if len(found) < t else TRUNCATED), True
-        tris = back[np.array(list(result.triangles), dtype=np.int64).reshape(-1, 3) - 1]
-        collected |= _triangle_set(tris[_is_triangle(g, tris)])
+        found = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s)).triangles
+        collected |= _triangle_set(back[np.array(list(found), dtype=np.int64).reshape(-1, 3) - 1])
         if len(collected) >= t:
-            return ListingResult(collected, TRUNCATED), False
-    return ListingResult(collected, COMPLETE if len(collected) < t else TRUNCATED), False
+            break
+    return collected
+
+
+def _listing(g: Graph, t: int, zeta: int, sources) -> ListingResult:
+    """At 32t <= zeta * m, the exact baseline listing at capacity 32t.
+    Otherwise the union of the runs seeded by ``sources``, until it holds
+    t triangles or all T of them, T counted by AYZ."""
+    if t <= 0:
+        raise InputError("capacity must be positive")
+    if zeta < 1:
+        raise InputError("zeta must be >= 1")
+    if 32 * t <= zeta * g.m:
+        found = baseline_list(g, 32 * t).triangles
+        return ListingResult(found, COMPLETE if len(found) < t else TRUNCATED)
+    total = int(ayz_counts(g).sum()) // 3
+    collected: set[TriangleT] = set()
+    for source in sources:
+        if len(collected) >= min(t, total):
+            break
+        collected |= _main_listing(g, t, source, zeta)
+    if len(collected) >= t:
+        return ListingResult(collected, TRUNCATED)
+    return ListingResult(collected, COMPLETE if len(collected) == total else FAILED)
 
 
 def main_listing(
@@ -607,12 +623,18 @@ def main_listing(
     """List at least t triangles (or all, if fewer exist) by running the
     colored lister on vertex samples of geometrically increasing rate.
 
-    Monte Carlo: a single run succeeds with probability at least 1/2;
-    use main_listing_retry to amplify.  A run ends at once when a sample
-    holds every edge and 32t <= zeta * m, so the baseline lister lists
-    it exactly, and that listing is complete.
+    At 32t <= zeta * m this is the baseline lister at capacity 32t, which
+    is exact.  Otherwise it is one Monte Carlo run, which succeeds with
+    probability at least 1/2, and its status is checked against the AYZ
+    triangle count T: ``truncated-at-t`` with t or more triangles,
+    ``complete`` with all T, and ``failed`` otherwise.  main_listing_retry
+    amplifies it.
     """
-    return _main_listing(g, t, RandomSource(0) if rng is None else rng, zeta)[0]
+    return _listing(g, t, zeta, [RandomSource(0) if rng is None else rng])
+
+
+# the most runs main_listing_retry makes
+LIST_RETRIES = 10
 
 
 def main_listing_retry(
@@ -620,23 +642,10 @@ def main_listing_retry(
     t: int,
     rng: Optional[RandomSource] = None,
     zeta: int = 128,
-    retries: int = 10,
 ) -> ListingResult:
-    """Union of repeated main_listing runs until t triangles are found,
-    a run has listed every triangle for certain, or the retry budget is
-    spent."""
-    if retries < 1:
-        raise InputError("retries must be >= 1")
+    """main_listing, with up to LIST_RETRIES runs whose union is kept:
+    retries stop once the union holds t triangles or all T of them, and
+    the status follows main_listing's rule on the union."""
     if rng is None:
         rng = RandomSource(0)
-    collected: set[TriangleT] = set()
-    status = COMPLETE
-    for attempt in range(retries):
-        result, exact = _main_listing(g, t, rng.split("retry", attempt), zeta)
-        collected |= result.triangles
-        status = result.status
-        if len(collected) >= t:
-            return ListingResult(collected, TRUNCATED)
-        if exact:
-            break
-    return ListingResult(collected, status)
+    return _listing(g, t, zeta, (rng.split("retry", a) for a in range(LIST_RETRIES)))

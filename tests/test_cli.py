@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import rand_array, rand_pair, rand_range
-from rangetri import files, gen
+from rangetri import bench, files, gen
 from rangetri.cli import main
 from rangetri.core import (
     EQP,
@@ -20,7 +20,7 @@ from rangetri.core import (
     oracle_triangle_list,
     pair,
 )
-from rangetri.solvers import ALGOS, PROBLEMS, problem_is_pair
+from rangetri.solvers import ALGOS, PROBLEMS, problem_is_pair, range_solver
 from rangetri.triangle import list_via_detection
 
 
@@ -317,6 +317,38 @@ class TestGraphOutput:
         path.write_text("0 0\n")
         assert run(capsys, "list", "--graph", str(path), "--algo", algo) == (0, "")
 
+    @pytest.fixture
+    def repro_file(self, capsys, tmp_path):
+        # 996 edges and 1277 triangles
+        path = tmp_path / "pl.txt"
+        argv = ["gen", "graph", "--kind", "powerlaw", "--n", "200", "--p", "0.05"]
+        assert run(capsys, *argv, "--seed", "0", "--out", str(path))[0] == 0
+        return path
+
+    def test_failed_listing_exits_1(self, capsys, repro_file):
+        argv = ["list", "--graph", str(repro_file), "--algo", "main", "--zeta", "8", "--t", "2559"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(captured.out.splitlines()) == 1276
+        assert captured.err == "failed: listed 1276 of 1277 triangles\n"
+
+    def test_exact_main_listing_prints_the_baseline(self, capsys, repro_file):
+        # 32t <= zeta * m: the baseline lister at capacity 32t, complete
+        outputs = []
+        for algo in ("main", "baseline"):
+            code = main(["list", "--graph", str(repro_file), "--algo", algo, "--t", "2559"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 1277
+
+    def test_truncated_listing_says_so(self, capsys, repro_file):
+        code = main(["list", "--graph", str(repro_file), "--algo", "baseline", "--t", "5"])
+        captured = capsys.readouterr()
+        assert code == 0 and len(captured.out.splitlines()) == 5
+        assert captured.err == "truncated-at-t: listed 5 triangles\n"
+
     def test_zero_capacity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 3\n1 2\n1 3\n2 3\n")
@@ -415,6 +447,40 @@ class TestBench:
             assert row["problem"] == "req" and row["algorithm"] == "mo"
             assert int(row["wall_ns"]) > 0
             assert int(row["extender_steps"]) > 0
+
+    def test_extender_steps_blank_where_no_mo_walk(self, capsys, tmp_path):
+        out_path = tmp_path / "bench.csv"
+        algos = "mo,mo-online,online-eq,via-triangle,oracle"
+        argv = ["bench", "--problems", "req,2req", "--algos", algos, "--sizes", "16"]
+        assert run(capsys, *argv, "--out", str(out_path))[0] == 0
+        lines = out_path.read_text().strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 10
+        for row in rows:
+            if row["algorithm"] in ("mo", "mo-online"):
+                assert int(row["extender_steps"]) > 0
+            else:
+                assert row["extender_steps"] == ""
+
+    def test_one_untimed_warm_up_per_problem_and_algorithm(self, monkeypatch):
+        calls = []
+
+        def counting(problem, algo, **kwargs):
+            solver = range_solver(problem, algo, **kwargs)
+
+            def solve(array, queries):
+                calls.append((problem, algo, array.n))
+                return solver(array, queries)
+
+            return solve
+
+        monkeypatch.setattr(bench, "range_solver", counting)
+        bench.run_matrix(["req", "riq"], ["mo", "oracle"], [8, 16], reps=2)
+        for problem in ("req", "riq"):
+            for algo in ("mo", "oracle"):
+                # the warm-up solves the first cell's instance
+                runs = [n for p, a, n in calls if (p, a) == (problem, algo)]
+                assert runs == [8, 8, 8, 16, 16]
 
 
 class TestExitCodes:

@@ -607,8 +607,8 @@ class TestOnlineEq:
         # n = 1024 and q_hint = 4096 give blocks of ceil(0.15 * 1024**0.4) = 3
         # positions, so 342 blocks.  A build keeps one (b_cnt + 1)^2 int64
         # table plus the O(n) value lists; while it fills the table it also
-        # holds scratch: matmul's float64 copy of it (at most the table
-        # again), the rare values' pairs and O(n) arrays
+        # holds scratch: matmul's float64 operands and a row chunk of its
+        # cast, the rare values' pairs and O(n) arrays
         rng = random.Random(35)
         n = 1024
         for hi in (15, 1023):  # 9 of 16 values frequent (tau = 64); all rare
@@ -731,6 +731,31 @@ class TestMatmul:
                 for i in range(r)
             ]
             assert matmul(x, y).to_rows() == expected
+
+    def test_float_path_holds_one_table(self, monkeypatch):
+        # online-eq's block product at n = 1024, q_hint = 4096 and 16
+        # values: a 343 x 343 table, cast to int64 in its own buffer in
+        # chunks of rows; casting it whole would hold two tables
+        seen = []
+
+        def measured(a, b):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            product = matmul(a, b)
+            grown = tracemalloc.get_traced_memory()[1] - before
+            seen.append((grown, product.array.nbytes, np.array_equal(product.array, a.array @ b.array)))
+            return product
+
+        monkeypatch.setattr(rangequery, "matmul", measured)
+        a = rand_array(random.Random(35), 1024, 0, 15)
+        tracemalloc.start()
+        try:
+            online_eq_build(a, q_hint=4096)
+        finally:
+            tracemalloc.stop()
+        [(grown, table, exact)] = seen
+        assert table == 343 * 343 * 8
+        assert grown < 1.25 * table and exact
 
     def test_int_path_past_float_precision(self):
         # float64 would round 2**53 + 1 to 2**53

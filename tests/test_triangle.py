@@ -20,6 +20,8 @@ from rangetri.core import (
 from rangetri import gen, triangle
 from rangetri.triangle import (
     COMPLETE,
+    FAILED,
+    LIST_RETRIES,
     TRUNCATED,
     ListingResult,
     RandomSource,
@@ -543,10 +545,6 @@ class TestMainListing:
         with pytest.raises(InputError):
             main_listing(cycle_graph(3), 0)
 
-    def test_rejects_nonpositive_retries(self):
-        with pytest.raises(InputError):
-            main_listing_retry(complete_graph(4), 4, retries=0)
-
     @pytest.mark.parametrize("g", [Graph(0, []), cycle_graph(3)], ids=["empty", "triangle"])
     def test_rejects_zeta_below_one(self, g):
         # checked before the first phase, so also where no phase lists
@@ -592,32 +590,58 @@ class TestMainListing:
             assert (res.triangles, res.status) == (truth, COMPLETE)
             assert calls == [g.m]
 
-    def test_colored_path_never_exits_early(self, monkeypatch):
-        # at t > zeta * m / 32 even a complete rate-1 listing is Monte
-        # Carlo, so every retry runs
+    def test_colored_retry_stops_once_the_union_holds_every_triangle(self, monkeypatch):
+        # at t > zeta * m / 32 and t > T the runs go on until their union
+        # holds all T triangles, and no further; on these graphs that
+        # takes 3 to 6 runs
         runs = []
 
         def recording(*args):
-            result, exact = main_listing_inner(*args)
-            runs.append((result.status, exact))
-            return result, exact
+            runs.append(args[2].seed)
+            return main_listing_inner(*args)
 
         main_listing_inner = triangle._main_listing
         monkeypatch.setattr(triangle, "_main_listing", recording)
-        rng = random.Random(11)
         for seed in range(6):
-            g = rand_graph(rng, rng.randint(6, 14), 0.4)
-            t = max(len(oracle_triangle_list(g)) + 1, g.m)
+            g = gen.gen_graph("powerlaw", 100, 0.05, seed=seed)
+            truth = oracle_triangle_list(g)
+            t = len(truth) + 1
+            sources = [RandomSource(seed).split("retry", a) for a in range(LIST_RETRIES)]
+            union, needed = set(), 0
+            while union != truth:
+                union |= main_listing_inner(g, t, sources[needed], 4)
+                needed += 1
+            assert needed > 1
             runs.clear()
-            res = main_listing_retry(g, t, RandomSource(seed), zeta=4, retries=3)
-            assert res.status == COMPLETE
-            assert len(runs) == 3 and not any(exact for _, exact in runs)
-            assert (COMPLETE, False) in runs
+            res = main_listing_retry(g, t, RandomSource(seed), zeta=4)
+            assert (res.triangles, res.status) == (truth, COMPLETE)
+            assert runs == [source.seed for source in sources[:needed]]
+
+    def test_missing_triangle_is_failed_not_complete(self):
+        # at zeta = 8 every run here misses one of the 1277 triangles
+        g = gen.gen_graph("powerlaw", 200, 0.05, seed=0)
+        for lister in (main_listing, main_listing_retry):
+            res = lister(g, 2559, RandomSource(0), zeta=8)
+            assert res.status == FAILED and len(res.triangles) == 1276
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_small_zeta_never_says_complete_with_a_triangle_missing(self, seed):
+        g = gen.gen_graph("powerlaw", 200, 0.05, seed=seed)
+        truth = oracle_triangle_list(g)
+        for zeta in (1, 8):
+            for t in (len(truth) + 1, 2 * len(truth) + 5):
+                for lister in (main_listing, main_listing_retry):
+                    res = lister(g, t, RandomSource(seed), zeta=zeta)
+                    assert res.triangles <= truth
+                    assert (res.status == COMPLETE) == (res.triangles == truth)
+                    assert res.status in (COMPLETE, FAILED)
 
 
 def loop_main_listing(g: Graph, t: int, zeta: int, rng: RandomSource):
-    """Reference for main_listing without its early exit: every phase
-    runs on its compacted vertex sample, until t triangles are found."""
+    """Reference for main_listing without its exact case: every phase
+    runs on its compacted vertex sample, until t triangles are found;
+    the status is truncated-at-t at t or more, complete with every
+    triangle, and failed otherwise."""
     truth = oracle_triangle_list(g)
     collected = set()
     for s in range(int(math.log2(g.m)) + 1 if g.m > 1 else 1):
@@ -631,20 +655,25 @@ def loop_main_listing(g: Graph, t: int, zeta: int, rng: RandomSource):
         result = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s))
         collected |= {tuple(sorted(back[x] for x in tri)) for tri in result.triangles} & truth
         if len(collected) >= t:
-            return collected, TRUNCATED
-    return collected, COMPLETE if len(collected) < t else TRUNCATED
+            break
+    return collected, loop_status(collected, t, truth)
 
 
-def loop_main_listing_retry(g: Graph, t: int, zeta: int, rng: RandomSource, retries: int = 10):
+def loop_status(collected: set, t: int, truth: set) -> str:
+    if len(collected) >= t:
+        return TRUNCATED
+    return COMPLETE if collected == truth else FAILED
+
+
+def loop_main_listing_retry(g: Graph, t: int, zeta: int, rng: RandomSource):
     """Reference for main_listing_retry: the union of every retry of
-    loop_main_listing, until t triangles are found."""
-    collected, status = set(), COMPLETE
-    for attempt in range(retries):
-        found, status = loop_main_listing(g, t, zeta, rng.split("retry", attempt))
-        collected |= found
+    loop_main_listing, until t triangles are found, with its status."""
+    collected = set()
+    for attempt in range(LIST_RETRIES):
+        collected |= loop_main_listing(g, t, zeta, rng.split("retry", attempt))[0]
         if len(collected) >= t:
-            return collected, TRUNCATED
-    return collected, status
+            break
+    return collected, loop_status(collected, t, oracle_triangle_list(g))
 
 
 class TestDeterminism:
