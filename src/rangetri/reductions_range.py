@@ -29,6 +29,7 @@ from .core import (
     bounds,
     normalize,
     pack,
+    ranks,
 )
 
 SingleSolver = Callable[[IntArray, Union[Sequence[Range], np.ndarray]], list[int]]
@@ -157,7 +158,7 @@ def _earlier_matches(term: np.ndarray) -> np.ndarray:
     #{i < x : g(v_i) == h(v_x)} as int64: one sort of the (value rank,
     position) keys of the g half, and two searchsorted."""
     n = term.size // 2
-    rank = np.unique(term, return_inverse=True)[1]
+    rank = ranks(term)[1]
     keys = np.sort(rank[:n] * n + np.arange(n))
     first = rank[n:] * n
     return np.searchsorted(keys, first + np.arange(n)) - np.searchsorted(keys, first)

@@ -26,6 +26,7 @@ from .core import (
     bounds,
     compact,
     normalize,
+    ranks,
 )
 from .reductions_range import PairSolver
 
@@ -112,16 +113,15 @@ def base_decompose(lo, hi, n_pad: int) -> tuple[np.ndarray, np.ndarray]:
     # bottom-up cover of the half-open leaf span [l, r): level k's span
     # is [ceil(l / 2^k), floor(r / 2^k)); while it is nonempty it takes
     # its left end if odd and the node before its right end if odd.
-    # Row q of ``cover`` holds query q's nodes by level, left then
-    # right, and 0 in unused slots.
+    # ``take[q, k]`` marks which of level k's two candidates range q
+    # takes; read in row order, the nodes come by level, left then right.
     shift = np.arange(n_pad.bit_length())
     l = -((-(lo + n_pad))[:, None] >> shift)
     r = (hi + n_pad + 1)[:, None] >> shift
     live = l < r
-    cover = np.stack((l * (l & 1) * live, (r - 1) * (r & 1) * live), axis=2)
-    cover = cover.reshape(lo.size, 2 * shift.size)
-    query, slot = np.nonzero(cover)
-    return query, cover[query, slot]
+    take = np.stack(((l & 1).astype(bool) & live, (r & 1).astype(bool) & live), axis=2)
+    nodes = np.stack((l, r - 1), axis=2)[take]
+    return np.repeat(np.arange(lo.size), np.count_nonzero(take, axis=(1, 2))), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -157,48 +157,54 @@ def build_query_multigraph(a: IntArray, queries: Sequence[RangePair] | np.ndarra
     Only intervals actually used by some query get a vertex.
     """
     b = bounds(queries, a.n, 4)
+    q = len(b)
     vals = normalize(a.values)
     n_pad = padded_length(a.n)
-    vq, v_node = base_decompose(b[:, 0] - 1, b[:, 1] - 1, n_pad)
-    wq, w_node = base_decompose(b[:, 2] - 1, b[:, 3] - 1, n_pad)
+    # one cover of the 2q ranges: range k < q is query k's first (V)
+    # range, range q + k its second (W) range
+    ends = np.concatenate((b[:, :2], b[:, 2:])) - 1
+    rq, node = base_decompose(ends[:, 0], ends[:, 1], n_pad)
+    split = np.searchsorted(rq, q)
 
-    # vertex ids V, then W, then U; v_of / w_of map a node to its id, or 0
-    v_of = np.zeros(2 * n_pad, dtype=np.int64)
-    w_of = np.zeros(2 * n_pad, dtype=np.int64)
-    v_nodes, w_nodes = np.unique(v_node), np.unique(w_node)
-    part_v = range(1, v_nodes.size + 1)
-    part_w = range(part_v.stop, part_v.stop + w_nodes.size)
-    v_of[v_nodes] = part_v
-    w_of[w_nodes] = part_w
+    # vertex ids V, then W, then U: a used node gets the rank of its key
+    # (side, node) plus 1, so V's nodes come first, each side in node order;
+    # of[side * 2 * n_pad + node] is that id, or 0 for an unused node
+    keys, vid = ranks(node + 2 * n_pad * (rq >= q))
+    vid += 1
+    part_v = range(1, int(np.searchsorted(keys, 2 * n_pad)) + 1)
+    part_w = range(part_v.stop, keys.size + 1)
+    of = np.zeros(4 * n_pad, dtype=np.int64)
+    of[keys] = np.arange(1, keys.size + 1)
 
     # occurrences of each value in each used node: position p lies in
     # the nodes (p + n_pad) >> k for k = 0..L
     anc = (np.arange(a.n) + n_pad) >> np.arange(n_pad.bit_length())[:, None]
-    used = (v_of[anc] > 0) | (w_of[anc] > 0)
+    used = np.zeros(2 * n_pad, dtype=bool)
+    used[node] = True
     d = int(vals.max()) + 1
-    key, mult = np.unique((anc * d + vals)[used], return_counts=True)
-    node, val = np.divmod(key, d)
-    values, u_id = np.unique(val, return_inverse=True)
+    key, mult = np.unique((anc * d + vals)[used[anc]], return_counts=True)
+    node_of, val = np.divmod(key, d)
+    values, u_id = ranks(val)
     part_u = range(part_w.stop, part_w.stop + values.size)
     u_id += part_u.start
 
-    def u_edges(of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hit = of[node] > 0
-        return np.stack((u_id[hit], of[node[hit]]), axis=1), mult[hit]
+    def u_edges(side_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit = side_of[node_of] > 0
+        return np.stack((u_id[hit], side_of[node_of[hit]]), axis=1), mult[hit]
 
-    uv, uv_mult = u_edges(v_of)
-    uw, uw_mult = u_edges(w_of)
+    uv, uv_mult = u_edges(of[: 2 * n_pad])
+    uw, uw_mult = u_edges(of[2 * n_pad :])
 
     # query k pairs each of its nv[k] V intervals with each of its nw[k]
     # W intervals; the pairs of one query are contiguous
-    nv = np.bincount(vq, minlength=len(b))
-    nw = np.bincount(wq, minlength=len(b))
+    vq, wq = rq[:split], rq[split:] - q
+    nv = np.bincount(vq, minlength=q)
+    nw = np.bincount(wq, minlength=q)
     w_start = np.cumsum(nw) - nw
     reps = nw[vq]
     i = np.repeat(np.arange(vq.size), reps)
     j = np.repeat(w_start[vq] - (np.cumsum(reps) - reps), reps) + np.arange(i.size)
-    vw_key = v_of[v_node[i]] * part_w.stop + w_of[w_node[j]]
-    vw_key, query_vw = np.unique(vw_key, return_inverse=True)
+    vw_key, query_vw = ranks(vid[i] * part_w.stop + vid[split + j])
     vw = np.stack(np.divmod(vw_key, part_w.stop), axis=1)
     query_ptr = np.concatenate(([0], np.cumsum(nv * nw)))
 

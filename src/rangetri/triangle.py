@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Edge, Graph, InputError, TriangleT, compact, pack
+from .core import Edge, Graph, InputError, TriangleT, compact, pack, ranks
 
 
 def _derive_seed(seed: int, tags: tuple) -> int:
@@ -315,7 +315,7 @@ def list_via_detection(g: Graph, detector: Detector) -> ListingResult:
         if np.array_equal(low, label):
             break
         label = low
-    comp = np.unique(label, return_inverse=True)[1] - 1  # label[0] = 0 is no vertex
+    comp = ranks(label)[1] - 1  # label[0] = 0 is no vertex
 
     # A component is its third part, (comp3, third) sorted by component
     # then vertex, and its first-second edges, (comp12, first, second)
@@ -549,7 +549,7 @@ def inner_listing(
         drawn = [stream.randrange(r) for _ in range(light.n)]
         # colors renumbered in order, indexed by vertex id; a color pair
         # (x, y), x < y, is keyed x * k + y
-        color = np.concatenate(([0], np.unique(drawn, return_inverse=True)[1]))
+        color = np.concatenate(([0], ranks(drawn)[1]))
         k = light.n + 1
         cu, cv = np.sort(color[np.stack((light.eu, light.ev))], axis=0)
         pair, pair_edges = np.unique((cu * k + cv)[cu < cv], return_counts=True)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph, rand_array, rand_graph, rand_pair, rand_range
 from rangetri.core import (
+    DENSE_SPAN,
     EQP,
     INV,
     DenseMatrix,
@@ -33,6 +34,7 @@ from rangetri.core import (
     oracle_triangle_list,
     pack,
     pair,
+    ranks,
 )
 
 short_int_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=40)
@@ -59,6 +61,72 @@ class TestNormalize:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             normalize([])
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def id_arrays(draw) -> np.ndarray:
+    """int64 ids, flat or as (k, 2) edge rows, drawn from a window of
+    width 1, up to DENSE_SPAN * size, just past it, or all of int64,
+    placed anywhere in int64 (so at either extreme too)."""
+    size = draw(st.integers(1, 24))
+    dense = DENSE_SPAN * size
+    width = draw(st.sampled_from([1, dense, dense + 1, dense + 7, 2**64]))
+    lo = draw(st.integers(INT64_MIN, INT64_MAX - width + 1))
+    values = np.array(draw(st.lists(st.integers(lo, lo + width - 1), min_size=size, max_size=size)))
+    if draw(st.booleans()) and size % 2 == 0:
+        values = values.reshape(-1, 2)
+    return values.astype(np.int64)
+
+
+def assert_ranks_like_unique(values) -> None:
+    distinct, inverse = ranks(values)
+    want_distinct, want_inverse = np.unique(values, return_inverse=True)
+    assert distinct.tolist() == want_distinct.tolist()
+    assert inverse.dtype == np.int64 and inverse.shape == np.shape(values)
+    assert inverse.tolist() == want_inverse.reshape(np.shape(values)).tolist()
+
+
+class TestRanks:
+    @given(id_arrays())
+    def test_matches_unique(self, values):
+        assert_ranks_like_unique(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [5],
+            [INT64_MIN],
+            [INT64_MAX, INT64_MAX],
+            [-3, -9, -3, -1],
+            [INT64_MIN, INT64_MAX, 0],
+            [INT64_MIN, INT64_MIN + 2, INT64_MIN + 1],
+            [INT64_MAX - 1, INT64_MAX - 3, INT64_MAX],
+            [[7, -2], [-2, 10**9], [3, 7]],
+            [[INT64_MAX, INT64_MIN], [INT64_MIN, 0]],
+        ],
+    )
+    def test_examples(self, values):
+        assert_ranks_like_unique(np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_sorts_only_past_dense_span(self, past, monkeypatch):
+        # six ids spanning exactly DENSE_SPAN * 6 are ranked without a
+        # sort; one more id of span sends them to np.unique
+        values = np.array([-4, -4 + DENSE_SPAN * 6 - 1 + past, 0, -1, 0, 2], dtype=np.int64)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        ranks(values)
+        assert len(calls) == past
+        monkeypatch.undo()
+        assert_ranks_like_unique(values)
+
+    def test_lists_and_other_dtypes(self):
+        for values in ([3, 1, 3], [2**64, -1, 2**64], np.array([2**63, 5], dtype=np.uint64), [1.5, -2.0, 1.5]):
+            assert_ranks_like_unique(values)
 
 
 class TestTypes:
@@ -292,6 +360,10 @@ class TestTypes:
         }
         same, ident = compact(np.array([(1, 2), (2, 3)]))
         assert ident.tolist() == [1, 2, 3] and same.sorted_edges() == [(1, 2), (2, 3)]
+        for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+            none, back = compact(empty)
+            assert (none.n, none.m) == (0, 0)
+            assert back.dtype == np.int64 and back.size == 0
 
     def test_matrix(self):
         m = DenseMatrix.from_rows([[1, 2], [3, 4]])

@@ -19,6 +19,7 @@ from rangetri.core import (
     RangeError,
     RangePair,
     TripartiteMultigraph,
+    bounds,
     compact,
     oracle_disjoint_query,
     oracle_edge_triangle_counts,
@@ -172,6 +173,52 @@ def per_query_vw(build) -> list[list[tuple[int, int]]]:
     return [[tuple(e) for e in rows[ptr[k] : ptr[k + 1]]] for k in range(len(ptr) - 1)]
 
 
+def two_cover_reference(a: IntArray, b: np.ndarray):
+    """What ``build_query_multigraph`` must build, with dicts and loops
+    over one cover of the first ranges and one of the second: the parts
+    (V, W, U), then uv, uv_mult, uw, uw_mult, vw, query_ptr and query_vw
+    as lists.  V numbers its nodes in node order from 1, W goes on from
+    there, and U numbers the values inside some range in value order."""
+    n_pad = padded_length(a.n)
+    covers = [base_decompose(b[:, c] - 1, b[:, c + 1] - 1, n_pad) for c in (0, 2)]
+    ids = {}
+    for side, (_, nodes) in enumerate(covers):
+        for h in sorted(set(nodes.tolist())):
+            ids[side, h] = len(ids) + 1
+    count = {}  # (side, node id, value) -> occurrences of the value in the node
+    for (side, h), vid in ids.items():
+        for p in node_positions(h, n_pad):
+            key = side, vid, int(a.values[p])
+            count[key] = count.get(key, 0) + 1
+    values = sorted({x for _, _, x in count})
+    u_start = len(ids) + 1
+    u_of = {x: u_start + k for k, x in enumerate(values)}
+    edges = [[], []]  # per side: ((u, node id), occurrences) in (node id, value) order
+    for (side, vid, x), c in sorted(count.items()):
+        edges[side].append(([u_of[x], vid], c))
+    pairs = []  # per query: its (V id, W id) pairs, V cover order then W cover order
+    (vq, vn), (wq, wn) = covers
+    for k in range(len(b)):
+        vs = [ids[0, h] for h in vn[vq == k].tolist()]
+        ws = [ids[1, h] for h in wn[wq == k].tolist()]
+        pairs.append([(v, w) for v in vs for w in ws])
+    vw = sorted({p for ps in pairs for p in ps})
+    row = {p: k for k, p in enumerate(vw)}
+    n_v = sum(side == 0 for side, _ in ids)
+    parts = range(1, n_v + 1), range(n_v + 1, u_start), range(u_start, u_start + len(values))
+    ptr = np.cumsum([0] + [len(ps) for ps in pairs]).tolist()
+    return (
+        parts,
+        [e for e, _ in edges[0]],
+        [c for _, c in edges[0]],
+        [e for e, _ in edges[1]],
+        [c for _, c in edges[1]],
+        [list(p) for p in vw],
+        ptr,
+        [row[p] for ps in pairs for p in ps],
+    )
+
+
 @st.composite
 def multigraphs(draw) -> TripartiteMultigraph:
     """A random tripartite multigraph with multiplicities up to 2^5.  Its
@@ -244,6 +291,22 @@ class TestQueryMultigraph:
             # the parts number the vertices 1..N consecutively
             parts = sorted((mg.part_u, mg.part_v, mg.part_w), key=lambda p: p.start)
             assert [p.start for p in parts] == [1, parts[0].stop, parts[1].stop]
+
+    def test_matches_two_cover_reference(self):
+        rng = random.Random(11)
+        for trial in range(60):
+            n = rng.randint(2, 70)
+            # values dense in 0..n-1, few, or spread over +-10^9
+            lo, hi = [(0, n - 1), (-2, 2), (-(10**9), 10**9)][trial % 3]
+            a = rand_array(rng, n, lo, hi)
+            queries = [rand_pair(rng, n) for _ in range(rng.randint(1, 12))]
+            build = build_query_multigraph(a, queries)
+            mg = build.mg
+            parts, *arrays = two_cover_reference(a, bounds(queries, n, 4))
+            assert (mg.part_v, mg.part_w, mg.part_u) == parts
+            got = (mg.uv, mg.uv_mult, mg.uw, mg.uw_mult, mg.vw, build.query_ptr, build.query_vw)
+            for have, want in zip(got, arrays):
+                assert have.dtype == np.int64 and have.tolist() == want
 
     def test_per_query_sum_equals_answer(self):
         rng = random.Random(3)
@@ -426,6 +489,24 @@ class TestArraySideSolvers:
         assert reduce_2req_to_etc(a, [pair(1, 2, 3, 5)], EDGE_COUNTERS["oracle"]) == [2]
         assert reduce_2rdq_to_etd(a, [pair(1, 2, 5, 5)], EDGE_DETECTORS["oracle"]) == [True]
         assert reduce_2rdq_to_etd(a, [pair(1, 1, 3, 3)], EDGE_DETECTORS["oracle"]) == [False]
+
+    @pytest.mark.parametrize("inner", ["oracle", "ayz"])
+    def test_ranges_sharing_no_value(self, inner, monkeypatch):
+        # no value of a first range is in any second range, so every piece
+        # prunes to no edges and the solver gets the empty ``compact``
+        graphs = []
+
+        def recording_compact(edges):
+            g, back = compact(edges)
+            graphs.append((g.n, g.m, back.tolist()))
+            return g, back
+
+        monkeypatch.setattr(reductions_triangle, "compact", recording_compact)
+        a = IntArray([1, 2, 1, 3, 4, 3])
+        queries = [pair(1, 2, 4, 5), pair(2, 3, 5, 6), pair(1, 3, 4, 6)]
+        assert reduce_2req_to_etc(a, queries, EDGE_COUNTERS[inner]) == [0] * 3
+        assert reduce_2rdq_to_etd(a, queries, EDGE_DETECTORS[inner]) == [True] * 3
+        assert graphs == [(0, 0, [])] * 2
 
     def test_rejects_range_outside_array(self):
         # r = 6 lies inside the padded width 8, so only the array length catches it
