@@ -485,10 +485,11 @@ class TripartiteMultigraph:
             if rows.shape != (len(mult), 2):
                 raise InputError(f"{name} edges have shape {rows.shape}, not ({len(mult)}, 2)")
             x, y = rows[:, 0], rows[:, 1]
-            outside = (x < a.start) | (x >= a.stop) | (y < b.start) | (y >= b.stop)
-            bad = np.flatnonzero((mult < 1) | outside)
-            if bad.size:
-                k = bad[0]
+            if len(mult) and not (
+                a.start <= x.min() <= x.max() < a.stop and b.start <= y.min() <= y.max() < b.stop and mult.min() >= 1
+            ):
+                outside = (x < a.start) | (x >= a.stop) | (y < b.start) | (y >= b.stop)
+                k = np.flatnonzero((mult < 1) | outside)[0]
                 raise InputError(f"bad {name} edge ({x[k]}, {y[k]}) x{mult[k]}")
 
     def triangle_count_through(self, v: int, w: int) -> int:

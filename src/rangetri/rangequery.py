@@ -485,7 +485,12 @@ class OnlineEqStructure:
     prv: list[int]
 
 
-OMEGA = 3.0  # the matrix-product exponent the block parameters assume
+# The matrix-product exponent the block parameters assume, kept by
+# measurement: at 2, the exponent of AYZ's measured split
+# (triangle.default_theta), req through online-eq at n = 20 000 ran 1.1-2.3x
+# slower on each of four arrays and query counts tried, so no one omega
+# serves both.
+OMEGA = 3.0
 
 # Online-eq's block length is EQ_BLOCK_SCALE * n**(1 - beta): the paper's
 # balance weighs one tail step like one table cell, but a tail step is a

@@ -81,8 +81,8 @@ class ListingResult:
 # Heavy/light per-edge counting
 
 
-# light-centre wedges, or heavy-product cells, handled per numpy batch;
-# bounds the scratch arrays' size
+# light-centre wedges handled per numpy batch; bounds the wedge kernel's
+# scratch arrays
 _WEDGE_CHUNK = 1 << 12
 
 
@@ -130,6 +130,19 @@ def _degree_key(g: Graph) -> np.ndarray:
     return np.diff(g.indptr) * (g.n + 1) + np.arange(g.n + 1)
 
 
+# theta = m^((w - 1) / (w + 1)) balances m * theta wedges with an H^w product.
+# ayz_counts ms at three splits (H), best of 5 on a 2-vCPU VM, answers equal:
+#
+#   graph                      m^(1/3)      m^0.4       m^(1/2)
+#   gnp(400, 0.5)             3.7 (400)    3.5 (400)   382 (185)
+#   gnp(1000, 0.1)             14 (1000)    16 (996)   109 (0)
+#   gnp(2000, 0.05)            93 (2000)   171 (876)   181 (0)
+#   powerlaw(3000, 0.01)       43 (465)     58 (184)    74 (37)
+#   2req n = q = 4096 graph   324 (1743)   357 (653)   402 (117)
+#
+# A numpy wedge costs far more than a BLAS multiply-add, so the w = 2 split
+# never lost beyond noise; it is kept by measurement, as rangequery.OMEGA = 3
+# is for online-eq's blocks, and no one omega serves both.
 def default_theta(m: int) -> int:
     """AYZ's default degree threshold on m edges: the exact ceiling of
     m^(1/3), and at least 1."""
@@ -152,10 +165,10 @@ def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
     light: both v and w come after c.  That wedge credits all three of
     its edges.  An edge with both ends heavy also adds its entry of the
     H x H 0/1 product A_H @ A_H over the heavy vertices, which counts
-    its heavy third vertices; the product is computed in row chunks, in
-    float32 while that is exact.  A light row pairs at most theta
-    neighbours, so that is at most m * theta wedges plus one product on
-    H <= 2m / theta vertices.
+    its heavy third vertices; the product is one float32 BLAS call, and
+    A_H with its square peak at 8 H^2 bytes.  A light row pairs at most
+    theta neighbours, so that is at most m * theta wedges plus one
+    product on H <= 2m / theta vertices.
     """
     m = g.m
     if theta is None:
@@ -178,17 +191,11 @@ def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
     if both.size:
         rank = np.cumsum(heavy) - 1  # a heavy vertex's row in A_H
         size = int(rank[-1]) + 1
-        u, v = rank[g.eu[both]], rank[g.ev[both]]  # u < v, u ascending
-        # 0/1 entries sum exactly in float32 while every sum is < 2^24
-        a = np.zeros((size, size), dtype=np.float32 if size < 1 << 24 else np.float64)
+        u, v = rank[g.eu[both]], rank[g.ev[both]]
+        # float32 is exact: an entry is at most H, and H^2 cells in memory make H < 2^24
+        a = np.zeros((size, size), dtype=np.float32)
         a[u, v] = a[v, u] = 1
-        rows = max(1, _WEDGE_CHUNK // size)
-        cuts = np.searchsorted(u, np.arange(0, size + rows, rows))
-        for lo, i, j in zip(range(0, size, rows), cuts[:-1], cuts[1:]):
-            if i < j:
-                # columns from lo on: every edge here has v > u >= lo
-                block = a[lo : lo + rows] @ a[:, lo:]
-                counts[both[i:j]] += block[u[i:j] - lo, v[i:j] - lo].astype(np.int64)
+        counts[both] += (a @ a)[u, v].astype(np.int64)
     return counts
 
 
