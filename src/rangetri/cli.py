@@ -154,6 +154,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_list(args) -> int:
+    if args.t is not None and args.t < 1:
+        raise InputError(f"--t must be >= 1, got {args.t}")
     g = files.read_graph(args.graph)
     # an empty graph lists nothing under the smallest valid capacity
     t = args.t if args.t is not None else max(1, g.m)
@@ -164,8 +166,8 @@ def cmd_list(args) -> int:
         result = list_via_detection(g, detector)
     else:
         result = main_listing_retry(g, t, RandomSource(args.seed), zeta=args.zeta)
-    _emit([list(tri) for tri in sorted(result.triangles)], args.format)
-    found = len(result.triangles)
+    _emit(result.rows.tolist(), args.format)
+    found = len(result.rows)
     if result.status == FAILED:
         total = int(ayz_counts(g).sum()) // 3
         print(f"failed: listed {found} of {total} triangles", file=sys.stderr)

@@ -352,8 +352,12 @@ class TestGraphOutput:
     def test_zero_capacity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 3\n1 2\n1 3\n2 3\n")
-        code, _ = run(capsys, "list", "--graph", str(path), "--algo", "main", "--t", "0")
-        assert code == 2
+        for algo in ("baseline", "via-detection", "main"):
+            for t in ("0", "-1"):
+                code = main(["list", "--graph", str(path), "--algo", algo, "--t", t])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (2, "")
+                assert "--t" in captured.err
 
 
 class TestMinmax:

@@ -607,9 +607,12 @@ class TestMainListing:
             truth = oracle_triangle_list(g)
             t = len(truth) + 1
             sources = [RandomSource(seed).split("retry", a) for a in range(LIST_RETRIES)]
-            union, needed = set(), 0
-            while union != truth:
-                union |= main_listing_inner(g, t, sources[needed], 4)
+            # each run returns canonical rows; the union is the canonical
+            # form of their concatenation
+            union, needed = ListingResult((), COMPLETE), 0
+            while union.triangles != truth:
+                rows = main_listing_inner(g, t, sources[needed], 4)
+                union = ListingResult(np.concatenate((union.rows, rows)), COMPLETE)
                 needed += 1
             assert needed > 1
             runs.clear()
@@ -687,3 +690,92 @@ class TestDeterminism:
             da = detect_via_listing(g, rng=RandomSource(trial))
             db = detect_via_listing(g, rng=RandomSource(trial))
             assert da == db
+
+
+def assert_canonical(res: ListingResult):
+    rows = res.rows
+    assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 3
+    assert ((rows[:, 0] < rows[:, 1]) & (rows[:, 1] < rows[:, 2])).all()
+    listed = rows.tolist()
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+    assert res.triangles == set(map(tuple, listed))
+
+
+class TestCanonicalRows:
+    GRAPHS = [
+        Graph(0, []),
+        cycle_graph(3),
+        Graph(9, [(1, v) for v in range(2, 10)]),
+        complete_graph(8),
+        gen.gen_graph("gnp", 40, 0.3, seed=2),
+        gen.gen_graph("powerlaw", 100, 0.05, seed=1),
+    ]
+    IDS = ["empty", "triangle", "star", "K8", "gnp", "powerlaw"]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_every_lister_returns_canonical_rows(self, g):
+        truth = oracle_triangle_list(g)
+        m, total = g.m, len(truth)
+        results = [
+            baseline_list(g, g.m**2),
+            baseline_list(g, total // 2),
+            list_via_detection(g, oracle_edge_triangle_detect),
+            inner_listing(g, 4 * m + 1, zeta=1, rng=RandomSource(3)),
+            main_listing(g, total + 1, RandomSource(3), zeta=1),
+            main_listing(g, 1, RandomSource(3)),
+            main_listing_retry(g, total + 1, RandomSource(3), zeta=1),
+            main_listing_retry(g, max(1, total // 2), RandomSource(3), zeta=1),
+        ]
+        for res in results:
+            assert_canonical(res)
+            assert res.triangles <= truth
+        assert results[0].triangles == truth
+
+    def test_any_collection_of_triples(self):
+        expected = [[1, 2, 3], [1, 2, 4], [2, 5, 9]]
+        for triples in (
+            [(3, 2, 1), (4, 1, 2), (9, 5, 2), (1, 2, 3), (2, 1, 4), (1, 2, 3)],
+            {(1, 2, 3), (1, 2, 4), (2, 5, 9)},
+            np.array([[9, 2, 5], [2, 1, 3], [4, 2, 1], [1, 3, 2]]),
+        ):
+            res = ListingResult(triples, COMPLETE)
+            assert res.rows.tolist() == expected
+            assert_canonical(res)
+        empty = ListingResult((), TRUNCATED)
+        assert empty.rows.shape == (0, 3) and empty.rows.dtype == np.int64
+        assert empty.triangles == set()
+
+    @pytest.mark.parametrize("span", [10, 2**21, 2**21 + 1, 2**63 - 1])
+    def test_matches_sorted_set_at_every_id_span(self, span):
+        # up to span 2^21 the rows go by one int64 key, past it by column
+        rng = random.Random(span)
+        lo = -(2**62) if span > 2**62 else 7
+        ids = [lo, lo + span - 1] + [rng.randint(lo, lo + span - 1) for _ in range(6)]
+        triples = [tuple(rng.choice(ids) for _ in range(3)) for _ in range(200)]
+        top = lo + span - 1  # the row of the three largest ids has the largest key
+        triples = [t for t in triples if len(set(t)) == 3] + [(top, top - 2, top - 1), (lo + 1, lo, lo + 2)]
+        res = ListingResult(triples, COMPLETE)
+        assert res.rows.tolist() == sorted(map(list, {tuple(sorted(t)) for t in triples}))
+        assert_canonical(res)
+
+    def test_equality_reads_rows_and_status(self):
+        a = ListingResult([(1, 2, 3), (2, 3, 4)], COMPLETE)
+        assert a == ListingResult({(4, 3, 2), (3, 2, 1)}, COMPLETE)
+        assert not a != ListingResult([(2, 3, 4), (1, 2, 3)], COMPLETE)
+        assert a != ListingResult([(1, 2, 3), (2, 3, 4)], TRUNCATED)
+        assert a != ListingResult([(1, 2, 3)], COMPLETE)
+        assert a != ListingResult([(1, 2, 3), (2, 3, 5)], COMPLETE)
+        assert a != {(1, 2, 3), (2, 3, 4)}
+        assert [a, ListingResult((), FAILED)] == [a, ListingResult((), FAILED)]
+
+    def test_triangles_is_built_once_and_rows_are_read_only(self):
+        res = ListingResult([(1, 2, 3)], COMPLETE)
+        assert "triangles" not in vars(res)
+        first = res.triangles
+        assert vars(res)["triangles"] is first and res.triangles is first
+        with pytest.raises(ValueError):
+            res.rows[0, 0] = 5
+
+    def test_bad_status(self):
+        with pytest.raises(InputError):
+            ListingResult((), "done")
