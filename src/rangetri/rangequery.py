@@ -10,9 +10,11 @@ Three families live here:
   pairs[s', r] - pairs[l, r] telescopes to that sum;
 * its online variant (``MoOnline``), which precomputes an int64 row of
   answers for every block start and answers an arbitrary query by
-  adding its front to a row entry in O(1) Python: a prefix count table
-  of (ceil(n / B) + 1) x (n + 1) int64 entries for block size B, plus
-  a sort and a binary search over fewer than B values;
+  adding its front to a row entry in O(1) Python: ceil(n / B) + 1 prefix
+  count rows of n + 1 int64 entries for block size B, plus a sort and a
+  binary search over fewer than B values.  B is a power of two near
+  n / sqrt(q), so a doubling rebuild keeps every row it has and builds
+  only those of the new block starts;
 * the online block/matrix equal-pairs structure (``online_eq_build``),
   which splits the array into blocks, counts equal pairs between blocks
   with a matrix product for frequent values and direct enumeration for
@@ -165,12 +167,17 @@ def _check_kind(f: PairFunction) -> None:
 FRONT_BATCH = 1 << 13
 
 
-def mo_block_size(n: int, q: int) -> int:
-    return max(1, int(n / math.sqrt(q)))
+def mo_online_block_size(n: int, q: int) -> int:
+    """MoOnline's block size: the largest power of two B with
+    B**2 <= 2 n**2 / q (1 when there is none), within a factor sqrt(2)
+    of n / sqrt(q).  Doubling q keeps B or halves it, so a later
+    guess's block starts include the earlier ones."""
+    e = ((2 * n * n) // q).bit_length() - 1
+    return 1 << max(0, e // 2)
 
 
-# mo_offline's block size: 0.7 times mo_block_size's n / sqrt(q), which
-# MoOnline keeps.  A smaller block builds more rows, each one O(n) cumsum,
+# mo_offline's block size: 0.7 times n / sqrt(q), about MoOnline's
+# block.  A smaller block builds more rows, each one O(n) cumsum,
 # to shorten every front, whose steps cost a searchsorted or a wavelet
 # walk each.  Paired against 1.0 over interleaved runs at seeds 1 and
 # 4242 (2-vCPU VM, FRONT_BATCH = 2**13), as median per-run time ratios:
@@ -309,14 +316,19 @@ class MoOnline(OnlineIndex):
     prefix sums of C_{p+1}(vals[p]), one number per position, give the
     second sum.  For the first, C_{r+1}(v) is T_k(v), the count over
     vals[0:kB] with k = (r + 1) // B, plus the pairs in [kB, r]; the
-    table ``cross[k, x]``, the sum of T_k(vals[i]) over i < x, has
-    ceil(n / B) + 1 rows of n + 1 int64 entries.  The front and [kB, r]
-    both hold fewer than B values; their pairs are counted by sorting
-    [kB, r] and searching it for every front value.  A query thus costs
-    O(1) Python and O(B log B) numpy work in O(B) memory.
+    row ``cross[k]`` holds the sums of T_k(vals[i]) over i < x for
+    x = 0..n, one row of n + 1 int64 entries per block start and one
+    for kB >= n.  The front and [kB, r] both hold fewer than B values;
+    their pairs are counted by sorting [kB, r] and searching it for
+    every front value.  A query thus costs O(1) Python and O(B log B)
+    numpy work in O(B) memory.
 
-    A doubling rebuild of the rows and ``cross`` costs O(n * n / B)
-    numpy work and no more memory than the tables plus O(n).
+    B is a power of two (``mo_online_block_size``), so a doubling of the
+    guess keeps B or divides it by a power of two, and the old block
+    starts are among the new ones.  A rebuild keeps every row it has and
+    builds the rows of the new starts only, O(n) numpy work each, in no
+    more memory than the new tables plus O(n).  From ``q_guess`` = 1 the
+    rows built over every rebuild are those of the final B.
     """
 
     def __init__(
@@ -333,24 +345,38 @@ class MoOnline(OnlineIndex):
         self.domain = int(self.vals.max()) + 1
         self._before, own, _ = _pair_counts(self.kind, self.vals, self.domain)
         self._own = np.concatenate(([0], np.cumsum(own)))  # prefix sums of C_{p+1}(vals[p])
+        self.block, self.rows, self.cross = 0, [], []
         self._prepare()
 
     def _prepare(self) -> None:
-        """Build the answer rows and ``cross`` for the current guess."""
+        """Bring the answer rows and ``cross`` to the current guess's
+        block, building only the rows of block starts not yet held."""
         n, domain, vals = self.n, self.domain, self.vals
-        self.block = block = mo_block_size(n, self.q_guess)
-        self.rows, self.cross = [], None  # free the old tables before building new ones
-        starts = range(0, n, block)
-        self.cross = np.zeros((len(starts) + 1, n + 1), dtype=np.int64)
+        block = mo_online_block_size(n, self.q_guess)
+        if block == self.block:
+            return
+        step = self.block // block  # the old rows sit at every step-th start; 0 at first
+        rows, cross = [], []
+        built = 0
         seen = np.zeros(domain, dtype=np.int64)  # value counts of vals[0:s]
-        for j, s in enumerate([*starts, n]):  # cross has one more row, for kB >= n
-            if s < n:
-                self.rows.append(_answer_row(self.kind, vals, self._before, seen, s))
-            paired = seen if self.kind == "eqp" else np.cumsum(seen) - seen
-            np.cumsum(paired[vals], out=self.cross[j, 1:])
+        for j, s in enumerate([*range(0, n, block), n]):  # one more cross row, for kB >= n
+            if step and s == n:
+                cross.append(self.cross[-1])
+            elif step and j % step == 0:
+                rows.append(self.rows[j // step])
+                cross.append(self.cross[j // step])
+            else:
+                if s < n:
+                    rows.append(_answer_row(self.kind, vals, self._before, seen, s))
+                    built += n - s
+                paired = seen if self.kind == "eqp" else np.cumsum(seen) - seen
+                row = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(paired[vals], out=row[1:])
+                cross.append(row)
             seen += np.bincount(vals[s : s + block], minlength=domain)
+        self.block, self.rows, self.cross = block, rows, cross
         if self.counters is not None:
-            self.counters.extender_steps += sum(n - s for s in starts)
+            self.counters.extender_steps += built
 
     def _answer(self, l: int, r: int) -> int:
         block = self.block
@@ -371,8 +397,8 @@ class MoOnline(OnlineIndex):
         pairs = tail.searchsorted(front)  # tail values less than each front value
         if self.kind == "eqp":
             pairs = tail.searchsorted(front, "right") - pairs
-        cross, own = self.cross, self._own
-        ans += cross.item(k, s) - cross.item(k, l) - own.item(s) + own.item(l)
+        cross, own = self.cross[k], self._own
+        ans += cross.item(s) - cross.item(l) - own.item(s) + own.item(l)
         return ans + int(pairs.sum())
 
 

@@ -97,16 +97,34 @@ def _canonical(triples) -> np.ndarray:
     return rows
 
 
+def _merge(union: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The canonical union of two canonical row arrays over ids 1..n.
+
+    Each row (u, v, w) is read as one int64 key in base n + 1, which fits
+    while (n + 1)^3 <= 2^63.  A binary search of the union's keys places
+    the rows of the batch, and those not in the union go in with one
+    insert, so the union is not sorted again.  Beyond that the two are
+    made canonical together."""
+    if (n + 1) ** 3 > 2**63:
+        return _canonical(np.concatenate((union, rows)))
+    digits = np.array([(n + 1) ** 2, n + 1, 1], dtype=np.int64)
+    keys, new = union @ digits, rows @ digits
+    at = np.searchsorted(keys, new)
+    fresh = at == len(keys)
+    fresh[~fresh] = keys[at[~fresh]] != new[~fresh]
+    return np.insert(union, at[fresh], rows[fresh], axis=0)
+
+
 class ListingResult:
     """The triangles a lister found, plus how the run ended.
 
     ``rows`` is the listing in canonical form: a read-only (k, 3) int64
     array with u < v < w in each row, the rows in increasing order and
     none twice.  The constructor takes any collection of triples and
-    makes that form with ``_canonical``, which the listers' unions of
-    rows also go through.  ``triangles`` is the same listing as a set of
-    tuples, built once when first read, for comparisons with the
-    oracles.  Two results are equal when their rows and status are.
+    makes that form with ``_canonical``; the randomized listers grow
+    their unions with ``_merge``.  ``triangles`` is the same listing as
+    a set of tuples, built once when first read, for comparisons with
+    the oracles.  Two results are equal when their rows and status are.
 
     ``complete``: the rows are every triangle of the graph.  The main
     listers check this against the AYZ count; inner_listing's colored
@@ -647,7 +665,7 @@ def _main_listing(g: Graph, t: int, rng: RandomSource, zeta: int) -> np.ndarray:
         if sub is None:
             continue
         found = inner_listing(sub, 32 * t, zeta=zeta, rng=rng.split("main-inner", s)).rows
-        collected = _canonical(np.concatenate((collected, back[found - 1])))
+        collected = _merge(collected, back[found - 1], g.n)  # back is increasing
         if len(collected) >= t:
             break
     return collected
@@ -669,7 +687,7 @@ def _listing(g: Graph, t: int, zeta: int, sources) -> ListingResult:
     for source in sources:
         if len(collected) >= min(t, total):
             break
-        collected = _canonical(np.concatenate((collected, _main_listing(g, t, source, zeta))))
+        collected = _merge(collected, _main_listing(g, t, source, zeta), g.n)
     if len(collected) >= t:
         return ListingResult(collected, TRUNCATED)
     return ListingResult(collected, COMPLETE if len(collected) == total else FAILED)

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 import random
 
 import numpy as np
@@ -35,6 +36,12 @@ def query_objects(queries) -> list:
     """A query batch as ``Range``/``RangePair`` objects, whether it came
     as objects or as a bounds array; for oracles used as inner solvers."""
     return as_queries(queries) if isinstance(queries, np.ndarray) else list(queries)
+
+
+def sqrt_block(n: int, q: int) -> int:
+    """max(1, floor(n / sqrt(q))), the block size at which Mo's step
+    budget n + B q + n**2 / B is stated."""
+    return max(1, int(n / math.sqrt(q)))
 
 
 def rand_array(rng: random.Random, n: int, lo: int = None, hi: int = None) -> IntArray:

@@ -20,6 +20,7 @@ from conftest import (
     rand_graph,
     rand_pair,
     rand_range,
+    sqrt_block,
 )
 from rangetri.core import (
     EQP,
@@ -37,7 +38,7 @@ from rangetri.core import (
 )
 from rangetri.instrument import OpCounters
 from rangetri.minmax import MinMaxStats, minmax_product
-from rangetri.rangequery import mo_block_size, mo_offline
+from rangetri.rangequery import mo_offline
 from rangetri.reductions_range import (
     bmm_via_2req,
     reduce_1r_to_2r,
@@ -349,7 +350,7 @@ def test_criterion_10_step_budget_and_scaling(capsys):
         queries = [rand_range(rng, n) for _ in range(q)]
         counters = OpCounters()
         mo_offline(EQP, a, queries, counters=counters)
-        block = mo_block_size(n, q)
+        block = sqrt_block(n, q)
         ok &= counters.extender_steps <= 4 * (n + block * q + n * n / block)
     xs, ys = [], []
     for k in range(8, 15):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ADVERSARIAL, ADVERSARIAL_IDS, rand_array, rand_pair, rand_range
+from conftest import (
+    ADVERSARIAL,
+    ADVERSARIAL_IDS,
+    rand_array,
+    rand_pair,
+    rand_range,
+    sqrt_block,
+)
 from rangetri import gen, rangequery
 from rangetri.core import (
     EQP,
@@ -34,9 +41,9 @@ from rangetri.rangequery import (
     Wavelet,
     _eq_answer,
     matmul,
-    mo_block_size,
     mo_offline,
     mo_offline_block_size,
+    mo_online_block_size,
     online_eq_build,
     eq_values,
 )
@@ -169,7 +176,7 @@ class TestMoOffline:
             queries = [rand_range(rng, n) for _ in range(q)]
             counters = OpCounters()
             mo_offline(EQP, a, queries, counters=counters)
-            block = mo_block_size(n, q)
+            block = sqrt_block(n, q)
             budget = 4 * (n + block * q + n * n / block)
             assert counters.extender_steps <= budget
 
@@ -255,6 +262,14 @@ class TestMoOffline:
                 assert mo_offline(f, a, queries) == expected
 
 
+def power_block(n: int, q: int) -> int:
+    """The largest power of two B with B * B * q <= 2 * n * n, or 1."""
+    block = 1
+    while 4 * block * block * q <= 2 * n * n:
+        block *= 2
+    return block
+
+
 class TestMoOnline:
     def test_matches_offline_interleaved(self):
         rng = random.Random(21)
@@ -282,7 +297,7 @@ class TestMoOnline:
             upfront = MoOnline(f, a, q_guess=len(queries))
             for q in queries:
                 assert adaptive.query(q) == upfront.query(q)
-            assert adaptive.q_guess == 64  # six rebuilds happened
+            assert adaptive.q_guess == 64  # six doublings happened
 
     @pytest.mark.parametrize("values", ADVERSARIAL, ids=ADVERSARIAL_IDS)
     def test_adversarial_shapes(self, values):
@@ -297,6 +312,14 @@ class TestMoOnline:
             for q in (every[0], every[-1], Range(1, n)):  # q = 1: one query per index
                 assert MoOnline(f, a).query(q) == oracle_pairs_query(f, a, q)
 
+    def test_block_is_a_power_of_two_near_n_over_sqrt_q(self):
+        for n in range(1, 70):
+            for q in [*range(1, 70), n * n, 2 * n * n, 2 * n * n + 1, 10**9]:
+                block = mo_online_block_size(n, q)
+                assert block == power_block(n, q)
+                if q <= 2 * n * n:
+                    assert n / math.sqrt(2 * q) < block <= math.sqrt(2) * n / math.sqrt(q)
+
     def test_step_budget(self):
         # rows cost n - s per block start s, a front extension fewer than B steps
         rng = random.Random(23)
@@ -305,7 +328,7 @@ class TestMoOnline:
             q = rng.randint(1, 60)
             a = rand_array(rng, n, 0, 5)
             queries = [rand_range(rng, n) for _ in range(q)]
-            block = mo_block_size(n, q)
+            block = power_block(n, q)
             for f in (EQP, INV):
                 counters = OpCounters()
                 online = MoOnline(f, a, counters=counters, q_guess=q)
@@ -315,7 +338,8 @@ class TestMoOnline:
                 assert counters.extender_steps <= n * n / block + n + q * block
 
     def test_step_count(self):
-        # n - s per answer row built, over every rebuild, plus s - l per query
+        # n - s per answer row built, each block start once over every
+        # rebuild, plus s - l per query
         rng = random.Random(24)
         for _ in range(30):
             n = rng.randint(1, 80)
@@ -323,17 +347,20 @@ class TestMoOnline:
             queries = [rand_range(rng, n) for _ in range(rng.randint(1, 60))]
             first_guess = rng.choice([1, len(queries), n * n])
 
-            def rows(guess):
-                return sum(n - s for s in range(0, n, mo_block_size(n, guess)))
+            def starts(guess):
+                return set(range(0, n, power_block(n, guess)))
 
             guess = first_guess
-            expected = rows(guess)
+            held = starts(guess)
+            expected = sum(n - s for s in held)
             for seen, x in enumerate(queries, start=1):
                 if seen > guess:
                     while seen > guess:
                         guess *= 2
-                    expected += rows(guess)
-                block = mo_block_size(n, guess)
+                    assert held <= starts(guess)  # the blocks nest
+                    expected += sum(n - s for s in starts(guess) - held)
+                    held = starts(guess)
+                block = power_block(n, guess)
                 expected += min(-(-(x.l - 1) // block) * block, x.r) - (x.l - 1)
             for f in (EQP, INV):
                 counters = OpCounters()
@@ -343,9 +370,70 @@ class TestMoOnline:
                 assert online.q_guess == guess
                 assert counters.extender_steps == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 100, 128])
+    def test_rebuilds_equal_a_fresh_build(self, n):
+        # 37 and 100 end in a partial block; batches of 1 to 40 queries
+        # move the guess by one doubling or several at once
+        rng = random.Random(26 + n)
+        a = rand_array(rng, n, 0, 4)
+        for f in (EQP, INV):
+            online = MoOnline(f, a)
+            for size in [1, 1, 1, 2, 3, 7, 1, 40, 5, 40, 1, 200]:
+                queries = [rand_range(rng, n) for _ in range(size)]
+                guess = online.q_guess
+                answers = online.batch(queries)
+                assert answers == [oracle_pairs_query(f, a, x) for x in queries]
+                if online.q_guess == guess:
+                    continue
+                fresh = MoOnline(f, a, q_guess=online.q_guess)
+                assert online.block == fresh.block
+                for mine, theirs in ((online.rows, fresh.rows), (online.cross, fresh.cross)):
+                    assert len(mine) == len(theirs)
+                    assert all(np.array_equal(x, y) for x, y in zip(mine, theirs))
+
+    def test_stream_builds_each_final_start_once(self, monkeypatch):
+        # Range(1, r) starts at a block start, so its front is 0 steps and
+        # the count is the rows built
+        n = 300
+        a = rand_array(random.Random(27), n, 0, 20)
+        built = []
+
+        def answer_row(kind, vals, before, seen, s):
+            built.append(s)
+            return answer_row.original(kind, vals, before, seen, s)
+
+        answer_row.original = rangequery._answer_row
+        monkeypatch.setattr(rangequery, "_answer_row", answer_row)
+        for f in (EQP, INV):
+            built.clear()
+            counters = OpCounters()
+            online = MoOnline(f, a, counters=counters, q_guess=1)
+            for r in range(1, 4 * n + 1):
+                x = Range(1, 1 + r % n)
+                assert online.query(x) == oracle_pairs_query(f, a, x)
+            starts = range(0, n, power_block(n, 4 * n))
+            assert online.block == power_block(n, 4 * n) < power_block(n, 1)
+            assert sorted(built) == list(starts)
+            assert counters.extender_steps == sum(n - s for s in starts)
+
+    def test_doubling_that_keeps_the_block_builds_nothing(self):
+        n = 100
+        a = rand_array(random.Random(28), n, 0, 9)
+        q = next(q for q in range(1, n) if power_block(n, q) == power_block(n, 2 * q))
+        for f in (EQP, INV):
+            counters = OpCounters()
+            online = MoOnline(f, a, counters=counters, q_guess=q)
+            rows, cross, steps = online.rows, online.cross, counters.extender_steps
+            for _ in range(q + 1):
+                online.query(Range(1, n))  # 0 front steps
+            assert online.q_guess == 2 * q
+            assert online.rows is rows and online.cross is cross
+            assert counters.extender_steps == steps
+
     def test_memory_stays_near_the_tables(self):
-        # q_guess = 1 makes B = n: a front and its partial block of ~n
-        # values each must not meet in an n x n comparison (25 MB here)
+        # q_guess = 1 makes B = 4096 of n = 5000: a front and its partial
+        # block of ~B and ~n - B values must not meet in a front x block
+        # comparison (tens of MB here)
         rng = random.Random(25)
         n = 5000
         a, b = rand_array(rng, n, 0, n), rand_array(rng, 3000, 0, 3000)
@@ -362,9 +450,34 @@ class TestMoOnline:
                 tracemalloc.stop()
             assert query_peak < 1_000_000
             assert answer == mo_offline(f, a, [Range(2, n - 1)])[0]
-            # a build holds its rows and cross table plus O(n) scratch
-            tables = built.cross.nbytes + sum(row.nbytes for row in built.rows)
+            # a build holds its rows and cross rows plus O(n) scratch
+            tables = sum(row.nbytes for row in built.cross) + sum(row.nbytes for row in built.rows)
             assert build_peak < 1.5 * tables
+
+    def test_rebuild_memory_stays_near_the_new_rows(self):
+        # a rebuild keeps the old rows in place: it allocates the rows of
+        # its new block starts plus O(n) scratch, and copies nothing
+        n = 3000
+        a = rand_array(random.Random(29), n, 0, n)
+        for f in (EQP, INV):
+            online = MoOnline(f, a, q_guess=n)
+            for _ in range(n):
+                online.query(Range(1, 1))
+            old = {id(row) for row in online.rows + online.cross}
+            tracemalloc.start()
+            try:
+                online.query(Range(1, 1))  # the guess doubles and B halves
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block = power_block(n, n) // 2
+            assert online.block == block
+            assert old <= {id(row) for row in online.rows + online.cross}
+            new = [s for s in range(0, n, block) if s % (2 * block)]
+            built = 8 * sum(n - s + n + 1 for s in new)  # an answer row and a cross row each
+            tables = sum(row.nbytes for row in online.rows + online.cross)
+            assert built < 0.6 * tables
+            assert peak < 1.5 * built
 
     @settings(max_examples=40)
     @given(
@@ -377,7 +490,7 @@ class TestMoOnline:
         # guess's size, and one ending at that block's last position
         a = IntArray(values)
         n = a.n
-        block = mo_block_size(n, 3 * len(picks))
+        block = mo_online_block_size(n, 3 * len(picks))
         queries = []
         for x, y in picks:
             first = x % n // block * block + 1

@@ -758,6 +758,25 @@ class TestCanonicalRows:
         assert res.rows.tolist() == sorted(map(list, {tuple(sorted(t)) for t in triples}))
         assert_canonical(res)
 
+    @pytest.mark.parametrize("n", [3, 9, 2**21 - 1, 2**21])
+    def test_merge_is_the_canonical_union(self, n):
+        # up to n = 2^21 - 1 ids the batch is placed by one int64 key per
+        # row, past it the two are made canonical together
+        rng = random.Random(n)
+        ids = [1, 2, 3, n - 2, n - 1, n] + [rng.randint(1, n) for _ in range(4)]
+
+        def draw(k):
+            return triangle._canonical(
+                [t for t in (rng.sample(ids, 3) for _ in range(k)) if len(set(t)) == 3]
+            )
+
+        for union, rows in [(draw(0), draw(0)), (draw(0), draw(30)), (draw(30), draw(0))] + [
+            (draw(rng.randint(1, 60)), draw(rng.randint(1, 60))) for _ in range(20)
+        ]:
+            merged = triangle._merge(union, rows, n)
+            assert np.array_equal(merged, triangle._canonical(np.concatenate((union, rows))))
+            assert merged.dtype == np.int64
+
     def test_equality_reads_rows_and_status(self):
         a = ListingResult([(1, 2, 3), (2, 3, 4)], COMPLETE)
         assert a == ListingResult({(4, 3, 2), (3, 2, 1)}, COMPLETE)
