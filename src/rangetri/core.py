@@ -94,21 +94,6 @@ def ranks(values) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse.reshape(arr.shape).astype(np.int64, copy=False)
 
 
-def normalize(values) -> np.ndarray:
-    """Replace each value with its 0-based rank among distinct values.
-
-    Order-preserving and idempotent: equal inputs map to equal outputs and
-    the relative order of distinct values is kept.  The result is an int64
-    array with entries in ``[0, d-1]``, where ``d`` is the number of
-    distinct values.  It is ``ranks(values)[1]``, so it sorts only when
-    the values are spread wider than ``DENSE_SPAN`` times their number
-    (or are not int64).
-    """
-    if len(values) == 0:
-        raise InputError("cannot normalize an empty array")
-    return ranks(values)[1]
-
-
 def _as_int64(values, what: str, whats: str) -> np.ndarray:
     """``values`` as an int64 array (no copy if it is one already).
     Raises ``InputError(f"{whats} must be integers")`` on a float,
@@ -142,8 +127,8 @@ class IntArray:
 
     ``values`` is one read-only int64 ndarray.  The constructor takes any
     sequence or array of integers; a value outside int64 raises
-    ``InputError``.  The INV and EQP solvers rank-normalise the values
-    first, so only their order matters to them.
+    ``InputError``.  The INV and EQP solvers replace the values by their
+    ranks (``ranks``) first, so only their order matters to them.
     """
 
     __slots__ = ("values",)

@@ -57,13 +57,13 @@ from .core import (
     Range,
     ShapeError,
     bounds,
-    normalize,
+    ranks,
 )
 from .instrument import OpCounters
 
 
 # ---------------------------------------------------------------------------
-# Pair counts over the rank-normalised array (offline Mo)
+# Pair counts over the array's ranks (offline Mo)
 
 
 class Wavelet:
@@ -223,8 +223,8 @@ def mo_offline(
     if q == 0:
         return []
     n = a.n
-    vals = normalize(a.values)
-    domain = int(vals.max()) + 1
+    distinct, vals = ranks(a.values)
+    domain = distinct.size
     before, _, gain = _pair_counts(f.kind, vals, domain)
 
     block = mo_offline_block_size(n, q)
@@ -341,8 +341,8 @@ class MoOnline(OnlineIndex):
         _check_kind(f)
         super().__init__(a.n, counters, q_guess)
         self.kind = f.kind
-        self.vals = normalize(a.values)
-        self.domain = int(self.vals.max()) + 1
+        distinct, self.vals = ranks(a.values)
+        self.domain = distinct.size
         self._before, own, _ = _pair_counts(self.kind, self.vals, self.domain)
         self._own = np.concatenate(([0], np.cumsum(own)))  # prefix sums of C_{p+1}(vals[p])
         self.block, self.rows, self.cross = 0, [], []
@@ -449,12 +449,12 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 class EqValues(NamedTuple):
     """What every build over one array shares, whatever its query hint:
-    the rank-normalised values as an int64 array (``ranks``) and as a
-    list (``values``), each value's sorted 1-based positions, and three
-    int lists of length n + 2 that link each 1-based position p to the
-    others holding its value: ``occ[p]``, p's 1-based rank in its
-    value's index list; ``nxt[p]``, the next position with that value
-    (n + 1 if none); ``prv[p]``, the previous one (0 if none)."""
+    the values' ranks as an int64 array (``ranks``) and as a list
+    (``values``), each value's sorted 1-based positions, and three int
+    lists of length n + 2 that link each 1-based position p to the others
+    holding its value: ``occ[p]``, p's 1-based rank in its value's index
+    list; ``nxt[p]``, the next position with that value (n + 1 if none);
+    ``prv[p]``, the previous one (0 if none)."""
 
     ranks: np.ndarray
     values: list[int]
@@ -465,15 +465,15 @@ class EqValues(NamedTuple):
 
 
 def eq_values(a: IntArray) -> EqValues:
-    ranks = normalize(a.values)
-    values = ranks.tolist()  # walked in Python per query
+    rank = ranks(a.values)[1]
+    values = rank.tolist()  # walked in Python per query
     index_lists: dict[int, list[int]] = {}
     for p, v in enumerate(values, start=1):
         index_lists.setdefault(v, []).append(p)
     n = len(values)
-    order = np.argsort(ranks, kind="stable")  # positions by (value, position)
+    order = np.argsort(rank, kind="stable")  # positions by (value, position)
     pos = order + 1
-    same = ranks[order[1:]] == ranks[order[:-1]]  # sorted i and i + 1 share a value
+    same = rank[order[1:]] == rank[order[:-1]]  # sorted i and i + 1 share a value
     first = np.zeros(n, dtype=np.int64)  # sorted index where i's value starts
     first[1:][~same] = np.flatnonzero(~same) + 1
     np.maximum.accumulate(first, out=first)
@@ -483,7 +483,7 @@ def eq_values(a: IntArray) -> EqValues:
     occ[pos] = np.arange(1, n + 1) - first
     nxt[pos[:-1]] = np.where(same, pos[1:], n + 1)
     prv[pos[1:]] = np.where(same, pos[:-1], 0)
-    return EqValues(ranks, values, index_lists, occ.tolist(), nxt.tolist(), prv.tolist())
+    return EqValues(rank, values, index_lists, occ.tolist(), nxt.tolist(), prv.tolist())
 
 
 @dataclass

@@ -27,15 +27,14 @@ from .core import (
     RangePair,
     ShapeError,
     bounds,
-    normalize,
     pack,
     ranks,
 )
 
 SingleSolver = Callable[[IntArray, Union[Sequence[Range], np.ndarray]], list[int]]
 PairSolver = Callable[[IntArray, Union[Sequence[RangePair], np.ndarray]], list[int]]
-# a map of a decomposition term: the int64 values of the whole array in,
-# an integer array of the same length out
+# a map of a decomposition term: one int64 array in, an integer array of
+# the same length out
 ValueMap = Callable[[np.ndarray], np.ndarray]
 
 NEG_SENTINEL = -1
@@ -49,8 +48,9 @@ class Decomposition:
     and pure maps g, h; the represented function is
     f(x, y) = sum_i alpha_i * [g_i(x) == h_i(y)] on the array's values.
     A map is called once per array, on all of its int64 values, and
-    returns one integer per value.  Most maps act elementwise; a map may
-    also read the whole array, as INV's bit split does to rank it.
+    returns one integer per value.  The inv and eqp decompositions
+    (``decomposition_for``) are the exception: the reductions that build
+    them rank the array once per call and hand the ranks to every map.
 
     A map must keep every output inside int64.  numpy wraps an overflow
     silently, and both reductions then answer wrong with no error: the
@@ -83,13 +83,14 @@ def bit_count(n: int) -> int:
 
 def inv_decomposition(n: int) -> Decomposition:
     """Split the inversion indicator by most significant differing bit,
-    for arrays of at most n distinct values.
+    for ranks in [0, n).
 
-    Each map first ranks its array into [0, n), which keeps every
-    inversion.  Term t keeps the top t-1 bits of a rank when bit t
-    (counted from the most significant of k = ceil(log2 n) bits) is 1 on
-    the left / 0 on the right, and otherwise maps to a sentinel that can
-    never match: -1 on the left, 2n on the right.
+    The maps read ranks, not values: the caller ranks the array once
+    (``core.ranks``), which puts it in [0, n) and keeps every inversion.
+    Term t keeps the top t-1 bits of a rank when bit t (counted from the
+    most significant of k = ceil(log2 n) bits) is 1 on the left / 0 on
+    the right, and otherwise maps to a sentinel that can never match: -1
+    on the left, 2n on the right.
     """
     k = bit_count(n)
     pos_sentinel = 2 * n
@@ -99,11 +100,9 @@ def inv_decomposition(n: int) -> Decomposition:
         shift_prefix = k - t + 1
 
         def g(x, _b=shift_bit, _p=shift_prefix):
-            x = normalize(x)
             return np.where((x >> _b) & 1, x >> _p, NEG_SENTINEL)
 
         def h(y, _b=shift_bit, _p=shift_prefix, _s=pos_sentinel):
-            y = normalize(y)
             return np.where((y >> _b) & 1, _s, y >> _p)
 
         terms.append((1, g, h))
@@ -118,12 +117,13 @@ def decomposition_for(f: PairFunction, n: int) -> Decomposition:
     raise CapabilityError(f"no equality decomposition available for {f.kind!r}")
 
 
-def _term_values(g: ValueMap, h: ValueMap, vals: np.ndarray) -> np.ndarray:
-    """The 2n-long term array: g over ``vals``, then h over ``vals``."""
-    out = np.concatenate((g(vals), h(vals)))
-    if out.dtype.kind not in "iub":
+def _term_ranks(g: ValueMap, h: ValueMap, vals: np.ndarray) -> np.ndarray:
+    """The ranks of the 2n-long term array: g over ``vals``, then h over
+    ``vals``."""
+    term = np.concatenate((g(vals), h(vals)))
+    if term.dtype.kind not in "iub":
         raise InputError("decomposition maps must produce integers")
-    return out
+    return ranks(term)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,11 @@ def reduce_2r_to_1r(f: PairFunction, single_solver: SingleSolver) -> PairSolver:
     return solver
 
 
-def _earlier_matches(term: np.ndarray) -> np.ndarray:
-    """For the 2n-long term array [g(v), h(v)], each x's count
-    #{i < x : g(v_i) == h(v_x)} as int64: one sort of the (value rank,
+def _earlier_matches(rank: np.ndarray) -> np.ndarray:
+    """For the ranks of a 2n-long term array [g(v), h(v)], each x's
+    count #{i < x : g(v_i) == h(v_x)} as int64: one sort of the (rank,
     position) keys of the g half, and two searchsorted."""
-    n = term.size // 2
-    rank = ranks(term)[1]
+    n = rank.size // 2
     keys = np.sort(rank[:n] * n + np.arange(n))
     first = rank[n:] * n
     return np.searchsorted(keys, first + np.arange(n)) - np.searchsorted(keys, first)
@@ -176,18 +175,22 @@ def reduce_1r_to_2r(
     the earlier positions i whose left map g(v_i) equals the right map
     h(v_x).  Then f([a, b]) = P[b] - P[a-1] - f([1, a-1], [a, b]).
 
-    The maps read the values of A, as f does, and ``pair_solver`` is
-    asked about A itself.  Without a ``decomposition``, f must be inv or
-    eqp.
+    A ``decomposition`` passed in reads the values of A, as f does.
+    Without one, f must be inv or eqp, and its own decomposition reads
+    A's ranks, made once per call.  ``pair_solver`` is asked about A
+    itself.
     """
 
     def solver(a: IntArray, queries) -> list[int]:
         l, r = bounds(queries, a.n, 2).T
-        d = decomposition if decomposition is not None else decomposition_for(f, a.n)
+        if decomposition is None:
+            d, vals = decomposition_for(f, a.n), ranks(a.values)[1]
+        else:
+            d, vals = decomposition, a.values
 
         gained = np.zeros(a.n, dtype=np.int64)
         for alpha, g, h in d.terms:
-            gained += alpha * _earlier_matches(_term_values(g, h, a.values))
+            gained += alpha * _earlier_matches(_term_ranks(g, h, vals))
         prefix = np.concatenate(([0], np.cumsum(gained)))
 
         cut = l > 1
@@ -214,7 +217,7 @@ def reduce_eqp_to_inv(inv_solver: PairSolver) -> PairSolver:
     def solver(a: IntArray, pairs) -> list[int]:
         b = bounds(pairs, a.n, 4)
         inv_a = inv_solver(a, b)
-        inv_neg = inv_solver(IntArray(-normalize(a.values)), b)
+        inv_neg = inv_solver(IntArray(-ranks(a.values)[1]), b)
         sizes = (b[:, 1] - b[:, 0] + 1) * (b[:, 3] - b[:, 2] + 1)
         return (sizes - inv_a - inv_neg).tolist()
 
@@ -263,7 +266,7 @@ def apply_decomposition(d: Decomposition, eqp_solver: PairSolver) -> PairSolver:
             terms = [d.terms[i] for i in run]
             offset = width * np.arange(len(terms))
             values = np.concatenate([
-                normalize(_term_values(g, h, a.values)) + off
+                _term_ranks(g, h, a.values) + off
                 for (_, g, h), off in zip(terms, offset.tolist())
             ])
             queries = (shifted + offset[:, None, None]).reshape(-1, 4)
@@ -276,11 +279,12 @@ def apply_decomposition(d: Decomposition, eqp_solver: PairSolver) -> PairSolver:
 
 def reduce_inv_to_eqp(eqp_solver: PairSolver) -> PairSolver:
     """Inversions from ceil(log2 n) equal-pairs instances via the
-    most-significant-differing-bit split."""
+    most-significant-differing-bit split of A's ranks, made once per
+    call."""
 
     def solver(a: IntArray, pairs) -> list[int]:
-        d = inv_decomposition(a.n)
-        return apply_decomposition(d, eqp_solver)(a, pairs)
+        split = apply_decomposition(inv_decomposition(a.n), eqp_solver)
+        return split(IntArray(ranks(a.values)[1]), pairs)
 
     return solver
 

@@ -25,7 +25,6 @@ from .core import (
     TripartiteMultigraph,
     bounds,
     compact,
-    normalize,
     ranks,
 )
 from .reductions_range import PairSolver
@@ -158,7 +157,7 @@ def build_query_multigraph(a: IntArray, queries: Sequence[RangePair] | np.ndarra
     """
     b = bounds(queries, a.n, 4)
     q = len(b)
-    vals = normalize(a.values)
+    distinct, vals = ranks(a.values)
     n_pad = padded_length(a.n)
     # one cover of the 2q ranges: range k < q is query k's first (V)
     # range, range q + k its second (W) range
@@ -181,7 +180,7 @@ def build_query_multigraph(a: IntArray, queries: Sequence[RangePair] | np.ndarra
     anc = (np.arange(a.n) + n_pad) >> np.arange(n_pad.bit_length())[:, None]
     used = np.zeros(2 * n_pad, dtype=bool)
     used[node] = True
-    d = int(vals.max()) + 1
+    d = distinct.size
     key, mult = np.unique((anc * d + vals)[used[anc]], return_counts=True)
     node_of, val = np.divmod(key, d)
     values, u_id = ranks(val)

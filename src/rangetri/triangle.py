@@ -272,7 +272,10 @@ def ayz_counts(g: Graph, theta: Optional[int] = None) -> np.ndarray:
         # float32 is exact: an entry is at most H, and H^2 cells in memory make H < 2^24
         a = np.zeros((size, size), dtype=np.float32)
         a[u, v] = a[v, u] = 1
-        counts[both] += (a @ a)[u, v].astype(np.int64)
+        # A_H is symmetric, so A_H @ A_H = A_H @ A_H.T; numpy hands a
+        # product with its own transpose to BLAS syrk, which computes only
+        # one triangle of it
+        counts[both] += (a @ a.T)[u, v].astype(np.int64)
     return counts
 
 

@@ -25,7 +25,6 @@ from rangetri.core import (
     as_queries,
     bounds,
     compact,
-    normalize,
     oracle_disjoint_query,
     oracle_edge_triangle_counts,
     oracle_edge_triangle_detect,
@@ -38,29 +37,6 @@ from rangetri.core import (
 )
 
 short_int_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=40)
-
-
-class TestNormalize:
-    def test_examples(self):
-        assert normalize([30, -5, 30, 7]).tolist() == [2, 0, 2, 1]
-        assert normalize([4]).tolist() == [0]
-        assert normalize([1, 2, 3]).tolist() == [0, 1, 2]
-
-    @given(short_int_lists)
-    def test_idempotent(self, values):
-        once = normalize(values)
-        assert normalize(once).tolist() == once.tolist()
-
-    @given(short_int_lists)
-    def test_order_preserving(self, values):
-        ranks = normalize(values)
-        for i in range(len(values)):
-            for j in range(len(values)):
-                assert (values[i] < values[j]) == (ranks[i] < ranks[j])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            normalize([])
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -124,6 +100,23 @@ class TestRanks:
         monkeypatch.undo()
         assert_ranks_like_unique(values)
 
+    def test_inverse_examples(self):
+        assert ranks([30, -5, 30, 7])[1].tolist() == [2, 0, 2, 1]
+        assert ranks([4])[1].tolist() == [0]
+        assert ranks([1, 2, 3])[1].tolist() == [0, 1, 2]
+
+    @given(short_int_lists)
+    def test_idempotent_on_ranks(self, values):
+        once = ranks(values)[1]
+        assert ranks(once)[1].tolist() == once.tolist()
+
+    @given(short_int_lists)
+    def test_order_preserving(self, values):
+        rank = ranks(values)[1]
+        for i in range(len(values)):
+            for j in range(len(values)):
+                assert (values[i] < values[j]) == (rank[i] < rank[j])
+
     def test_lists_and_other_dtypes(self):
         for values in ([3, 1, 3], [2**64, -1, 2**64], np.array([2**63, 5], dtype=np.uint64), [1.5, -2.0, 1.5]):
             assert_ranks_like_unique(values)
@@ -136,7 +129,7 @@ class TestTypes:
         a = IntArray([3, 1, 2])
         assert a.n == 3
         assert IntArray([10**9]).values.tolist() == [10**9]
-        assert normalize(a.values).tolist() == [2, 0, 1]
+        assert ranks(a.values)[1].tolist() == [2, 0, 1]
 
     def test_range_validation(self):
         with pytest.raises(RangeError):

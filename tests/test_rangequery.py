@@ -30,9 +30,9 @@ from rangetri.core import (
     PairFunction,
     Range,
     RangeError,
-    normalize,
     oracle_edge_triangle_counts,
     oracle_pairs_query,
+    ranks,
 )
 from rangetri.instrument import OpCounters
 from rangetri.rangequery import (
@@ -60,8 +60,8 @@ class TestWavelet:
         # n = 1, d = 1, d a power of two (v = d needs one more bit) and not
         rng = random.Random(3)
         for values in ([0], [3, 1, 3, 7], [0] * 9, list(range(16)), list(range(17))):
-            vals = np.asarray(normalize(values), dtype=np.int64)
-            n, d = len(vals), int(vals.max()) + 1
+            distinct, vals = ranks(values)
+            n, d = len(vals), distinct.size
             needles = [(x, v) for x in (0, n) for v in (0, d)]
             needles += [(rng.randint(0, n), rng.randint(0, d)) for _ in range(200)]
             x, v = (np.asarray(c, dtype=np.int64) for c in zip(*needles))

@@ -2,13 +2,14 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ADVERSARIAL, ADVERSARIAL_IDS, query_objects, rand_array, rand_pair, rand_range
-from rangetri import reductions_range
+from rangetri import core, reductions_range
 from rangetri.core import (
     EQP,
     INV,
@@ -22,10 +23,12 @@ from rangetri.core import (
     bounds,
     oracle_pairs_query,
     pair,
+    ranks,
 )
 from rangetri.reductions_range import (
     Decomposition,
     apply_decomposition,
+    bit_count,
     bmm_via_2req,
     eqp_decomposition,
     inv_decomposition,
@@ -47,8 +50,13 @@ def oracle_pairs(f):
 
 def leq_decomposition(n):
     """[x <= y] for arrays of at most n distinct values: INV's terms with
-    g and h swapped, which give [y > x], plus EQP's identity."""
-    swapped = tuple((alpha, h, g) for alpha, g, h in inv_decomposition(n).terms)
+    g and h swapped, which give [y > x], plus EQP's identity.  INV's maps
+    read ranks, so each is composed with ``ranks`` to read values."""
+
+    def on_ranks(m):
+        return lambda v: m(ranks(v)[1])
+
+    swapped = tuple((alpha, on_ranks(h), on_ranks(g)) for alpha, g, h in inv_decomposition(n).terms)
     return Decomposition(swapped + eqp_decomposition().terms)
 
 
@@ -367,3 +375,42 @@ class TestPackedTerms:
         got = apply_decomposition(d, recording(calls))(a, pairs)
         assert calls == [(2 * n, q)] * len(d)
         assert got == [oracle_pairs_query(f, a, p) for p in pairs]
+
+
+def counted_ranks(monkeypatch) -> list:
+    """Rebind ``core.ranks`` wherever a rangetri module bound it, to a
+    wrapper that appends to the returned list on every call."""
+    calls = []
+    original = core.ranks
+
+    def counted(values):
+        calls.append(1)
+        return original(values)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "rangetri" or name.startswith("rangetri."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestRankOnce:
+    """INV's bit split ranks the array once per call and each term's
+    array once: 1 + k calls of ``core.ranks`` for k terms, around an
+    inner oracle that ranks nothing."""
+
+    @pytest.mark.parametrize(
+        "solver, single",
+        [(reduce_inv_to_eqp(oracle_pairs(EQP)), False), (reduce_1r_to_2r(INV, oracle_pairs(INV)), True)],
+        ids=["inv_to_eqp", "1r_to_2r-inv"],
+    )
+    def test_one_rank_per_array_and_term(self, monkeypatch, solver, single):
+        rng = random.Random(15)
+        n = 32
+        a = rand_array(rng, n, -10**9, 10**9)
+        queries = [rand_range(rng, n) if single else rand_pair(rng, n) for _ in range(6)]
+        calls = counted_ranks(monkeypatch)
+        got = solver(a, queries)
+        assert len(calls) == 1 + bit_count(n)
+        assert got == [oracle_pairs_query(INV, a, q) for q in queries]
