@@ -330,8 +330,11 @@ def _edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     return np.frombuffer(packed, np.int64).reshape(-1, 2)
 
 
-# the most cells a Graph's adjacency bitmap may have (4 MB of bool)
-_BITMAP_CELLS = 1 << 22
+# the most cells a Graph's edge-position table may have (1-4 bytes each,
+# so at most 16 MB).  A cap of 4 MB in bytes would leave the n = q = 512
+# 2req multigraph (3.3 M cells of uint16) without a table, and its graph
+# build plus ayz_counts would go from 7.4 to 9.5 ms.
+_TABLE_CELLS = 1 << 22
 
 
 class Graph:
@@ -395,39 +398,42 @@ class Graph:
         return list(zip(self.eu.tolist(), self.ev.tolist()))
 
     @cached_property
-    def adjacency(self) -> tuple[int, np.ndarray]:
-        """(band, adjacent): a bool membership bitmap over the band of
-        the adjacency matrix that holds the edges, band = max(ev - eu) + 1,
-        with ``adjacent[eu * band + (ev - eu)]`` set for every edge.  It
-        has (n + 1) * band cells; a graph wider than ``_BITMAP_CELLS``
-        gets band 1 and one set cell, which marks every pair."""
+    def adjacency(self) -> tuple[int, np.ndarray | None]:
+        """(band, table): an edge-position table over the band of the
+        adjacency matrix that holds the edges, band = max(ev - eu) + 1.
+        Cell ``eu * band + (ev - eu)`` holds one more than the edge's
+        position in ``eu``/``ev``, and every other cell 0, in the smallest
+        unsigned dtype that holds m.  It has (n + 1) * band cells; a graph
+        that would need more than ``_TABLE_CELLS`` gets none."""
         gap = self.ev - self.eu
         band = int(gap.max()) + 1 if self.m else 1
-        if (self.n + 1) * band > _BITMAP_CELLS:
-            return 1, np.ones(1, dtype=bool)
-        adjacent = np.zeros((self.n + 1) * band, dtype=bool)
-        adjacent[self.eu * band + gap] = True
-        return band, adjacent
+        if (self.n + 1) * band > _TABLE_CELLS:
+            return band, None
+        table = np.zeros((self.n + 1) * band, dtype=np.min_scalar_type(self.m))
+        table[self.eu * band + gap] = np.arange(1, self.m + 1)
+        return band, table
 
     def edge_index(self, u, v) -> np.ndarray:
         """Position in ``eu``/``ev`` of each edge {u, v}, or -1 where u
         and v (vertex ids in 1..n, in either order) are not adjacent.
         Vectorised: u and v are ints or int arrays of one shape.
 
-        Only the pairs of ids in 1..n that ``adjacency`` marks are looked
-        up in ``keys``.  A pair further apart than the band may land on
-        another row's cell, but the lookup rejects it; a pair with an id
-        outside 1..n could share a real edge's key, so it gives -1 first."""
+        With a table (``adjacency``), a pair (lo, hi), lo <= hi, with lo
+        in 1..n and hi - lo < band has its own cell, read with one
+        ``take``; every other pair is no edge.  A pair with hi > n reads
+        an empty cell, as no edge ends past n.  Without a table, the keys
+        of the pairs with ids in 1..n are searched in ``keys``; any other
+        pair could share a real edge's key, so it gives -1 first."""
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        band, adjacent = self.adjacency
-        marked = (lo >= 1) & (hi <= self.n)
-        marked &= adjacent.take(lo * (band - 1) + hi, mode="clip")  # cell lo * band + (hi - lo)
-        key = (lo * (self.n + 1) + hi)[marked]
-        at = np.searchsorted(self.keys, key)
-        out = np.full(lo.shape, -1, dtype=np.int64)
-        out[marked] = np.where(self.keys.take(at, mode="clip") == key, at, -1)
-        return out
+        band, table = self.adjacency
+        if table is None:
+            key = np.where((lo >= 1) & (hi <= self.n), lo * (self.n + 1) + hi, -1)
+            at = np.searchsorted(self.keys, key)
+            return np.where(self.keys.take(at, mode="clip") == key, at, -1)
+        gap = hi - lo
+        cell = np.where((lo >= 1) & (lo <= self.n) & (gap < band), lo * band + gap, 0)
+        return table.take(cell).astype(np.int64) - 1
 
 
 def compact(edges) -> tuple[Graph, np.ndarray]:

@@ -176,17 +176,19 @@ def reduce_1r_to_2r(
     h(v_x).  Then f([a, b]) = P[b] - P[a-1] - f([1, a-1], [a, b]).
 
     A ``decomposition`` passed in reads the values of A, as f does.
-    Without one, f must be inv or eqp, and its own decomposition reads
-    A's ranks, made once per call.  ``pair_solver`` is asked about A
-    itself.
+    Without one, f must be inv or eqp.  INV's maps are defined on ranks,
+    so A is ranked once per call for them; EQP's one identity term reads
+    the values, and ``_term_ranks`` ranks it.  ``pair_solver`` is asked
+    about A itself.
     """
 
     def solver(a: IntArray, queries) -> list[int]:
         l, r = bounds(queries, a.n, 2).T
-        if decomposition is None:
-            d, vals = decomposition_for(f, a.n), ranks(a.values)[1]
-        else:
-            d, vals = decomposition, a.values
+        d, vals = decomposition, a.values
+        if d is None:
+            d = decomposition_for(f, a.n)
+            if f.kind == "inv":
+                vals = ranks(vals)[1]
 
         gained = np.zeros(a.n, dtype=np.int64)
         for alpha, g, h in d.terms:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph, rand_array, rand_graph, rand_pair, rand_range
+from rangetri import core
 from rangetri.core import (
     DENSE_SPAN,
     EQP,
@@ -37,6 +38,7 @@ from rangetri.core import (
 )
 
 short_int_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=40)
+edge_lists = st.lists(st.tuples(st.integers(1, 24), st.integers(1, 24)).filter(lambda e: e[0] != e[1]), min_size=1)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -322,10 +324,10 @@ class TestTypes:
         n = 3000
         path = [(v, v + 1) for v in range(1, n)]
         narrow, wide = Graph(n, path), Graph(n, path + [(1, n)])
-        # the path's edges span 2 ids, so its bitmap has 2(n + 1) cells;
-        # the edge (1, n) spans n, too wide for a bitmap
+        # the path's edges span 2 ids, so its table has 2(n + 1) cells;
+        # the edge (1, n) spans n, too wide for a table
         assert narrow.adjacency[0] == 2 and narrow.adjacency[1].size == 2 * (n + 1)
-        assert wide.adjacency[0] == 1 and wide.adjacency[1].tolist() == [True]
+        assert wide.adjacency[1] is None
         rng = random.Random(5)
         # (1, n), u == v, edges in both orders, pairs further apart than
         # the band, (0, 2n + 1), whose key is that of (1, n), and random
@@ -340,6 +342,23 @@ class TestTypes:
         # both answer every path edge, at positions one apart past (1, 2)
         a, b = narrow.eu, narrow.ev
         assert np.array_equal(wide.edge_index(a, b) - (a > 1), narrow.edge_index(b, a))
+
+    @given(edge_lists)
+    def test_edge_index_table_and_search_agree(self, pairs):
+        edges = list({tuple(sorted(e)) for e in pairs})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_TABLE_CELLS", 0)
+            search = compact(edges)[0]
+            assert search.adjacency[1] is None
+        table = compact(edges)[0]
+        assert table.adjacency[1] is not None
+        # every pair of ids in 1..n, both orders and u == v, and ids outside
+        position = {e: k for k, e in enumerate(table.sorted_edges())}
+        ids = [INT64_MIN, -1, 0, *range(1, table.n + 2), INT64_MAX]
+        want = [[position.get((min(a, b), max(a, b)), -1) for b in ids] for a in ids]
+        u, v = np.meshgrid(ids, ids, indexing="ij")
+        assert table.edge_index(u, v).tolist() == want
+        assert search.edge_index(u, v).tolist() == want
 
     def test_compact(self):
         old_edges = [(30, 7), (7, 12), (30, 12), (40, 30)]

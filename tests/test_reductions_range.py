@@ -398,19 +398,24 @@ def counted_ranks(monkeypatch) -> list:
 class TestRankOnce:
     """INV's bit split ranks the array once per call and each term's
     array once: 1 + k calls of ``core.ranks`` for k terms, around an
-    inner oracle that ranks nothing."""
+    inner oracle that ranks nothing.  EQP's one identity term is ranked
+    once, and the array is not ranked before it."""
 
     @pytest.mark.parametrize(
-        "solver, single",
-        [(reduce_inv_to_eqp(oracle_pairs(EQP)), False), (reduce_1r_to_2r(INV, oracle_pairs(INV)), True)],
-        ids=["inv_to_eqp", "1r_to_2r-inv"],
+        "solver, f, single, ranked",
+        [
+            (reduce_inv_to_eqp(oracle_pairs(EQP)), INV, False, 1 + bit_count(32)),
+            (reduce_1r_to_2r(INV, oracle_pairs(INV)), INV, True, 1 + bit_count(32)),
+            (reduce_1r_to_2r(EQP, oracle_pairs(EQP)), EQP, True, 1),
+        ],
+        ids=["inv_to_eqp", "1r_to_2r-inv", "1r_to_2r-eqp"],
     )
-    def test_one_rank_per_array_and_term(self, monkeypatch, solver, single):
+    def test_one_rank_per_array_and_term(self, monkeypatch, solver, f, single, ranked):
         rng = random.Random(15)
         n = 32
         a = rand_array(rng, n, -10**9, 10**9)
         queries = [rand_range(rng, n) if single else rand_pair(rng, n) for _ in range(6)]
         calls = counted_ranks(monkeypatch)
         got = solver(a, queries)
-        assert len(calls) == 1 + bit_count(n)
-        assert got == [oracle_pairs_query(INV, a, q) for q in queries]
+        assert len(calls) == ranked
+        assert got == [oracle_pairs_query(f, a, q) for q in queries]

@@ -758,6 +758,42 @@ class TestCanonicalRows:
         assert res.rows.tolist() == sorted(map(list, {tuple(sorted(t)) for t in triples}))
         assert_canonical(res)
 
+    def test_canonical_rows_are_not_sorted_again(self, monkeypatch):
+        rows = baseline_list(gen.gen_graph("gnp", 40, 0.3, seed=2), 10**6).rows
+        sorts = []
+        for name in ("sort", "lexsort"):
+            original = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _f=original, **k: sorts.append(1) or _f(*a, **k))
+        assert np.shares_memory(ListingResult(rows, COMPLETE).rows, rows)
+        writeable = rows.copy()
+        copied = ListingResult(writeable, TRUNCATED).rows
+        assert copied is not writeable and np.array_equal(copied, rows) and not copied.flags.writeable
+        assert sorts == []
+        writeable[0] = (0, 1, 2)  # the owner's array is not the listing
+        assert np.array_equal(copied, rows)
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [(1, 2, 3), (1, 2, 3)],
+            [(1, 2, 3), (1, 2, 3), (2, 3, 4)],
+            [(1, 2, 4), (1, 2, 3)],
+            [(1, 3, 4), (2, 3, 4), (1, 5, 6)],
+            [(1, 3, 2), (2, 3, 4)],
+            [(2, 1, 3), (2, 3, 4)],
+            [(2, 2, 3)],
+            [(1, 2, 3), (3, 4, 4)],
+            [(2**62, 2**62 + 1, 2**62 + 2), (-(2**63), 0, 2**63 - 1)],
+        ],
+        ids=["twice", "twice-first", "last-column", "first-column", "v-above-w", "u-above-v",
+             "u-equals-v", "v-equals-w", "int64-extremes"],
+    )
+    def test_nearly_canonical_rows_are_made_canonical(self, triples):
+        for form in (triples, np.array(triples, dtype=np.int64)):
+            res = ListingResult(form, COMPLETE)
+            assert res.rows.tolist() == sorted(map(list, {tuple(sorted(t)) for t in triples}))
+            assert not res.rows.flags.writeable
+
     @pytest.mark.parametrize("n", [3, 9, 2**21 - 1, 2**21])
     def test_merge_is_the_canonical_union(self, n):
         # up to n = 2^21 - 1 ids the batch is placed by one int64 key per
