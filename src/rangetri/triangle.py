@@ -185,26 +185,24 @@ class ListingResult:
 _WEDGE_CHUNK = 1 << 12
 
 
-def _wedge_chunks(g: Graph, slots: np.ndarray, owner: np.ndarray, firsts=None):
+def _wedge_chunks(g: Graph, slots: np.ndarray, owner: np.ndarray):
     """The wedge kernel: yield, a chunk at a time, (first, second, edge)
     int64 arrays with one entry per pair of positions p < q of ``slots``
     in one row whose two neighbours are joined by the edge at position
     ``edge``.  ``slots`` is grouped by row, rows ascending, and
     ``owner[s]`` is the vertex whose row holds slot s.  Pairs go by
-    first position, whole, in the order of ``firsts`` (default: all in
-    order), so a caller may stop early."""
+    first position in slot order, whole, so a caller may stop early."""
     row, nb = owner[slots], g.indices[slots]
-    firsts = np.arange(slots.size) if firsts is None else firsts
     row_end = np.cumsum(np.bincount(row, minlength=g.n + 1))  # row v ends before row_end[v]
-    later = (row_end[row] - np.arange(slots.size) - 1)[firsts]
+    later = row_end[row] - np.arange(slots.size) - 1
     done = np.cumsum(later)
     start = 0
-    while start < firsts.size:
-        # firsts[start:stop] make at most _WEDGE_CHUNK pairs, or one's
+    while start < slots.size:
+        # positions start..stop-1 make at most _WEDGE_CHUNK pairs, or one's
         limit = done[start] - later[start] + _WEDGE_CHUNK
         stop = max(start + 1, int(np.searchsorted(done, limit, "right")))
         k = later[start:stop]
-        i = np.repeat(firsts[start:stop], k)
+        i = np.repeat(np.arange(start, stop), k)
         j = i + np.arange(i.size) - np.repeat(np.cumsum(k) - k, k) + 1
         edge = g.edge_index(nb[i], nb[j])
         hit = edge >= 0
@@ -212,10 +210,17 @@ def _wedge_chunks(g: Graph, slots: np.ndarray, owner: np.ndarray, firsts=None):
         start = stop
 
 
-def _closed_wedges(g: Graph, slots: np.ndarray, owner: np.ndarray):
-    """All of ``_wedge_chunks``' pairs, as three arrays."""
-    empty = (slots[:0],) * 3
-    return tuple(map(np.concatenate, zip(empty, *_wedge_chunks(g, slots, owner))))
+def _wedge_rows(g: Graph, slots: np.ndarray, owner: np.ndarray, cap: float) -> np.ndarray:
+    """The (centre, v, w) rows of ``_wedge_chunks``' closed wedges, in its
+    order, as a (k, 3) int64 array; stops after the chunk that passes
+    cap, so k > cap exactly when more than cap wedges close."""
+    found, total = [np.empty((0, 3), dtype=np.int64)], 0
+    for first, second, _ in _wedge_chunks(g, slots, owner):
+        found.append(np.column_stack((owner[first], g.indices[first], g.indices[second])))
+        total += first.size
+        if total > cap:
+            break
+    return np.concatenate(found)
 
 
 def _owner(g: Graph) -> np.ndarray:
@@ -316,30 +321,17 @@ def baseline_list(g: Graph, cap: int) -> ListingResult:
 
     Vertices are ranked by (degree, id), and each triangle is the closed
     wedge at its lowest-ranked vertex u between two neighbours ranked
-    above u.  Triangles are taken in order of the edge from u to the
-    middle-ranked vertex v, then of the id of the third vertex w; past
-    cap of them the result is truncated.
+    above u.  Triangles are taken in the wedge kernel's order: by the id
+    of u, then by the ids of the other two; past cap of them the result
+    is truncated.
     """
     if cap < 0:
         raise InputError("cap must be >= 0")
     key = _degree_key(g)
     owner = _owner(g)
-    # forward slots by row then rank, so a pair in u's row is (u -> v,
-    # u -> w) with v middle-ranked; one per edge, at its lower-ranked end
-    forward = np.flatnonzero(key[g.indices] > key[owner])
-    forward = forward[np.lexsort((key[g.indices[forward]], owner[forward]))]
-    # take them in edge order, and stop once cap + 1 triangles are found
-    firsts = np.argsort(g.edge_index(owner[forward], g.indices[forward]))
-    found, total = [np.empty((0, 3), dtype=np.int64)], 0
-    for first, second, _ in _wedge_chunks(g, forward, owner, firsts):
-        u, v, w = owner[first], g.indices[first], g.indices[second]
-        # a chunk holds whole edges, so its hits follow the ones before
-        found.append(np.column_stack((u, v, w))[np.lexsort((w, g.edge_index(u, v)))])
-        total += first.size
-        if total > cap:
-            break
-    status = COMPLETE if total <= cap else TRUNCATED
-    return ListingResult(np.concatenate(found)[:cap], status)
+    # forward slots: one per edge, at its lower-ranked end
+    rows = _wedge_rows(g, np.flatnonzero(key[g.indices] > key[owner]), owner, cap)
+    return ListingResult(rows[:cap], COMPLETE if len(rows) <= cap else TRUNCATED)
 
 
 # a lister returns a ListingResult of at most cap triangles of the graph,
@@ -607,10 +599,13 @@ def inner_listing(
 
     Capacities at or below zeta * m go straight to the baseline lister.
     Otherwise: triangles through a vertex of degree above m^2/t are
-    listed from those vertices' rows, and the vertices removed; then
-    2 log2 m rounds assign one of t/m colors to each vertex and every
-    color triple whose tripartite subgraph is small enough keeps its
-    triangles, bounded by zeta * m^3/t^2 per triple.
+    listed from those vertices' rows, each once, at its first such
+    vertex by (degree, id), and the vertices removed; then 2 log2 m
+    rounds assign one of t/m colors to each vertex and every color
+    triple whose tripartite subgraph is small enough keeps its
+    triangles, bounded by zeta * m^3/t^2 per triple.  With fewer than
+    three colors no triple exists, and the result is complete only if
+    the light part has no triangle.
     """
     if t <= 0:
         raise InputError("capacity must be positive")
@@ -626,12 +621,16 @@ def inner_listing(
 
     r = t // m
     deg_limit = m / r
-    deg = np.diff(g.indptr)
+    above = np.diff(g.indptr) > deg_limit
+    key = _degree_key(g)
     owner = _owner(g)
-    first, second, _ = _closed_wedges(g, np.flatnonzero(deg[owner] > deg_limit), owner)
-    heavy = np.column_stack((owner[first], g.indices[first], g.indices[second]))
+    # a vertex above the limit pairs its neighbours below the limit, which
+    # all come before it by (degree, id), and those after it: a triangle
+    # is found once, at its first vertex above the limit
+    slots = np.flatnonzero(above[owner] & (~above[g.indices] | (key[g.indices] > key[owner])))
+    heavy = _wedge_rows(g, slots, owner, math.inf)
 
-    light, back = _induced(g, deg <= deg_limit)
+    light, back = _induced(g, ~above)
     if light is None:
         return ListingResult(heavy, COMPLETE)
     if np.diff(light.indptr).max() > deg_limit:
@@ -645,7 +644,8 @@ def inner_listing(
     # ``kept`` marks the rows some round keeps.
     tris = baseline_list(light, light.m**2).rows
     kept = np.zeros(len(tris), dtype=bool)
-    clean = True
+    # below three colors there is no color triple, so no round keeps any
+    clean = r >= 3 or not len(tris)
     for rnd in range(math.ceil(2 * math.log2(max(2, m)))):
         stream = rng.stream("inner", rnd)
         drawn = [stream.randrange(r) for _ in range(light.n)]

@@ -212,16 +212,17 @@ class TestBaselineList:
         ],
         ids=["empty", "star", "K6", "gnp", "powerlaw"],
     )
-    def test_every_cap_matches_edge_loop(self, g):
+    def test_every_cap_matches_kernel_loop(self, g):
         total = len(oracle_triangle_list(g))
         for cap in range(total + 2):
             res = baseline_list(g, cap)
-            assert (res.triangles, res.status) == edge_loop_list(g, cap)
+            assert (res.triangles, res.status) == kernel_loop_list(g, cap)
 
     @pytest.mark.parametrize("cap", [0, 5, 1000])
     def test_small_cap_stops_early(self, cap, monkeypatch):
-        # K60 has 34 220 triangles; a small cap must not collect them all
-        g = complete_graph(60)
+        # K60 has 34 220 triangles and powerlaw(300, 0.1) 21 243; in K60
+        # every degree ties, so only the power-law graph's rank order
+        # differs from the id order.  A small cap must not collect them all
         seen = []
 
         def counting(*args):
@@ -231,26 +232,53 @@ class TestBaselineList:
 
         kernel = triangle._wedge_chunks
         monkeypatch.setattr(triangle, "_wedge_chunks", counting)
-        res = baseline_list(g, cap)
-        assert (res.triangles, res.status) == edge_loop_list(g, cap)
-        assert sum(seen) <= cap + triangle._WEDGE_CHUNK
+        for g in (complete_graph(60), gen.gen_graph("powerlaw", 300, 0.1, seed=1)):
+            seen.clear()
+            res = baseline_list(g, cap)
+            assert (res.triangles, res.status) == kernel_loop_list(g, cap)
+            assert sum(seen) <= cap + triangle._WEDGE_CHUNK
+
+    def test_edge_lookups_only_in_kernel(self, monkeypatch):
+        # baseline_list sorts nothing and looks up no edge of its own: its
+        # one Graph.edge_index call per chunk is the kernel's
+        g = gen.gen_graph("powerlaw", 300, 0.1, seed=1)
+        callers, chunks = [], []
+
+        class Recording(Graph):
+            def edge_index(self, u, v):
+                callers.append(sys._getframe(1).f_code)
+                return super().edge_index(u, v)
+
+        def counting(*args):
+            for chunk in kernel(*args):
+                chunks.append(chunk)
+                yield chunk
+
+        kernel = triangle._wedge_chunks
+        monkeypatch.setattr(triangle, "_wedge_chunks", counting)
+        h = Recording(g.n, np.stack((g.eu, g.ev), axis=1))
+        for cap in (0, 5000, h.m**2):
+            callers.clear()
+            chunks.clear()
+            baseline_list(h, cap)
+            assert chunks and callers == [kernel.__code__] * len(chunks)
 
 
-def edge_loop_list(g: Graph, cap: int):
-    """Reference for baseline_list: edges in sorted order, each from its
-    end u of lower (degree, id) rank to the other end v, then u's
-    neighbours w in id order that rank above v and are adjacent to v;
-    the first cap triangles found, and the status."""
+def kernel_loop_list(g: Graph, cap: int):
+    """Reference for baseline_list: for each vertex u in id order, its
+    neighbours of higher (degree, id) rank paired in id order, v < w,
+    where v and w are adjacent; the first cap triangles found, and the
+    status."""
     rank = {v: (g.degree(v), v) for v in range(1, g.n + 1)}
     found = set()
-    for u, v in g.sorted_edges():
-        if rank[u] > rank[v]:
-            u, v = v, u
-        for w in g.neighbors(u):
-            if rank[w] > rank[v] and w in g.neighbors(v):
-                if len(found) >= cap:
-                    return found, TRUNCATED
-                found.add(tuple(sorted((u, v, w))))
+    for u in range(1, g.n + 1):
+        up = [v for v in g.neighbors(u) if rank[v] > rank[u]]
+        for a, v in enumerate(up):
+            for w in up[a + 1 :]:
+                if w in g.neighbors(v):
+                    if len(found) >= cap:
+                        return found, TRUNCATED
+                    found.add(tuple(sorted((u, v, w))))
     return found, COMPLETE
 
 
@@ -473,6 +501,38 @@ class TestInnerListing:
             statuses.add(res.status)
         assert statuses == {COMPLETE, TRUNCATED}
 
+    @pytest.mark.parametrize(
+        "g", [complete_graph(12), gen.gen_graph("gnp", 40, 0.5, seed=1)], ids=["K12", "gnp"]
+    )
+    def test_heavy_triangles_listed_once(self, g, monkeypatch):
+        # at t = m^2 the degree limit is 1, so every vertex is above it,
+        # and each triangle is paired at its first vertex by (degree, id)
+        handed = []
+
+        def recording(triangles, status):
+            handed.append(np.sort(np.asarray(triangles).reshape(-1, 3), axis=1))
+            return ListingResult(triangles, status)
+
+        monkeypatch.setattr(triangle, "ListingResult", recording)
+        assert np.diff(g.indptr)[1:].min() > 1
+        res = inner_listing(g, g.m**2, zeta=1, rng=RandomSource(0))
+        assert res.triangles == oracle_triangle_list(g) and res.status == COMPLETE
+        (rows,) = handed
+        assert len(rows) == len(res.rows) == len(np.unique(rows, axis=0))
+
+    @pytest.mark.parametrize("t", [179, 357])
+    def test_fewer_than_three_colors_not_complete(self, t):
+        # r = t // m is 1 or 2: no color triple exists, so every light
+        # triangle is missed and the result cannot claim complete
+        g = gen.gen_graph("gnp", 60, 0.1, seed=3)
+        assert (g.m, len(oracle_triangle_list(g))) == (178, 36)
+        res = inner_listing(g, t, zeta=1, rng=RandomSource(1))
+        assert (res.triangles, res.status) == loop_inner_listing(g, t, 1, RandomSource(1))
+        assert res.status == TRUNCATED and len(res.triangles) < 36
+        # without a light triangle, nothing is missed
+        res = inner_listing(path_graph(8), 2 * 7, zeta=1, rng=RandomSource(1))
+        assert res.triangles == set() and res.status == COMPLETE
+
     def test_triangle_free(self):
         res = inner_listing(path_graph(8), 1000, zeta=4, rng=RandomSource(0))
         assert res.triangles == set()
@@ -498,7 +558,8 @@ def loop_inner_listing(g: Graph, t: int, zeta: int, rng: RandomSource):
     light_tris = sorted(truth - found)
     q = m**3 / t**2
     cap = max(1, int(zeta * q))
-    clean = True
+    # below three colors no color triple exists
+    clean = r >= 3 or not light_tris
     for rnd in range(math.ceil(2 * math.log2(max(2, m))) if light else 0):
         stream = rng.stream("inner", rnd)
         color = {v: stream.randrange(r) for v in light}
