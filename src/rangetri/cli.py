@@ -46,6 +46,7 @@ from .solvers import (
 from .triangle import (
     COMPLETE,
     FAILED,
+    TRUNCATED,
     RandomSource,
     ayz_counts,
     ayz_edge_counts,
@@ -166,14 +167,16 @@ def cmd_list(args) -> int:
         result = list_via_detection(g, detector)
     else:
         result = main_listing_retry(g, t, RandomSource(args.seed), zeta=args.zeta)
-    _emit(result.rows.tolist(), args.format)
-    found = len(result.rows)
-    if result.status == FAILED:
+    # via-detection takes no capacity, and main may hold more than t rows
+    rows = result.rows[:t]
+    status = TRUNCATED if len(result.rows) > t else result.status
+    _emit(rows.tolist(), args.format)
+    if status == FAILED:
         total = int(ayz_counts(g).sum()) // 3
-        print(f"failed: listed {found} of {total} triangles", file=sys.stderr)
+        print(f"failed: listed {len(rows)} of {total} triangles", file=sys.stderr)
         return VERIFY_FAILURE
-    if result.status != COMPLETE:
-        print(f"{result.status}: listed {found} triangles", file=sys.stderr)
+    if status != COMPLETE:
+        print(f"{status}: listed {len(rows)} triangles", file=sys.stderr)
     return 0
 
 

@@ -29,9 +29,10 @@ def _derive_seed(seed: int, tags: tuple) -> int:
 class RandomSource:
     """Deterministic randomness carrier.
 
-    ``stream(*tags)`` returns an independent ``random.Random`` whose
-    state depends only on (seed, tags), so parallel and serial
-    executions that split by the same tags agree exactly.
+    ``uniform(shape, *tags)`` returns an array of uniforms in [0, 1) from
+    numpy's PCG64, seeded by a SHA-256 digest of (seed, tags) and read by
+    ``Generator.random``; ``split(*tags)`` is the source of that seed.
+    Executions that split and draw by the same tags agree exactly.
     """
 
     __slots__ = ("seed",)
@@ -42,10 +43,8 @@ class RandomSource:
     def split(self, *tags) -> "RandomSource":
         return RandomSource(_derive_seed(self.seed, tags))
 
-    def stream(self, *tags):
-        import random
-
-        return random.Random(_derive_seed(self.seed, tags))
+    def uniform(self, shape, *tags) -> np.ndarray:
+        return np.random.Generator(np.random.PCG64(_derive_seed(self.seed, tags))).random(shape)
 
     def __repr__(self) -> str:
         return f"RandomSource({self.seed})"
@@ -551,11 +550,9 @@ def detect_via_listing(
         remaining = np.ones(m, dtype=bool)
         detected = np.zeros(m, dtype=bool)
         for s in phases:
-            p = 2.0 ** (-s)
-            samples = []
-            for it in range(2 * log_m):
-                stream = rng.stream("detect", attempt, s, it)
-                samples.append(np.array([stream.random() < p for _ in range(n)]).nonzero()[0] + 1)
+            # row i holds sample i: each vertex with probability 2^-s
+            drawn = rng.uniform((2 * log_m, n), "detect", attempt, s) < 2.0 ** (-s)
+            samples = [np.flatnonzero(row) + 1 for row in drawn]
             # a sample's blow-up has at most the remaining edges plus two
             # joins per CSR slot of its third part; an empty one has none
             left = int(remaining.sum())
@@ -604,8 +601,8 @@ def inner_listing(
     rounds assign one of t/m colors to each vertex and every color
     triple whose tripartite subgraph is small enough keeps its
     triangles, bounded by zeta * m^3/t^2 per triple.  With fewer than
-    three colors no triple exists, and the result is complete only if
-    the light part has no triangle.
+    three colors no triple exists: no round runs, and the result is the
+    heavy part's triangles, complete only if the light part has none.
     """
     if t <= 0:
         raise InputError("capacity must be positive")
@@ -635,6 +632,9 @@ def inner_listing(
         return ListingResult(heavy, COMPLETE)
     if np.diff(light.indptr).max() > deg_limit:
         raise RuntimeError("light part exceeds its degree bound")
+    if r < 3:
+        # no color triple exists, so no round could keep a light triangle
+        return ListingResult(heavy, baseline_list(light, 0).status)
 
     q = m**3 / t**2
     cap = max(1, int(zeta * q))
@@ -644,11 +644,10 @@ def inner_listing(
     # ``kept`` marks the rows some round keeps.
     tris = baseline_list(light, light.m**2).rows
     kept = np.zeros(len(tris), dtype=bool)
-    # below three colors there is no color triple, so no round keeps any
-    clean = r >= 3 or not len(tris)
+    clean = True
     for rnd in range(math.ceil(2 * math.log2(max(2, m)))):
-        stream = rng.stream("inner", rnd)
-        drawn = [stream.randrange(r) for _ in range(light.n)]
+        # one color floor(u * r) in 0..r-1 per light vertex
+        drawn = (rng.uniform(light.n, "inner", rnd) * r).astype(np.int64)
         # colors renumbered in order, indexed by vertex id; a color pair
         # (x, y), x < y, is keyed x * k + y
         color = np.concatenate(([0], ranks(drawn)[1]))
@@ -683,9 +682,7 @@ def _main_listing(g: Graph, t: int, rng: RandomSource, zeta: int) -> np.ndarray:
     m = g.m
     collected = _canonical(())
     for s in range(int(math.log2(m)) + 1 if m > 1 else 1):
-        p = 2.0 ** (-s)
-        stream = rng.stream("main", s)
-        keep = np.array([False] + [stream.random() < p for _ in range(g.n)])
+        keep = np.concatenate(([False], rng.uniform(g.n, "main", s) < 2.0 ** (-s)))
         sub, back = _induced(g, keep)
         if sub is None:
             continue

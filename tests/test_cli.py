@@ -349,6 +349,20 @@ class TestGraphOutput:
         assert code == 0 and len(captured.out.splitlines()) == 5
         assert captured.err == "truncated-at-t: listed 5 triangles\n"
 
+    @pytest.mark.parametrize("algo", ["baseline", "via-detection", "main"])
+    def test_every_algorithm_prints_at_most_t_rows(self, capsys, tmp_path, algo):
+        # 324 triangles on 837 edges: list_via_detection takes no capacity
+        # and lists all of them, and main's exact case lists up to 32t
+        path = tmp_path / "hubs.txt"
+        argv = ["gen", "graph", "--kind", "powerlaw", "--n", "400", "--p", "0.01"]
+        assert run(capsys, *argv, "--seed", "3", "--out", str(path))[0] == 0
+        truth = oracle_triangle_list(files.read_graph(path))
+        code = main(["list", "--graph", str(path), "--algo", algo, "--t", "5"])
+        captured = capsys.readouterr()
+        got = [tuple(map(int, line.split())) for line in captured.out.splitlines()]
+        assert code == 0 and len(got) == 5 and set(got) <= truth
+        assert captured.err == "truncated-at-t: listed 5 triangles\n"
+
     def test_zero_capacity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 3\n1 2\n1 3\n2 3\n")

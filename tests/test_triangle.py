@@ -39,14 +39,27 @@ from rangetri.triangle import (
 
 class TestRandomSource:
     def test_deterministic(self):
-        a = RandomSource(7).stream("x", 1).random()
-        b = RandomSource(7).stream("x", 1).random()
-        assert a == b
+        a = RandomSource(7).uniform(5, "x", 1)
+        b = RandomSource(7).uniform(5, "x", 1)
+        assert a.dtype == np.float64 and np.array_equal(a, b)
+        assert ((a >= 0) & (a < 1)).all()
         assert RandomSource(7).split("a").seed == RandomSource(7).split("a").seed
 
     def test_tags_independent(self):
-        assert RandomSource(7).stream("x").random() != RandomSource(7).stream("y").random()
+        assert RandomSource(7).uniform(1, "x")[0] != RandomSource(7).uniform(1, "y")[0]
         assert RandomSource(7).split("a").seed != RandomSource(8).split("a").seed
+
+    def test_draws_are_pinned(self):
+        # every seeded sample and coloring reads these streams: a numpy
+        # whose PCG64 or Generator.random output moved fails here first
+        assert RandomSource(7).uniform(3, "x", 1).tolist() == [
+            0.6233264521160633, 0.5087895670948965, 0.22442672794026164
+        ]
+        assert RandomSource(0).uniform((2, 2), "inner", 0).tolist() == [
+            [0.11603406865826527, 0.0034239058752264517],
+            [0.8283604748429167, 0.8421586366475332],
+        ]
+        assert RandomSource(7).split("a").seed == 12627657965245738491
 
 
 class TestHeavyLightCounts:
@@ -561,8 +574,8 @@ def loop_inner_listing(g: Graph, t: int, zeta: int, rng: RandomSource):
     # below three colors no color triple exists
     clean = r >= 3 or not light_tris
     for rnd in range(math.ceil(2 * math.log2(max(2, m))) if light else 0):
-        stream = rng.stream("inner", rnd)
-        color = {v: stream.randrange(r) for v in light}
+        drawn = rng.uniform(len(light), "inner", rnd).tolist()
+        color = {v: math.floor(x * r) for v, x in zip(light, drawn)}
         pair_edges = collections.Counter(
             tuple(sorted((color[u], color[v]))) for u, v in light_edges if color[u] != color[v]
         )
@@ -653,8 +666,8 @@ class TestMainListing:
 
     def test_colored_retry_stops_once_the_union_holds_every_triangle(self, monkeypatch):
         # at t > zeta * m / 32 and t > T the runs go on until their union
-        # holds all T triangles, and no further; on these graphs that
-        # takes 3 to 6 runs
+        # holds all T triangles, and no further; a union still short of
+        # them after LIST_RETRIES runs is failed
         runs = []
 
         def recording(*args):
@@ -663,6 +676,7 @@ class TestMainListing:
 
         main_listing_inner = triangle._main_listing
         monkeypatch.setattr(triangle, "_main_listing", recording)
+        stopped_early = False
         for seed in range(6):
             g = gen.gen_graph("powerlaw", 100, 0.05, seed=seed)
             truth = oracle_triangle_list(g)
@@ -671,15 +685,17 @@ class TestMainListing:
             # each run returns canonical rows; the union is the canonical
             # form of their concatenation
             union, needed = ListingResult((), COMPLETE), 0
-            while union.triangles != truth:
+            while union.triangles != truth and needed < LIST_RETRIES:
                 rows = main_listing_inner(g, t, sources[needed], 4)
                 union = ListingResult(np.concatenate((union.rows, rows)), COMPLETE)
                 needed += 1
-            assert needed > 1
+            complete = union.triangles == truth
+            stopped_early = stopped_early or (complete and 1 < needed < LIST_RETRIES)
             runs.clear()
             res = main_listing_retry(g, t, RandomSource(seed), zeta=4)
-            assert (res.triangles, res.status) == (truth, COMPLETE)
+            assert (res.triangles, res.status) == (union.triangles, COMPLETE if complete else FAILED)
             assert runs == [source.seed for source in sources[:needed]]
+        assert stopped_early
 
     def test_missing_triangle_is_failed_not_complete(self):
         # at zeta = 8 every run here misses one of the 1277 triangles
@@ -709,8 +725,7 @@ def loop_main_listing(g: Graph, t: int, zeta: int, rng: RandomSource):
     truth = oracle_triangle_list(g)
     collected = set()
     for s in range(int(math.log2(g.m)) + 1 if g.m > 1 else 1):
-        stream = rng.stream("main", s)
-        keep = [False] + [stream.random() < 2.0 ** (-s) for _ in range(g.n)]
+        keep = [False] + [x < 2.0 ** (-s) for x in rng.uniform(g.n, "main", s).tolist()]
         edges = [(u, v) for u, v in g.sorted_edges() if keep[u] and keep[v]]
         if not edges:
             continue
@@ -751,6 +766,67 @@ class TestDeterminism:
             da = detect_via_listing(g, rng=RandomSource(trial))
             db = detect_via_listing(g, rng=RandomSource(trial))
             assert da == db
+
+
+class TestDraws:
+    """Each sample and each coloring is one ``RandomSource.uniform`` call:
+    one per phase of the samplers, one per round of inner_listing."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        uniform = RandomSource.uniform
+
+        def recording(self, shape, *tags):
+            out = uniform(self, shape, *tags)
+            calls.append((tags, out.shape))
+            return out
+
+        monkeypatch.setattr(RandomSource, "uniform", recording)
+        return calls
+
+    def test_detection_draws_once_per_phase(self, draws):
+        # m = 178: phases s = 7 .. 0, each 2 * ceil(log2 m) = 16 samples of
+        # the n = 60 vertices; the first attempt verifies
+        g = gen.gen_graph("gnp", 60, 0.1, seed=3)
+        assert detect_via_listing(g, rng=RandomSource(1)) == oracle_edge_triangle_detect(g)
+        assert draws == [(("detect", 0, s), (16, 60)) for s in range(7, -1, -1)]
+
+    def test_listing_draws_once_per_phase_and_round(self, draws):
+        # at 32t > zeta * m the first phase, the whole graph, colors in
+        # ceil(2 log2 178) = 15 rounds with no vertex above the degree
+        # limit; the later samples color nothing: they have no edge, or
+        # every vertex is above their degree limit m / r < 1
+        g = gen.gen_graph("gnp", 60, 0.1, seed=3)
+        main_listing(g, 37, RandomSource(1), zeta=4)
+        assert draws == (
+            [(("main", 0), (60,))]
+            + [(("inner", rnd), (60,)) for rnd in range(15)]
+            + [(("main", s), (60,)) for s in range(1, 8)]
+        )
+
+    HUB = [(1, v) for v in range(2, 8)] + [(2, 3), (3, 4)]
+
+    @pytest.mark.parametrize(
+        "g, t, rows, status",
+        [
+            # no vertex is above the degree limit m / 2, and the light
+            # part, the whole graph, has triangles
+            (gen.gen_graph("gnp", 60, 0.1, seed=3), 179, [], TRUNCATED),
+            (gen.gen_graph("gnp", 60, 0.1, seed=3), 357, [], TRUNCATED),
+            (gen.gen_graph("gnp", 1000, 0.05, seed=1), 2 * 24907 + 1, [], TRUNCATED),
+            # vertex 1 is above the limit; the light part is a path, or a
+            # triangle that no round could list
+            (Graph(7, HUB), 17, [(1, 2, 3), (1, 3, 4)], COMPLETE),
+            (Graph(7, HUB + [(2, 4)]), 19, [(1, 2, 3), (1, 2, 4), (1, 3, 4)], TRUNCATED),
+        ],
+        ids=["gnp60-179", "gnp60-357", "gnp1000", "hub-path", "hub-triangle"],
+    )
+    def test_no_draw_below_three_colors(self, draws, g, t, rows, status):
+        assert 1 <= t // g.m < 3
+        res = inner_listing(g, t, zeta=1, rng=RandomSource(1))
+        assert (res.rows.tolist(), res.status) == ([list(x) for x in rows], status)
+        assert draws == []
 
 
 def assert_canonical(res: ListingResult):
