@@ -344,24 +344,16 @@ class TestGraphOutput:
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 1277
 
     def test_truncated_listing_says_so(self, capsys, repro_file):
-        code = main(["list", "--graph", str(repro_file), "--algo", "baseline", "--t", "5"])
-        captured = capsys.readouterr()
-        assert code == 0 and len(captured.out.splitlines()) == 5
-        assert captured.err == "truncated-at-t: listed 5 triangles\n"
-
-    @pytest.mark.parametrize("algo", ["baseline", "via-detection", "main"])
-    def test_every_algorithm_prints_at_most_t_rows(self, capsys, tmp_path, algo):
-        # 324 triangles on 837 edges: list_via_detection takes no capacity
-        # and lists all of them, and main's exact case lists up to 32t
-        path = tmp_path / "hubs.txt"
-        argv = ["gen", "graph", "--kind", "powerlaw", "--n", "400", "--p", "0.01"]
-        assert run(capsys, *argv, "--seed", "3", "--out", str(path))[0] == 0
-        truth = oracle_triangle_list(files.read_graph(path))
-        code = main(["list", "--graph", str(path), "--algo", algo, "--t", "5"])
-        captured = capsys.readouterr()
-        got = [tuple(map(int, line.split())) for line in captured.out.splitlines()]
-        assert code == 0 and len(got) == 5 and set(got) <= truth
-        assert captured.err == "truncated-at-t: listed 5 triangles\n"
+        # every lister prints at most t rows: via-detection takes no
+        # capacity and lists all 1277 triangles, and main's exact case
+        # lists up to 32t
+        truth = oracle_triangle_list(files.read_graph(repro_file))
+        for algo in ("baseline", "via-detection", "main"):
+            code = main(["list", "--graph", str(repro_file), "--algo", algo, "--t", "5"])
+            captured = capsys.readouterr()
+            got = [tuple(map(int, line.split())) for line in captured.out.splitlines()]
+            assert code == 0 and len(got) == 5 and set(got) <= truth
+            assert captured.err == "truncated-at-t: listed 5 triangles\n"
 
     def test_zero_capacity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "g.txt"

@@ -666,8 +666,8 @@ class TestMainListing:
 
     def test_colored_retry_stops_once_the_union_holds_every_triangle(self, monkeypatch):
         # at t > zeta * m / 32 and t > T the runs go on until their union
-        # holds all T triangles, and no further; a union still short of
-        # them after LIST_RETRIES runs is failed
+        # holds all T triangles, and no further; graphs 2, 3 and 5 are
+        # still one triangle short after LIST_RETRIES runs, and failed
         runs = []
 
         def recording(*args):
@@ -676,26 +676,25 @@ class TestMainListing:
 
         main_listing_inner = triangle._main_listing
         monkeypatch.setattr(triangle, "_main_listing", recording)
-        stopped_early = False
-        for seed in range(6):
+        # graph seed -> (runs made, triangles missing at the end)
+        outcomes = {0: (2, 0), 1: (10, 0), 2: (10, 1), 3: (10, 1), 4: (4, 0), 5: (10, 1)}
+        assert LIST_RETRIES == 10
+        for seed, (needed, missing) in outcomes.items():
             g = gen.gen_graph("powerlaw", 100, 0.05, seed=seed)
             truth = oracle_triangle_list(g)
             t = len(truth) + 1
-            sources = [RandomSource(seed).split("retry", a) for a in range(LIST_RETRIES)]
-            # each run returns canonical rows; the union is the canonical
-            # form of their concatenation
-            union, needed = ListingResult((), COMPLETE), 0
-            while union.triangles != truth and needed < LIST_RETRIES:
-                rows = main_listing_inner(g, t, sources[needed], 4)
-                union = ListingResult(np.concatenate((union.rows, rows)), COMPLETE)
-                needed += 1
-            complete = union.triangles == truth
-            stopped_early = stopped_early or (complete and 1 < needed < LIST_RETRIES)
             runs.clear()
             res = main_listing_retry(g, t, RandomSource(seed), zeta=4)
-            assert (res.triangles, res.status) == (union.triangles, COMPLETE if complete else FAILED)
-            assert runs == [source.seed for source in sources[:needed]]
-        assert stopped_early
+            sources = [RandomSource(seed).split("retry", a) for a in range(needed)]
+            assert runs == [source.seed for source in sources]
+            assert res.triangles <= truth and len(truth - res.triangles) == missing
+            assert res.status == (FAILED if missing else COMPLETE)
+            # the runs before the last leave a triangle out, so the last
+            # one was needed
+            before = set()
+            for source in sources[:-1]:
+                before |= ListingResult(main_listing_inner(g, t, source, 4), COMPLETE).triangles
+            assert before < truth
 
     def test_missing_triangle_is_failed_not_complete(self):
         # at zeta = 8 every run here misses one of the 1277 triangles
