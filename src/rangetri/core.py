@@ -498,36 +498,22 @@ class TripartiteMultigraph:
 
 
 class DenseMatrix:
-    """Integer matrix backed by one 2-D int64 ndarray, ``array``.
+    """Integer matrix: ``array``, one 2-D int64 ndarray.
 
-    ``entries`` may be any sequence or array of ``rows * cols`` integers
-    in row-major order; an entry outside int64 raises ``InputError``.
+    ``rows`` is a sequence of equal-length integer rows or a 2-D integer
+    array (an int64 one is kept without a copy); an entry outside int64
+    raises ``InputError``.
     """
 
     __slots__ = ("array",)
 
-    def __init__(self, rows: int, cols: int, entries):
-        if rows < 1 or cols < 1:
-            raise ShapeError("matrix dimensions must be positive")
-        flat = _as_int64(entries, "matrix entry", "matrix entries")
-        if flat.size != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries, got {flat.size}")
-        self.array = flat.reshape(rows, cols)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "DenseMatrix":
-        c = len(rows[0])
-        if any(len(row) != c for row in rows):
+    def __init__(self, rows):
+        if not isinstance(rows, np.ndarray) and len({len(row) for row in rows if np.iterable(row)}) > 1:
             raise ShapeError("ragged rows")
-        return DenseMatrix(len(rows), c, rows)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "DenseMatrix":
-        return DenseMatrix(rows, cols, np.zeros(rows * cols, dtype=np.int64))
-
-    @staticmethod
-    def identity(n: int) -> "DenseMatrix":
-        return DenseMatrix(n, n, np.eye(n, dtype=np.int64))
+        array = _as_int64(rows, "matrix entry", "matrix entries")
+        if array.ndim != 2 or not array.size:
+            raise ShapeError("matrix dimensions must be positive")
+        self.array = array
 
     @property
     def rows(self) -> int:
@@ -540,18 +526,6 @@ class DenseMatrix:
     @property
     def entries(self) -> list[int]:
         return self.array.ravel().tolist()
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.array.item(ij)
-
-    def row(self, i: int) -> list[int]:
-        return self.array[i].tolist()
-
-    def col(self, j: int) -> list[int]:
-        return self.array[:, j].tolist()
-
-    def to_rows(self) -> list[list[int]]:
-        return self.array.tolist()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DenseMatrix) and np.array_equal(self.array, other.array)
@@ -656,14 +630,14 @@ def oracle_minmax(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Exact (min, max)-product by the defining triple loop."""
     if a.cols != b.rows:
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {b.rows}")
+    x, y = a.array.tolist(), b.array.tolist()
     out = [[0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
-        arow = a.row(i)
         for j in range(b.cols):
             best = None
             for k in range(a.cols):
-                cand = max(arow[k], b[k, j])
+                cand = max(x[i][k], y[k][j])
                 if best is None or cand < best:
                     best = cand
             out[i][j] = best
-    return DenseMatrix.from_rows(out)
+    return DenseMatrix(out)

@@ -121,19 +121,19 @@ def read_matrix(path: str | Path) -> DenseMatrix:
     rows, cols = header
     if len(lines) - 1 != rows:
         raise InputError(f"{path}: expected {rows} row lines, got {len(lines) - 1}")
-    entries: list[int] = []
+    entries: list[list[int]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         nums = _ints(line, path, lineno)
         if len(nums) != cols:
             raise InputError(f"{path}:{lineno}: expected {cols} entries")
-        entries.extend(nums)
+        entries.append(nums)
     try:
-        return DenseMatrix(rows, cols, entries)
+        return DenseMatrix(entries)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def format_matrix(m: DenseMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(map(str, m.row(i))) for i in range(m.rows))
+    lines.extend(" ".join(map(str, row)) for row in m.array.tolist())
     return "\n".join(lines) + "\n"

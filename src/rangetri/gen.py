@@ -134,4 +134,4 @@ def gen_matrix(rows: int, cols: int, lo: int, hi: int, seed: int = 0) -> DenseMa
     if rows < 1 or cols < 1 or lo > hi:
         raise InputError("need positive dimensions and lo <= hi")
     rng = random.Random(seed)
-    return DenseMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
+    return DenseMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])

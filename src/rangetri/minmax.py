@@ -112,4 +112,4 @@ def minmax_product(
 
     pa = split(lo)
     answer = np.maximum(sorted_ranks[row + pa], sorted_ranks[col + lo - pa])
-    return DenseMatrix(n, n, values[order][answer - 1])
+    return DenseMatrix(values[order][answer - 1])

@@ -440,7 +440,7 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
             product[row : row + step] = floats[row : row + step]
     else:
         product = a.array @ b.array
-    return DenseMatrix(a.rows, b.cols, product)
+    return DenseMatrix(product)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +600,7 @@ def online_eq_build(
         m = np.bincount(
             (block[freq] + 1) * n_freq + column[value[freq]], minlength=(b_cnt + 1) * n_freq
         ).reshape(b_cnt + 1, n_freq)
-        product = matmul(DenseMatrix(b_cnt + 1, n_freq, m), DenseMatrix(n_freq, b_cnt + 1, m.T))
+        product = matmul(DenseMatrix(m), DenseMatrix(m.T))
         prefix = np.ascontiguousarray(product.array)
     else:
         prefix = np.zeros((b_cnt + 1, b_cnt + 1), dtype=np.int64)

@@ -321,11 +321,11 @@ def bmm_via_2req(x: DenseMatrix, y: DenseMatrix, eqp_solver: PairSolver) -> Dens
     col, col_k = np.nonzero(y.array.T)
     out = np.zeros((d, d), dtype=np.int64)
     if not row.size + col.size:
-        return DenseMatrix(d, d, out)
+        return DenseMatrix(out)
     row_start, row_end = _segments(row, d, 0)
     col_start, col_end = _segments(col, d, row.size)
     i, j = np.nonzero(np.outer(row_end >= row_start, col_end >= col_start))
     probes = np.stack((row_start[i], row_end[i], col_start[j], col_end[j]), axis=1)
     answers = eqp_solver(IntArray(np.concatenate((row_k, col_k))), probes)
     out[i, j] = np.asarray(answers, dtype=np.int64) > 0
-    return DenseMatrix(d, d, out)
+    return DenseMatrix(out)

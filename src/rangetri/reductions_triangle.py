@@ -133,13 +133,12 @@ class MultigraphBuild:
 
     The answer to query k is read from the VW edges
     ``mg.vw[query_vw[query_ptr[k]:query_ptr[k + 1]]]``, a per-query CSR
-    of row indices into ``mg.vw``; ``n_pad`` is the segment tree width.
+    of row indices into ``mg.vw``.
     """
 
     mg: TripartiteMultigraph
     query_ptr: np.ndarray
     query_vw: np.ndarray
-    n_pad: int
 
     def fold(self, ufunc: np.ufunc, per_edge: np.ndarray) -> np.ndarray:
         """Reduce per-VW-edge results (aligned with ``mg.vw``) to one
@@ -209,7 +208,7 @@ def build_query_multigraph(a: IntArray, queries: Sequence[RangePair] | np.ndarra
 
     mg = TripartiteMultigraph(part_u, part_v, part_w, uv, uv_mult, uw, uw_mult, vw)
     mg.validate()
-    return MultigraphBuild(mg, query_ptr, query_vw, n_pad)
+    return MultigraphBuild(mg, query_ptr, query_vw)
 
 
 # ---------------------------------------------------------------------------

@@ -638,10 +638,9 @@ def inner_listing(
 
     q = m**3 / t**2
     cap = max(1, int(zeta * q))
-    # The light graph's triangles, listed once; a color triple keeps its
-    # triangles in this (sorted) order, which matches running the
-    # baseline on every color-triple subgraph but skips the empty ones.
-    # ``kept`` marks the rows some round keeps.
+    # The light graph's triangles, listed once in canonical order; a round
+    # keeps each fitting color triple's first ``cap`` triangles in that
+    # order.  ``kept`` marks the rows some round keeps.
     tris = baseline_list(light, light.m**2).rows
     kept = np.zeros(len(tris), dtype=bool)
     clean = True
@@ -725,11 +724,13 @@ def main_listing(
     colored lister on vertex samples of geometrically increasing rate.
 
     At 32t <= zeta * m this is the baseline lister at capacity 32t, which
-    is exact.  Otherwise it is one Monte Carlo run, which succeeds with
-    probability at least 1/2, and its status is checked against the AYZ
-    triangle count T: ``truncated-at-t`` with t or more triangles,
-    ``complete`` with all T, and ``failed`` otherwise.  main_listing_retry
-    amplifies it.
+    is exact.  Otherwise it is one Monte Carlo run.  How often a run
+    lists every triangle depends on zeta and is not bounded here; at
+    small zeta it may almost never do so.  The status is certified by the
+    AYZ triangle count T: ``truncated-at-t`` with t or more triangles,
+    ``complete`` with all T, and ``failed`` otherwise.
+    main_listing_retry makes up to LIST_RETRIES runs and may still end
+    ``failed``.
     """
     return _listing(g, t, zeta, [RandomSource(0) if rng is None else rng])
 

@@ -10,6 +10,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -48,6 +49,7 @@ from rangetri.reductions_range import (
 )
 from rangetri.reductions_triangle import (
     build_query_multigraph,
+    padded_length,
     reduce_2rdq_to_etd,
     reduce_2req_to_etc,
 )
@@ -154,8 +156,9 @@ def test_criterion_3_query_to_triangle_round_trips(capsys):
         got = reduce_2req_to_etc(a, queries, EDGE_COUNTERS["oracle"])
         ok &= got == [oracle_pairs_query(EQP, a, qq) for qq in queries]
         build = build_query_multigraph(a, queries)
-        log = int(math.log2(build.n_pad)) if build.n_pad > 1 else 1
-        ok &= build.mg.uv_mult.sum() + build.mg.uw_mult.sum() <= 2 * build.n_pad * (log + 1)
+        n_pad = padded_length(n)
+        log = int(math.log2(n_pad)) if n_pad > 1 else 1
+        ok &= build.mg.uv_mult.sum() + build.mg.uw_mult.sum() <= 2 * n_pad * (log + 1)
         ok &= len(build.mg.vw) <= q * (2 * log) ** 2
     for _ in range(500):
         n = rng.randint(2, 64)
@@ -296,8 +299,8 @@ def test_criterion_8_minmax_product(capsys):
     for trial in range(50):
         n = rng.randint(1, 24)
         lo, hi = (-50, 50) if trial % 2 else (-5, 5)  # the narrow band forces duplicates
-        a = DenseMatrix(n, n, [rng.randint(lo, hi) for _ in range(n * n)])
-        b = DenseMatrix(n, n, [rng.randint(lo, hi) for _ in range(n * n)])
+        a = DenseMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+        b = DenseMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
         want = oracle_minmax(a, b)
         stats = MinMaxStats()
         ok &= minmax_product(a, b, direct, stats=stats) == want
@@ -318,20 +321,21 @@ def test_criterion_9_boolean_matrix_product(capsys):
 
     def naive(x, y):
         d = x.rows
-        return DenseMatrix.from_rows(
+        xs, ys = x.array.tolist(), y.array.tolist()
+        return DenseMatrix(
             [
-                [1 if any(x[i, k] and y[k, j] for k in range(d)) else 0 for j in range(d)]
+                [1 if any(xs[i][k] and ys[k][j] for k in range(d)) else 0 for j in range(d)]
                 for i in range(d)
             ]
         )
 
-    ident = DenseMatrix.identity(8)
-    ones = DenseMatrix(8, 8, [1] * 64)
+    ident = DenseMatrix(np.eye(8, dtype=np.int64))
+    ones = DenseMatrix([[1] * 8] * 8)
     ok &= bmm_via_2req(ident, ident, solver) == ident
     ok &= bmm_via_2req(ones, ones, solver) == ones
     for _ in range(50):
-        x = DenseMatrix(8, 8, [rng.randint(0, 1) for _ in range(64)])
-        y = DenseMatrix(8, 8, [rng.randint(0, 1) for _ in range(64)])
+        x = DenseMatrix([[rng.randint(0, 1) for _ in range(8)] for _ in range(8)])
+        y = DenseMatrix([[rng.randint(0, 1) for _ in range(8)] for _ in range(8)])
         ok &= bmm_via_2req(x, y, solver) == naive(x, y)
     report(capsys, 9, "boolean matrix product via equal-pairs", ok)
 

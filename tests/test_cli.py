@@ -372,8 +372,8 @@ class TestMinmax:
         rng = random.Random(3)
         from rangetri.core import DenseMatrix
 
-        a = DenseMatrix(4, 4, [rng.randint(-9, 9) for _ in range(16)])
-        b = DenseMatrix(4, 4, [rng.randint(-9, 9) for _ in range(16)])
+        a = DenseMatrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
+        b = DenseMatrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
         (tmp_path / "a.txt").write_text(files.format_matrix(a))
         (tmp_path / "b.txt").write_text(files.format_matrix(b))
         code, out = run(
@@ -383,7 +383,7 @@ class TestMinmax:
         )
         assert code == 0
         rows = [list(map(int, line.split())) for line in out.splitlines()[1:] if line.strip()]
-        assert rows == oracle_minmax(a, b).to_rows()
+        assert rows == oracle_minmax(a, b).array.tolist()
 
     def test_entry_outside_int64_is_usage_error(self, capsys, tmp_path):
         (tmp_path / "a.txt").write_text(f"1 1\n{2**63}\n")

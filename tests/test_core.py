@@ -156,12 +156,12 @@ class TestTypes:
         with pytest.raises(InputError, match=r"^array value outside int64$"):
             IntArray(big)
         with pytest.raises(InputError, match=r"^matrix entry outside int64$"):
-            DenseMatrix(1, 2, big)
+            DenseMatrix(big.reshape(1, 2))
         with pytest.raises(InputError, match=r"^matrix entry outside int64$"):
-            DenseMatrix.from_rows(big.reshape(1, 2))
+            DenseMatrix([big])
         fits = np.array([2**63 - 1, 0], dtype=np.uint64)
         assert IntArray(fits).values.tolist() == [2**63 - 1, 0]
-        assert DenseMatrix(2, 1, fits).entries == [2**63 - 1, 0]
+        assert DenseMatrix(fits.reshape(2, 1)).array.tolist() == [[2**63 - 1], [0]]
         # an int64 array is copied before it is made read-only
         own = np.array([3, 1])
         assert IntArray(own).values.tolist() == [3, 1] and own.flags.writeable
@@ -191,14 +191,14 @@ class TestTypes:
         with pytest.raises(InputError, match=r"^array values must be integers$"):
             IntArray(values)
         with pytest.raises(InputError, match=r"^matrix entries must be integers$"):
-            DenseMatrix(1, len(values), values)
+            DenseMatrix([values])
 
     def test_integer_forms_accepted(self):
         forms = [[1, 2], (1, 2), [np.int8(1), np.uint64(2)], [True, 2],
                  np.array([1, 2], dtype=np.int16), np.array([1, 2], dtype=object)]
         for values in forms:
             assert IntArray(values).values.tolist() == [1, 2]
-            assert DenseMatrix(1, 2, values).entries == [1, 2]
+            assert DenseMatrix([values]).array.tolist() == [[1, 2]]
         # ints that no single numpy dtype holds are still checked for range
         assert IntArray([-1, 2**63 - 1]).values.tolist() == [-1, 2**63 - 1]
         with pytest.raises(InputError, match=r"^array value outside int64$"):
@@ -378,22 +378,27 @@ class TestTypes:
             assert back.dtype == np.int64 and back.size == 0
 
     def test_matrix(self):
-        m = DenseMatrix.from_rows([[1, 2], [3, 4]])
-        assert m[1, 0] == 3
-        assert m.col(1) == [2, 4]
-        with pytest.raises(ShapeError):
-            DenseMatrix(2, 2, [1, 2, 3])
-        with pytest.raises(ShapeError):
-            DenseMatrix.from_rows([[1, 2], [3]])
+        m = DenseMatrix([[1, 2, 3], [4, 5, 6]])
+        assert (m.rows, m.cols, m.entries) == (2, 3, [1, 2, 3, 4, 5, 6])
+        assert m.array.dtype == np.int64 and m.array[1, 0] == 4
+        assert m == DenseMatrix(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int16))
+        assert m != DenseMatrix([[1, 2, 3]])
+        own = np.array([[3, 1]])
+        assert DenseMatrix(own).array is own
+        with pytest.raises(ShapeError, match=r"^ragged rows$"):
+            DenseMatrix([[1, 2], [3]])
+        for flat in ([], [[]], [1, 2, 3], np.zeros((2, 2, 2), dtype=np.int64)):
+            with pytest.raises(ShapeError, match=r"^matrix dimensions must be positive$"):
+                DenseMatrix(flat)
 
     def test_matrix_entries_must_fit_int64(self):
-        m = DenseMatrix(1, 2, [2**63 - 1, -(2**63)])
+        m = DenseMatrix([[2**63 - 1, -(2**63)]])
         assert m.entries == [2**63 - 1, -(2**63)]
-        assert all(type(x) is int for x in m.entries + m.row(0) + m.col(1))
+        assert all(type(x) is int for x in m.entries)
         with pytest.raises(InputError, match="int64"):
-            DenseMatrix(1, 2, [0, 2**63])
+            DenseMatrix([[0, 2**63]])
         with pytest.raises(InputError, match="int64"):
-            DenseMatrix.from_rows([[-(2**63) - 1]])
+            DenseMatrix([[-(2**63) - 1]])
 
 
 def test_pack_runs():
@@ -554,28 +559,28 @@ class TestTriangleOracles:
 
 class TestMinmaxOracle:
     def test_examples(self):
-        a = DenseMatrix.from_rows([[1, 2], [3, 4]])
-        b = DenseMatrix.from_rows([[5, 6], [7, 8]])
-        assert oracle_minmax(a, b).to_rows() == [[5, 6], [5, 6]]
-        one = oracle_minmax(DenseMatrix.from_rows([[3]]), DenseMatrix.from_rows([[7]]))
-        assert one.to_rows() == [[7]]
+        a = DenseMatrix([[1, 2], [3, 4]])
+        b = DenseMatrix([[5, 6], [7, 8]])
+        assert oracle_minmax(a, b).array.tolist() == [[5, 6], [5, 6]]
+        one = oracle_minmax(DenseMatrix([[3]]), DenseMatrix([[7]]))
+        assert one.array.tolist() == [[7]]
 
     def test_zero_row(self):
-        a = DenseMatrix.from_rows([[0, 0, 0], [1, 1, 1]])
-        b = DenseMatrix.from_rows([[4, 9, 2], [6, 1, 8], [5, 3, 7]])
+        a = DenseMatrix([[0, 0, 0], [1, 1, 1]])
+        b = DenseMatrix([[4, 9, 2], [6, 1, 8], [5, 3, 7]])
         out = oracle_minmax(a, b)
-        assert out.row(0) == [min(b.col(j)) for j in range(3)]
+        assert out.array[0].tolist() == b.array.min(axis=0).tolist()
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            oracle_minmax(DenseMatrix.zeros(2, 3), DenseMatrix.zeros(2, 2))
+            oracle_minmax(DenseMatrix([[0] * 3] * 2), DenseMatrix([[0] * 2] * 2))
 
     def test_entry_bounds(self):
         rng = random.Random(3)
         for _ in range(20):
             n = rng.randint(1, 6)
-            a = DenseMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
-            b = DenseMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
+            a = DenseMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            b = DenseMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
             out = oracle_minmax(a, b)
             lo = min(a.entries + b.entries)
             hi = max(a.entries + b.entries)

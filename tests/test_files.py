@@ -77,7 +77,7 @@ def test_graph_edge_count_mismatch(tmp_path):
 
 def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
-    m = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    m = DenseMatrix([[1, 2, 3], [4, 5, 6]])
     path.write_text(files.format_matrix(m))
     assert files.read_matrix(path) == m
 

@@ -34,22 +34,23 @@ def disjoint_via_ayz(a, queries):
 
 
 def rand_matrix(rng, n, lo=-50, hi=50):
-    return DenseMatrix(n, n, [rng.randint(lo, hi) for _ in range(n * n)])
+    return DenseMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
 def rank_entries(a, b):
     """Distinct ranks in [1, 2n^2] of all entries, ties broken by (source
     matrix, position), and the values in rank order."""
     n = a.rows
+    x, y = a.array.tolist(), b.array.tolist()
     keyed = []
     for i in range(n):
         for j in range(n):
-            keyed.append((a[i, j], 0, i, j))
-            keyed.append((b[i, j], 1, i, j))
+            keyed.append((x[i][j], 0, i, j))
+            keyed.append((y[i][j], 1, i, j))
     keyed.sort()
     rank_of = {key: pos + 1 for pos, key in enumerate(keyed)}
-    ra = [[rank_of[(a[i, j], 0, i, j)] for j in range(n)] for i in range(n)]
-    rb = [[rank_of[(b[i, j], 1, i, j)] for j in range(n)] for i in range(n)]
+    ra = [[rank_of[(x[i][j], 0, i, j)] for j in range(n)] for i in range(n)]
+    rb = [[rank_of[(y[i][j], 1, i, j)] for j in range(n)] for i in range(n)]
     return ra, rb, [key[0] for key in keyed]
 
 
@@ -74,14 +75,14 @@ def matrix_pairs(draw, n):
 
     def matrix():
         if family == "equal":
-            return DenseMatrix(n, n, [draw(st.integers(-3, 3))] * (n * n))
+            return DenseMatrix([[draw(st.integers(-3, 3))] * n] * n)
         entries = st.integers(-1, 1) if family == "band" else st.integers(-20, 20)
         if family == "extremes":
             entries = st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
         flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
         if family == "monotone":
             flat.sort(reverse=draw(st.booleans()))
-        return DenseMatrix(n, n, flat)
+        return DenseMatrix([flat[k : k + n] for k in range(0, n * n, n)])
 
     return matrix(), matrix()
 
@@ -111,19 +112,17 @@ class TestRanking:
 
 class TestProduct:
     def test_examples(self):
-        a = DenseMatrix.from_rows([[1, 2], [3, 4]])
-        b = DenseMatrix.from_rows([[5, 6], [7, 8]])
+        a = DenseMatrix([[1, 2], [3, 4]])
+        b = DenseMatrix([[5, 6], [7, 8]])
         assert minmax_product(a, b, disjoint_oracle) == oracle_minmax(a, b)
-        one = minmax_product(
-            DenseMatrix.from_rows([[3]]), DenseMatrix.from_rows([[7]]), disjoint_oracle
-        )
-        assert one.to_rows() == [[7]]
+        one = minmax_product(DenseMatrix([[3]]), DenseMatrix([[7]]), disjoint_oracle)
+        assert one.array.tolist() == [[7]]
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            minmax_product(DenseMatrix.zeros(2, 3), DenseMatrix.zeros(3, 3), disjoint_oracle)
+            minmax_product(DenseMatrix([[0] * 3] * 2), DenseMatrix([[0] * 3] * 3), disjoint_oracle)
         with pytest.raises(ShapeError):
-            minmax_product(DenseMatrix.zeros(2, 2), DenseMatrix.zeros(3, 3), disjoint_oracle)
+            minmax_product(DenseMatrix([[0] * 2] * 2), DenseMatrix([[0] * 3] * 3), disjoint_oracle)
 
     def test_random_with_oracle_disjointness(self):
         rng = random.Random(2)
@@ -150,8 +149,8 @@ class TestProduct:
         assert minmax_product(a, b, disjoint_via_ayz) == want
 
     def test_duplicate_values(self):
-        a = DenseMatrix.from_rows([[5, 5], [5, 5]])
-        b = DenseMatrix.from_rows([[5, 2], [5, 2]])
+        a = DenseMatrix([[5, 5], [5, 5]])
+        b = DenseMatrix([[5, 2], [5, 2]])
         assert minmax_product(a, b, disjoint_oracle) == oracle_minmax(a, b)
 
 

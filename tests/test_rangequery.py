@@ -794,13 +794,13 @@ class TestOnlineEq:
 
 class TestMatmul:
     def test_examples(self):
-        x = DenseMatrix.from_rows([[1, 2], [3, 4]])
-        y = DenseMatrix.from_rows([[5, 6], [7, 8]])
-        assert matmul(x, y).to_rows() == [[19, 22], [43, 50]]
-        ident = DenseMatrix.identity(3)
-        z = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        x = DenseMatrix([[1, 2], [3, 4]])
+        y = DenseMatrix([[5, 6], [7, 8]])
+        assert matmul(x, y).array.tolist() == [[19, 22], [43, 50]]
+        ident = DenseMatrix(np.eye(3, dtype=np.int64))
+        z = DenseMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert matmul(ident, z) == z
-        zero = DenseMatrix.zeros(2, 2)
+        zero = DenseMatrix([[0, 0], [0, 0]])
         assert matmul(zero, x) == zero
 
     def test_matches_triple_loop(self):
@@ -810,23 +810,23 @@ class TestMatmul:
                 r, k, c = (rng.randint(1, 24) for _ in range(3))
             else:
                 r = k = c = rng.randint(33, 64)
-            a = DenseMatrix(r, k, [rng.randint(-9, 9) for _ in range(r * k)])
-            b = DenseMatrix(k, c, [rng.randint(-9, 9) for _ in range(k * c)])
-            ra, rb = a.to_rows(), b.to_rows()
+            ra = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
+            rb = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)]
+            a, b = DenseMatrix(ra), DenseMatrix(rb)
             expected = [
                 [sum(ra[i][t] * rb[t][j] for t in range(k)) for j in range(c)]
                 for i in range(r)
             ]
-            assert matmul(a, b).to_rows() == expected
+            assert matmul(a, b).array.tolist() == expected
 
     def test_rejects_possible_overflow(self):
-        row = DenseMatrix.from_rows([[2**31, 2**31]])
+        row = DenseMatrix([[2**31, 2**31]])
         with pytest.raises(InputError, match="int64"):
-            matmul(row, DenseMatrix.from_rows([[2**31], [2**31]]))
-        fits = matmul(row, DenseMatrix.from_rows([[2**31 - 1], [2**31 - 1]]))
-        assert fits.to_rows() == [[2**63 - 2**32]]
+            matmul(row, DenseMatrix([[2**31], [2**31]]))
+        fits = matmul(row, DenseMatrix([[2**31 - 1], [2**31 - 1]]))
+        assert fits.array.tolist() == [[2**63 - 2**32]]
         with pytest.raises(InputError, match="int64"):
-            matmul(DenseMatrix.from_rows([[-(2**63)]]), DenseMatrix.from_rows([[-1]]))
+            matmul(DenseMatrix([[-(2**63)]]), DenseMatrix([[-1]]))
 
     def test_float_path_is_exact(self):
         # max|a| * max|b| * k just under 2**53: the float64 product, whose
@@ -837,13 +837,13 @@ class TestMatmul:
             rows = [[rng.randint(-peak, peak) for _ in range(k)] for _ in range(r)]
             cols = [[rng.randint(-peak, peak) for _ in range(c)] for _ in range(k)]
             rows[0][0], cols[0][0] = peak, -peak
-            x, y = DenseMatrix.from_rows(rows), DenseMatrix.from_rows(cols)
+            x, y = DenseMatrix(rows), DenseMatrix(cols)
             assert 2**52 <= rangequery._peak(x) * rangequery._peak(y) * k < 2**53
             expected = [
                 [sum(rows[i][t] * cols[t][j] for t in range(k)) for j in range(c)]
                 for i in range(r)
             ]
-            assert matmul(x, y).to_rows() == expected
+            assert matmul(x, y).array.tolist() == expected
 
     def test_float_path_holds_one_table(self, monkeypatch):
         # online-eq's block product at n = 1024, q_hint = 4096 and 16
@@ -872,5 +872,5 @@ class TestMatmul:
 
     def test_int_path_past_float_precision(self):
         # float64 would round 2**53 + 1 to 2**53
-        product = matmul(DenseMatrix.from_rows([[2**53 + 1]]), DenseMatrix.from_rows([[1]]))
-        assert product.to_rows() == [[2**53 + 1]]
+        product = matmul(DenseMatrix([[2**53 + 1]]), DenseMatrix([[1]]))
+        assert product.array.tolist() == [[2**53 + 1]]

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -184,16 +185,17 @@ class TestBooleanMatrixProduct:
     @staticmethod
     def naive(x, y):
         d = x.rows
-        return DenseMatrix.from_rows(
+        xs, ys = x.array.tolist(), y.array.tolist()
+        return DenseMatrix(
             [
-                [1 if any(x[i, k] and y[k, j] for k in range(d)) else 0 for j in range(d)]
+                [1 if any(xs[i][k] and ys[k][j] for k in range(d)) else 0 for j in range(d)]
                 for i in range(d)
             ]
         )
 
     def test_identity_and_ones(self):
-        ident = DenseMatrix.identity(4)
-        ones = DenseMatrix(4, 4, [1] * 16)
+        ident = DenseMatrix(np.eye(4, dtype=np.int64))
+        ones = DenseMatrix([[1] * 4] * 4)
         solver = oracle_pairs(EQP)
         assert bmm_via_2req(ident, ident, solver) == ident
         assert bmm_via_2req(ones, ones, solver) == ones
@@ -202,18 +204,16 @@ class TestBooleanMatrixProduct:
         rng = random.Random(9)
         solver = oracle_pairs(EQP)
         for _ in range(50):
-            x = DenseMatrix(8, 8, [rng.randint(0, 1) for _ in range(64)])
-            y = DenseMatrix(8, 8, [rng.randint(0, 1) for _ in range(64)])
+            x = DenseMatrix([[rng.randint(0, 1) for _ in range(8)] for _ in range(8)])
+            y = DenseMatrix([[rng.randint(0, 1) for _ in range(8)] for _ in range(8)])
             assert bmm_via_2req(x, y, solver) == self.naive(x, y)
 
     def test_rejects_bad_input(self):
         solver = oracle_pairs(EQP)
         with pytest.raises(ShapeError):
-            bmm_via_2req(DenseMatrix.zeros(2, 3), DenseMatrix.zeros(3, 3), solver)
+            bmm_via_2req(DenseMatrix([[0] * 3] * 2), DenseMatrix([[0] * 3] * 3), solver)
         with pytest.raises(InputError):
-            bmm_via_2req(
-                DenseMatrix.from_rows([[2, 0], [0, 1]]), DenseMatrix.identity(2), solver
-            )
+            bmm_via_2req(DenseMatrix([[2, 0], [0, 1]]), DenseMatrix([[1, 0], [0, 1]]), solver)
 
 
 def every_range(n):

@@ -278,7 +278,7 @@ class TestQueryMultigraph:
             queries = [rand_pair(rng, n) for _ in range(q)]
             build = build_query_multigraph(a, queries)
             mg = build.mg
-            n_pad = build.n_pad
+            n_pad = padded_length(n)
             log = int(math.log2(n_pad)) if n_pad > 1 else 1
             # each array position contributes once per tree level at most
             level_bound = 2 * n_pad * (log + 1)
